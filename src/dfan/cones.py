@@ -316,9 +316,6 @@ class RelOpenCone:
                 and all(ev(f) >= 0 for f in self.strict)
                 and all(ev(f) >= 0 for f in self.weak))
 
-    def is_empty(self):
-        return solve(self._constraints(), self.dim) is None
-
     def interior_point(self):
         pt = solve(self._constraints(), self.dim)
         if pt is None:

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import ZeroDivisor, DivisorInQ, LcDoesNotDivideH
+from .errors import (ZeroDivisor, DivisorInQ, LcDoesNotDivideH,
+                     LeadingTermNotCancelled)
 from .operators import HOperator
 from .orders import leading_data, leading_data_mod_q
 from .params import ParamFraction, coeff_num_in_q, poly_divides
@@ -138,7 +139,9 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK):
         # band, which only forfeits exactness above the shared window
         got = prod.terms.get(e)
         if got != c:
-            assert got is None, "leading term failed to cancel"
+            if got is not None:
+                raise LeadingTermNotCancelled(
+                    f"term {e}: divisor product has {got}, expected {c}")
             tainted = True
 
     q_ops = [HOperator(n, field, q, cap=internal, tainted=tainted) for q in quotients]

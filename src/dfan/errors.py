@@ -33,6 +33,11 @@ class LcDoesNotDivideH(DfanError):
     """A leading coefficient numerator fails to divide the localizer h."""
 
 
+class LeadingTermNotCancelled(DfanError):
+    """A division step left a different nonzero coefficient on the term it
+    was meant to cancel."""
+
+
 class CapTooSmall(DfanError):
     """The staircase did not stabilize between consecutive truncation caps."""
 

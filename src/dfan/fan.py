@@ -20,7 +20,8 @@ from itertools import product as iproduct
 
 from .division import partition, DEFAULT_GUARD_SLACK
 from .errors import NonConvergentTraversal, ZeroOperator
-from .newton import NewtonPolyhedron, face_of, minkowski_sum, newton, normal_cone
+from .newton import (NewtonPolyhedron, face_of, minkowski_sum, minkowski_sum_by_hull,
+                     newton, normal_cone)
 from .operators import Exponent, HOperator, homogenize
 from .orders import OrderSpec, Weight, leading_data
 from .params import ParamField
@@ -183,9 +184,9 @@ class FanCell:
         return self.cone.dim - form_rank(self.cone.equalities, self.cone.dim)
 
 
-def cell_at(gens, w, cap, Q=None, base_order=None):
-    """The fan cell of the admissible weight w, for the homogenized ideal
-    generated by gens (already z-graded)."""
+def _basis_at(gens, w, cap, Q, base_order):
+    """(basis, staircase, h, h_factors, tainted): the reduced (generic)
+    standard basis for the order refined by the admissible weight w."""
     w.check_admissible()
     n = gens[0].n
     order = (base_order or base_fan_order(n)).with_weight(w)
@@ -198,11 +199,17 @@ def cell_at(gens, w, cap, Q=None, base_order=None):
         basis, h, h_factors, tainted = sb.basis, None, (), sb.tainted
     if not basis:
         raise ZeroOperator("fan of the zero ideal")
-    polys = [newton(g) for g in basis]
-    P = minkowski_sum(polys)
+    staircase = sorted(leading_data(g, order)[0] for g in basis)
+    return basis, staircase, h, h_factors, tainted
+
+
+def cell_at(gens, w, cap, Q=None, base_order=None):
+    """The fan cell of the admissible weight w, for the homogenized ideal
+    generated by gens (already z-graded)."""
+    basis, staircase, h, h_factors, tainted = _basis_at(gens, w, cap, Q, base_order)
+    P = minkowski_sum([newton(g) for g in basis])
     verts, _ = face_of(P, w)
     cone = normal_cone(P, w)
-    staircase = sorted(leading_data(g, order)[0] for g in basis)
     return FanCell(cone, w, P, verts, basis, staircase, h, h_factors, tainted)
 
 
@@ -332,9 +339,12 @@ def grid_weights(n, denominators=(1, 2, 3), span=3):
 def oracle_classify(gens, w, cap, Q=None, base_order=None):
     """Cell data computed directly at w, with no traversal: the staircase of
     the reduced basis, the w-face of the Minkowski polyhedron, and the active
-    weight constraints."""
-    cell = cell_at(gens, w, cap, Q=Q, base_order=base_order)
-    return (tuple(cell.staircase), cell.face_vertices, w.activity())
+    weight constraints.  The polyhedron comes from the defining hull of all
+    vertex sums, not from the normal-fan refinement `cell_at` uses, so the
+    grid check shares no polyhedral code with the traversal."""
+    basis, staircase, _, _, _ = _basis_at(gens, w, cap, Q, base_order)
+    face, _ = face_of(minkowski_sum_by_hull([newton(g) for g in basis]), w)
+    return (tuple(staircase), face, w.activity())
 
 
 def check_fan_against_grid(fan, gens, weights, cap, Q=None, base_order=None):

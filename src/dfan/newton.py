@@ -2,15 +2,25 @@
 
 W* is the polar dual of the admissible cone W, generated by e_i (1 in the
 x_i slot) and e'_i (-1 in the x_i and dx_i slots), embedded in Z^{2n+1} with
-z-slot 0.  W* is simplicial, so cone membership is a closed-form test; the
-convex-hull redundancy step is an exact rational feasibility problem.
+z-slot 0.  W* is simplicial, so cone membership is a closed-form test.
+
+The vertex set of one polyhedron comes from its support points by an exact
+LP redundancy test (`vertex_set`); that is the only place an LP runs.
+Minkowski sums need none: the normal fan of A + B is the common refinement
+of the normal fans of A and B (Ziegler, Lectures on Polytopes, Prop. 7.12),
+so a + b is a vertex of A + B exactly when the open normal cones of the
+vertices a and b meet.  `minkowski_sum` folds the summands that way, testing
+each meet with a known interior point first and an exact cone solve only
+when neither point lies in both cones.  `minkowski_sum_by_hull` is the
+definition itself, kept as an independent reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from .cones import RelOpenCone, lp_feasible
+from .cones import RelOpenCone, lp_feasible, solve
 from .errors import ZeroOperator, NotAdmissible
 from .params import coeff_num_in_q
 
@@ -73,17 +83,12 @@ def vertex_set(n, points):
                        for q in pts)
         if not absorbed:
             keep.append(p)
-    # then convex redundancy
+    # then convex redundancy, in one pass: W* is pointed, so dropping a
+    # non-vertex never makes a vertex redundant
     out = list(keep)
-    changed = True
-    while changed:
-        changed = False
-        for p in list(out):
-            others = [q for q in out if q != p]
-            if _conv_redundant(p, others, n):
-                out.remove(p)
-                changed = True
-                break
+    for p in keep:
+        if _conv_redundant(p, [q for q in out if q != p], n):
+            out.remove(p)
     return sorted(out)
 
 
@@ -106,10 +111,6 @@ class NewtonPolyhedron:
     def __repr__(self):
         return f"New{list(self.vertices)}"
 
-    def translate(self, p):
-        return NewtonPolyhedron(self.n, [tuple(a + b for a, b in zip(v, p))
-                                         for v in self.vertices])
-
 
 def newton(g, Q=None):
     """Newton polyhedron of a nonzero operator.
@@ -128,16 +129,68 @@ def newton(g, Q=None):
     return NewtonPolyhedron(g.n, vertex_set(g.n, pts))
 
 
+def _satisfies(point, forms):
+    return all(sum(a * x for a, x in zip(f, point)) > 0 for f in forms)
+
+
+def _vertex_cones(poly):
+    """(vertex, forms, point) per vertex of poly: the strict forms of the
+    vertex's open normal cone in Q^{2n+1} (w . (v - q) > 0 for the other
+    vertices q, w . r < 0 for the rays r of W*) and one point inside it.
+    A listed point whose cone is empty is not a vertex and is left out."""
+    ray_forms = [tuple(-c for c in r) for r in wstar_rays(poly.n)]
+    dim = 2 * poly.n + 1
+    out = []
+    for v in poly.vertices:
+        forms = [tuple(a - b for a, b in zip(v, q))
+                 for q in poly.vertices if q != v] + ray_forms
+        point = solve([(f, 0, "gt") for f in forms], dim)
+        if point is not None:
+            out.append((v, forms, point))
+    return out
+
+
 def minkowski_sum(polys):
-    """Minkowski sum; recession cone stays W*."""
+    """Minkowski sum by normal-fan refinement; recession cone stays W*.
+
+    Folds the summands left to right.  Each vertex of the partial sum carries
+    its open normal cone (the union of its summand vertices' forms) and a
+    point inside it; a + b survives when the cones of a and b meet."""
     if not polys:
         raise ValueError("empty Minkowski sum")
     n = polys[0].n
-    acc = polys[0].vertices
-    for p in polys[1:]:
-        acc = [tuple(a + b for a, b in zip(v, w)) for v in acc for w in p.vertices]
-        acc = vertex_set(n, acc)
-    return NewtonPolyhedron(n, vertex_set(n, acc))
+    dim = 2 * n + 1
+    acc = _vertex_cones(polys[0])
+    for poly in polys[1:]:
+        summand = _vertex_cones(poly)
+        nxt = []
+        for a, a_forms, a_point in acc:
+            for b, b_forms, b_point in summand:
+                forms = list(dict.fromkeys(a_forms + b_forms))
+                if _satisfies(a_point, b_forms):
+                    point = a_point
+                elif _satisfies(b_point, a_forms):
+                    point = b_point
+                else:
+                    point = solve([(f, 0, "gt") for f in forms], dim)
+                    if point is None:
+                        continue
+                nxt.append((tuple(x + y for x, y in zip(a, b)), forms, point))
+        acc = nxt
+    return NewtonPolyhedron(n, [v for v, _, _ in acc])
+
+
+def minkowski_sum_by_hull(polys):
+    """Minkowski sum from the definition: the vertex set of every sum of one
+    vertex per summand.  Exponential in the number of summands; kept as the
+    reference that `minkowski_sum` and the fan's grid oracle are checked
+    against."""
+    if not polys:
+        raise ValueError("empty Minkowski sum")
+    n = polys[0].n
+    sums = [tuple(map(sum, zip(*pick)))
+            for pick in product(*(p.vertices for p in polys))]
+    return NewtonPolyhedron(n, vertex_set(n, sums))
 
 
 def face_of(poly, w):

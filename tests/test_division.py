@@ -8,7 +8,8 @@ import pytest
 from conftest import qop, random_qop
 from dfan.division import (DEFAULT_GUARD_SLACK, denominator_certificate,
                            divide, divide_mod_q, partition)
-from dfan.errors import DivisorInQ, LcDoesNotDivideH, ZeroDivisor
+from dfan.errors import (DivisorInQ, LcDoesNotDivideH, LeadingTermNotCancelled,
+                         ZeroDivisor)
 from dfan.operators import Exponent, HOperator, exponent
 from dfan.orders import OrderSpec, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
@@ -26,6 +27,18 @@ def test_partition_least_index():
 def test_zero_divisor_raises():
     with pytest.raises(ZeroDivisor):
         divide(qop(1, {((0,), (0,), 0): 1}), [qop(1, {})], OrderSpec(1))
+
+
+def test_uncancelled_leading_term_raises(monkeypatch):
+    # a divisor product that leaves another coefficient on the term being
+    # cancelled is a DfanError, which unlike an assert survives python -O
+    mul = HOperator.__mul__
+    monkeypatch.setattr(HOperator, "__mul__",
+                        lambda a, b: mul(a, b).scale(Fraction(2)))
+    x = qop(1, {((1,), (0,), 0): 1})
+    x2 = qop(1, {((2,), (0,), 0): 1})
+    with pytest.raises(LeadingTermNotCancelled):
+        divide(x2, [x], OrderSpec(1))
 
 
 def test_simple_exact_division():

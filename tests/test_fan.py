@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import qop
+import dfan.fan as fan_module
 from dfan.fan import (cell_at, check_fan_against_grid, dn_standard_basis,
                       enumerate_fan, fan_of_ideal, grid_weights,
                       homogenized_generators, oracle_classify, t_order)
@@ -81,9 +82,13 @@ def test_every_admissible_grid_weight_is_covered_once():
         assert sum(1 for c in fan.cells if c.contains(w)) == 1
 
 
-def test_oracle_matches_cells_pointwise():
+def test_oracle_matches_cells_pointwise(monkeypatch):
     g = qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})
     fan = enumerate_fan([g], cap=8)
+    # the oracle must get its faces without the traversal's Minkowski sum
+    def forbidden(polys):
+        raise AssertionError("oracle used the traversal's minkowski_sum")
+    monkeypatch.setattr(fan_module, "minkowski_sum", forbidden)
     for c in fan.cells:
         stair, face, act = oracle_classify([g], c.witness, 8)
         assert tuple(c.staircase) == stair and c.face_vertices == face

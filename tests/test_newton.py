@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import qop
 from dfan.errors import ZeroOperator
-from dfan.newton import (NewtonPolyhedron, face_of, in_wstar, minkowski_sum,
-                         newton, normal_cone, vertex_set, wstar_rays)
+from dfan.newton import (NewtonPolyhedron, _conv_redundant, face_of, in_wstar,
+                         minkowski_sum, minkowski_sum_by_hull, newton,
+                         normal_cone, vertex_set, wstar_rays)
 from dfan.operators import exponent
 from dfan.orders import Weight
 
@@ -129,3 +131,54 @@ def test_normal_cones_partition_w(rng):
             in_other = cones[j].contains(ws[i].as_tuple())
             same = cones[i].same_cone(cones[j])
             assert in_other == same
+
+
+def _exponents(n):
+    degs = st.tuples(*[st.integers(0, 3)] * n)
+    return st.tuples(degs, degs, st.integers(0, 2))
+
+
+@st.composite
+def _summands(draw):
+    """n in {1, 2} and 1-4 Newton polyhedra of random QQ operators, with
+    repeated summands allowed."""
+    n = draw(st.sampled_from((1, 2)))
+    ops = st.lists(_exponents(n), min_size=1, max_size=5, unique=True).map(
+        lambda terms: newton(qop(n, {t: 1 for t in terms})))
+    pool = draw(st.lists(ops, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=len(pool),
+                          max_size=len(pool)))
+    return n, picks
+
+
+@st.composite
+def _admissible_weight(draw, n):
+    den = draw(st.integers(1, 3))
+    u = [Fraction(-draw(st.integers(0, 3)), den) for _ in range(n)]
+    v = [-a + Fraction(draw(st.integers(0, 4)), den) for a in u]
+    return Weight.make(u, v)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_minkowski_sum_matches_hull_definition(data):
+    n, polys = data.draw(_summands())
+    fast = minkowski_sum(polys)
+    ref = minkowski_sum_by_hull(polys)
+    assert fast == ref
+    w = data.draw(_admissible_weight(n))
+    assert face_of(fast, w) == face_of(ref, w)
+    assert normal_cone(fast, w).to_doc() == normal_cone(ref, w).to_doc()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_vertex_set_irredundant_and_covering(data):
+    n = data.draw(st.sampled_from((1, 2)))
+    coord = st.tuples(*[st.integers(-2, 3)] * (2 * n), st.integers(0, 1))
+    points = data.draw(st.lists(coord, min_size=1, max_size=8))
+    out = vertex_set(n, points)
+    for p in out:
+        assert not _conv_redundant(p, [q for q in out if q != p], n)
+    for p in points:
+        assert p in out or _conv_redundant(p, out, n)

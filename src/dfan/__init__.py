@@ -13,7 +13,7 @@ from .orders import OrderSpec, Weight, leading_data, leading_data_mod_q
 from .cones import RelOpenCone, clear_form, feasible, solve
 from .newton import (NewtonPolyhedron, face_of, in_wstar, minkowski_sum,
                      newton, normal_cone, vertex_set, wstar_rays)
-from .division import DivisionResult, denominator_certificate, divide, divide_mod_q, partition
+from .division import DivisionResult, denominator_certificate, divide, partition
 from .standard import (GenSBCertificate, StandardBasis, certified_standard_basis,
                        generic_standard_basis, reduce_basis,
                        reduced_generic_standard_basis, spair, standard_basis,

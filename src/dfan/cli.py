@@ -152,16 +152,12 @@ def run_command(verb, problem, args):
         return {"m": comp.m, "cap": cap, "strata": strata}
 
     if verb == "oracle-fan":
-        gens = problem.generators
-        if all(g.z_free() for g in gens):
-            work = gens
-            if Q is not None:
-                from .params import ParamField
-                work = [g.to_field(ParamField(Q.m, Q)) for g in gens]
-            gens = homogenized_generators(work, cap)
+        gens = homogenized_generators(problem.generators, cap, Q=Q)
         weights = grid_weights(problem.n)
-        if args.samples:
-            weights = weights[:args.samples]
+        if 0 < args.samples < len(weights):
+            # evenly spaced: the grid's first weights all share the smallest u1
+            weights = [weights[i * len(weights) // args.samples]
+                       for i in range(args.samples)]
         groups = {}
         for w in weights:
             stair, face, act = oracle_classify(gens, w, cap, Q=Q)
@@ -213,8 +209,6 @@ def build_parser():
     ap.add_argument("--seed-weight", nargs="*", default=None, metavar="Q",
                     help="extra weight refinement: u1..un v1..vn")
     ap.add_argument("--at", default=None, help="parameter point, e.g. y=1")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker budget (single process: accepted, serial)")
     return ap
 
 

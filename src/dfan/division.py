@@ -1,4 +1,5 @@
-"""Formal division in the homogenized ring, plain and modulo Q.
+"""Formal division in the homogenized ring (or, through `mul`, in its z = 1
+quotient), plain and modulo Q.
 
 The classical process: repeatedly pick the largest unresolved term, reduce it
 by the first divisor whose leading exponent divides it, otherwise move it to
@@ -11,6 +12,7 @@ exact; quotients keep the padded cap, remainder and T are truncated back.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -63,12 +65,14 @@ def _effective(ops, cap):
     return out
 
 
-def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK):
+def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK,
+           mul=operator.mul):
     """Divide P by the list G.
 
     mod_q: a ParamIdeal Q switches on division modulo Q (leading data mod Q,
     T-part bookkeeping).  h: optional localizer; when given, each divisor's
-    mod-Q leading coefficient numerator must divide it.
+    mod-Q leading coefficient numerator must divide it.  mul: the ring
+    product (the homogenized product by default).
     """
     field = P.field
     n = P.n
@@ -79,12 +83,12 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK):
         if mod_q is not None and not mod_q.is_zero_ideal():
             if all(coeff_num_in_q(c, mod_q) for c in g.terms.values()):
                 raise DivisorInQ(f"divisor {g} lies in the Q-coefficient ideal")
-            e, lc, _ = leading_data_mod_q(g, ord_spec, mod_q)
+            e, lc = leading_data_mod_q(g, ord_spec, mod_q)
             if h is not None and isinstance(lc, ParamFraction):
                 if not poly_divides(lc.num, h):
                     raise LcDoesNotDivideH(f"lc numerator {lc.num} does not divide {h}")
         else:
-            e, lc, _ = leading_data(g, ord_spec)
+            e, lc = leading_data(g, ord_spec)
         lead.append((e, lc))
     classify = partition([e for e, _ in lead])
 
@@ -124,7 +128,7 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK):
         quotients[j][qe] = quotients[j].get(qe, field.zero) + coef
         denom_powers[j] += 1
         mono = HOperator.monomial(n, field, qe, coef, cap=internal)
-        prod = mono * G_eff[j]
+        prod = mul(mono, G_eff[j])
         tainted = tainted or prod.tainted
         for te, tc in prod.terms.items():
             if te == e:
@@ -156,11 +160,6 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK):
     return DivisionResult(q_ops, R, T, denom_powers, tainted)
 
 
-def divide_mod_q(P, G, ord_spec, Q, h, guard_slack=DEFAULT_GUARD_SLACK):
-    """Division modulo Q with the localizer h (trial-division checked)."""
-    return divide(P, G, ord_spec, mod_q=Q, h=h, guard_slack=guard_slack)
-
-
 def denominator_certificate(res, G, ord_spec, mod_q=None):
     """Check that every coefficient denominator of R and the quotients divides
     the product of divisor leading-coefficient numerators raised to the
@@ -168,9 +167,9 @@ def denominator_certificate(res, G, ord_spec, mod_q=None):
     lead_nums = []
     for g in G:
         if mod_q is not None and not mod_q.is_zero_ideal():
-            _, lc, _ = leading_data_mod_q(g, ord_spec, mod_q)
+            _, lc = leading_data_mod_q(g, ord_spec, mod_q)
         else:
-            _, lc, _ = leading_data(g, ord_spec)
+            _, lc = leading_data(g, ord_spec)
         lead_nums.append(lc)
     coeffs = list(res.remainder.terms.values())
     for q in res.quotients:

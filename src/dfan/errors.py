@@ -10,7 +10,8 @@ class DivisionByZeroModQ(DfanError):
 
 
 class NotPrime(DfanError):
-    """A product of two non-members of Q turned out to be a member."""
+    """Q is not prime: a one-parameter Q factors, or a product of two
+    non-members of Q turned out to be a member."""
 
 
 class ZeroOperator(DfanError):

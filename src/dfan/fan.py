@@ -9,7 +9,8 @@ closure facets from seed weights covering every activity stratum.
 Inputs that do not involve z are first completed with respect to the
 dx-degree weight order (computation in the z = 1 quotient), then homogenized;
 this yields generators of the homogenized ideal, which is what the fan is
-attached to.
+attached to.  The z = 1 completion is the same loop as `standard.completion`
+and `standard.reduce_basis`, run with the z = 1 product.
 """
 
 from __future__ import annotations
@@ -18,15 +19,14 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .division import partition, DEFAULT_GUARD_SLACK
 from .errors import NonConvergentTraversal, ZeroOperator
 from .newton import (NewtonPolyhedron, face_of, minkowski_sum, minkowski_sum_by_hull,
                      newton, normal_cone)
-from .operators import Exponent, HOperator, homogenize
+from .operators import homogenize
 from .orders import OrderSpec, Weight, leading_data
 from .params import ParamField
-from .standard import (GenSBCertificate, StandardBasis, _collect_lc_factors,
-                       _join, generic_standard_basis, standard_basis)
+from .standard import (completion, generic_standard_basis, reduce_basis,
+                       standard_basis)
 
 
 def t_order(n):
@@ -47,114 +47,28 @@ def _dn_mul(a, b):
     return (a * b).substitute_z_one()
 
 
-def _dn_normal_form(p, G, ord_spec):
-    """Remainder of p on division by G in the z = 1 quotient."""
-    lead = [leading_data(g, ord_spec)[:2] for g in G]
-    classify = partition([e for e, _ in lead])
-    caps = [q.cap for q in [p] + list(G) if q.cap is not None]
-    cap = min(caps) if caps else None
-    internal = None
-    if cap is not None:
-        maxlevel = max((e.level for g in [p] + list(G) for e in g.terms), default=0)
-        internal = cap + maxlevel + DEFAULT_GUARD_SLACK
-    field = p.field
-    key = ord_spec.key()
-    working = dict(p.with_cap(internal).terms if not p.tainted else p.terms)
-    tainted = p.tainted or any(g.tainted for g in G)
-    remainder = {}
-    while working:
-        e = max(working, key=key)
-        c = working.pop(e)
-        j = classify(e)
-        if j is None:
-            remainder[e] = c
-            continue
-        ej, lcj = lead[j]
-        g = G[j] if G[j].tainted else G[j].with_cap(internal)
-        mono = HOperator.monomial(p.n, field, e - ej, c / lcj, cap=internal)
-        prod = _dn_mul(mono, g)
-        tainted = tainted or prod.tainted
-        for te, tc in prod.terms.items():
-            if te == e:
-                continue
-            s = working.get(te, field.zero) - tc
-            if s:
-                working[te] = s
-            else:
-                working.pop(te, None)
-    R = HOperator(p.n, field, remainder, cap=internal, tainted=tainted)
-    return R.truncated(cap) if cap is not None else R
-
-
-def _dn_spair(gi, gj, ord_spec):
-    ei, lci, _ = leading_data(gi, ord_spec)
-    ej, lcj, _ = leading_data(gj, ord_spec)
-    e = _join(ei, ej)
-    field = gi.field
-    mi = HOperator.monomial(gi.n, field, e - ei, field.one / lci, cap=gi.cap)
-    mj = HOperator.monomial(gj.n, field, e - ej, field.one / lcj, cap=gj.cap)
-    return _dn_mul(mi, gi) - _dn_mul(mj, gj)
-
-
 def dn_standard_basis(gens, ord_spec, cap=None, h_factors=None):
-    """Reduced standard basis in the z = 1 quotient."""
-    G = []
-    for g in gens:
-        if not g.z_free():
-            raise ValueError("z = 1 completion expects z-free input")
-        if cap is not None and (g.cap is None or g.cap > cap):
-            g = g.truncated(cap)
-        if not g.is_zero():
-            G.append(g)
-    if h_factors is not None:
-        for g in G:
-            _collect_lc_factors(leading_data(g, ord_spec)[1], h_factors)
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    key = ord_spec.key()
-    while pairs:
-        pairs.sort(key=lambda p: key(_join(leading_data(G[p[0]], ord_spec)[0],
-                                           leading_data(G[p[1]], ord_spec)[0])))
-        i, j = pairs.pop(0)
-        sp = _dn_spair(G[i], G[j], ord_spec)
-        if sp.is_zero():
-            continue
-        r = _dn_normal_form(sp, G, ord_spec)
-        if r.is_zero():
-            continue
-        if h_factors is not None:
-            _collect_lc_factors(leading_data(r, ord_spec)[1], h_factors)
-        G.append(r)
-        pairs.extend((t, len(G) - 1) for t in range(len(G) - 1))
-    # reduce: minimal, monic, tail-reduced
-    data = [(g,) + leading_data(g, ord_spec)[:2] for g in G]
-    data.sort(key=lambda t: (t[1].xdeg + t[1].level, t[1].vec()))
-    minimal = []
-    for g, e, lc in data:
-        if any(e.dominates(e2) for _, e2, _ in minimal):
-            continue
-        minimal.append((g, e, lc))
-    field = minimal[0][0].field if minimal else None
-    monic = []
-    for g, e, lc in minimal:
-        if h_factors is not None:
-            _collect_lc_factors(lc, h_factors)
-        monic.append((g.scale(field.one / lc), e))
-    G0 = [g for g, _ in monic]
-    out = []
-    for g, e in monic:
-        lm = HOperator.monomial(g.n, field, e, field.one, cap=g.cap)
-        tail = g - lm
-        red = lm if tail.is_zero() else lm + _dn_normal_form(tail, G0, ord_spec)
-        out.append(red)
-    out.sort(key=lambda g: key(leading_data(g, ord_spec)[0]))
-    return out
+    """Reduced standard basis in the z = 1 quotient: the completion loop of
+    `standard` run with the z = 1 product."""
+    if not all(g.z_free() for g in gens):
+        raise ValueError("z = 1 completion expects z-free input")
+    G, _ = completion(gens, ord_spec, cap=cap, h_factors=h_factors, mul=_dn_mul)
+    return reduce_basis(G, ord_spec, h_factors=h_factors, mul=_dn_mul)[0]
 
 
-def homogenized_generators(gens, cap, h_factors=None):
-    """Generators of the homogenized ideal: complete with respect to the
-    dx-degree weight in the z = 1 quotient, then homogenize elementwise."""
-    if not gens:
-        return []
+def homogenized_generators(gens, cap, h_factors=None, Q=None):
+    """Generators of the homogenized ideal of gens.
+
+    z-free input is completed with respect to the dx-degree weight in the
+    z = 1 quotient, then homogenized elementwise; input involving z is taken
+    as given.  With a parameter ideal Q the coefficients are first coerced
+    into Frac(C/Q)."""
+    z_free = all(g.z_free() for g in gens)
+    if Q is not None:
+        field = ParamField(Q.m, Q)
+        gens = [g.to_field(field) for g in gens]
+    if not z_free or not gens:
+        return list(gens)
     n = gens[0].n
     basis = dn_standard_basis(gens, t_order(n), cap=cap, h_factors=h_factors)
     return [homogenize(g) for g in basis]
@@ -310,14 +224,8 @@ def enumerate_fan(gens, cap, Q=None, base_order=None, max_cells=4096):
 def fan_of_ideal(gens, cap, Q=None, base_order=None, max_cells=4096):
     """Fan of an ideal of plain operators: homogenize (via the dx-degree
     completion in the z = 1 quotient) if needed, then enumerate."""
-    if all(g.z_free() for g in gens):
-        work = gens
-        if Q is not None:
-            field = ParamField(Q.m, Q)
-            work = [g.to_field(field) for g in gens]
-        gens = homogenized_generators(work, cap)
-    return enumerate_fan(gens, cap, Q=Q, base_order=base_order,
-                         max_cells=max_cells)
+    return enumerate_fan(homogenized_generators(gens, cap, Q=Q), cap, Q=Q,
+                         base_order=base_order, max_cells=max_cells)
 
 
 # ---------------------------------------------------------------------------

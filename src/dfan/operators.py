@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .errors import ZeroOperator
 from .params import QQ_FIELD
 
 
@@ -105,9 +104,6 @@ class HOperator:
 
     def is_zero(self):
         return not self.terms
-
-    def support(self):
-        return set(self.terms)
 
     @property
     def hom_degree(self):
@@ -326,8 +322,3 @@ def homogenize(p):
     d = max(sum(e.beta) for e in p.terms)
     out = {Exponent(e.alpha, e.beta, d - sum(e.beta)): c for e, c in p.terms.items()}
     return HOperator(p.n, p.field, out, cap=p.cap, tainted=p.tainted)
-
-
-def leading_exponent_guard(p):
-    if p.is_zero():
-        raise ZeroOperator("zero operator has no leading data")

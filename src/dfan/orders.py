@@ -141,28 +141,19 @@ class OrderSpec:
     def max_exponent(self, exps):
         return max(exps, key=self.key())
 
-    def sort(self, exps, reverse=False):
-        return sorted(exps, key=self.key(), reverse=reverse)
-
 
 def leading_data(p, ord_spec):
-    """(exp, lc, lm) of a nonzero operator."""
+    """(exp, lc) of a nonzero operator."""
     if p.is_zero():
         raise ZeroOperator("leading data of the zero operator")
     e = ord_spec.max_exponent(p.terms)
-    lc = p.terms[e]
-    from .operators import HOperator
-    lm = HOperator.monomial(p.n, p.field, e, lc, cap=p.cap)
-    return e, lc, lm
+    return e, p.terms[e]
 
 
 def leading_data_mod_q(p, ord_spec, Q):
-    """(exp, lc, lm) among terms whose coefficient numerator is outside Q."""
+    """(exp, lc) among terms whose coefficient numerator is outside Q."""
     live = [e for e, c in p.terms.items() if not coeff_num_in_q(c, Q)]
     if not live:
         raise AllCoefficientsInQ("every coefficient numerator lies in Q")
     e = ord_spec.max_exponent(live)
-    lc = p.terms[e]
-    from .operators import HOperator
-    lm = HOperator.monomial(p.n, p.field, e, lc, cap=p.cap)
-    return e, lc, lm
+    return e, p.terms[e]

@@ -26,8 +26,8 @@ from .errors import DepthExceeded, ZeroOperator
 from .fan import enumerate_fan, homogenized_generators, GroebnerFan
 from .newton import newton
 from .operators import HOperator
-from .params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
-                     commutative_gb, factor_squarefree)
+from .params import (ParamFraction, ParamIdeal, ParamPoly, commutative_gb,
+                     factor_squarefree)
 
 
 def newton_stability_multiplier(g, factors=None):
@@ -73,11 +73,8 @@ class ConstancyCertificate:
 def homogenization_commutes(gens, Q, cap):
     """Homogenized-ideal generators plus the multiplier h' making the
     construction commute with any specialization off V(h')."""
-    field = ParamField(Q.m, Q)
-    work = [g.to_field(field) for g in gens]
     factors = {}
-    hom = homogenized_generators(work, cap, h_factors=factors)
-    return hom, factors
+    return homogenized_generators(gens, cap, h_factors=factors, Q=Q), factors
 
 
 def constant_fan_certificate(gens, Q, cap):
@@ -86,11 +83,7 @@ def constant_fan_certificate(gens, Q, cap):
         raise ZeroOperator("certificate of the empty generating set")
     if Q.is_unit_ideal():
         raise ValueError("empty stratum: Q is the unit ideal")
-    if all(g.z_free() for g in gens):
-        hom, factors = homogenization_commutes(gens, Q, cap)
-    else:
-        field = ParamField(Q.m, Q)
-        hom, factors = [g.to_field(field) for g in gens], {}
+    hom, factors = homogenization_commutes(gens, Q, cap)
     fan = enumerate_fan(hom, cap, Q=Q)
     tainted = any(c.tainted for c in fan.cells)
     for cell in fan.cells:

@@ -14,8 +14,6 @@ from functools import lru_cache
 
 from .errors import DivisionByZeroModQ, NotPrime, DenominatorVanishes
 
-Rat = Fraction
-
 # display names for the parameters (index -> name); y{i+1} when unset
 PARAM_DISPLAY = []
 
@@ -184,23 +182,19 @@ class ParamPoly:
                 for i, p in enumerate(e) if p
             )
             if not mono:
-                parts.append(_fmt_rat(c))
+                parts.append(str(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append("-" + mono)
             else:
-                parts.append(f"{_fmt_rat(c)}*{mono}")
+                parts.append(str(c) + "*" + mono)
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
 
     __repr__ = __str__
-
-
-def _fmt_rat(c):
-    return str(c)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +373,6 @@ class ParamIdeal:
         return "<" + ", ".join(str(g) for g in self.gb) + ">" if self.gb else "(0)"
 
     __repr__ = __str__
-
-
-def ideal_membership(p, Q):
-    """True iff p reduces to 0 modulo Q's Groebner basis."""
-    return Q.contains(p)
 
 
 def commutative_gb(gens, m=None, claimed_prime=False):
@@ -617,24 +606,6 @@ def _cancel(num, den):
 # ---------------------------------------------------------------------------
 # module-level helpers used by the rest of the package
 # ---------------------------------------------------------------------------
-
-def fraction_arith(a, b, op):
-    """Field operation dispatch, matching the coeffs module contract."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def specialize_poly(p, y0):
-    """Exact evaluation of a parameter polynomial at a rational point."""
-    return p.evaluate(y0)
-
 
 def coeff_num_in_q(c, Q):
     """Does the numerator of coefficient c lie in Q?

@@ -13,9 +13,10 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import OperatorSyntaxError, UnknownName
+from .errors import NotPrime, OperatorSyntaxError, UnknownName
 from .operators import Exponent, HOperator, exponent
-from .params import ParamField, ParamIdeal, ParamPoly, QQ_FIELD, set_param_display
+from .params import (ParamField, ParamIdeal, ParamPoly, QQ_FIELD, factor_squarefree,
+                     set_param_display)
 from .orders import OrderSpec, Weight
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[-+*/^()]|\S")
@@ -342,6 +343,11 @@ def parse_problem(text):
     weights = [_parse_weight_line(v, n, ln) for v, ln in weight_lines]
     q_gens = [parse_param_poly(t, params, line=ln, col=c) for t, ln, c in q_texts]
     q_ideal = ParamIdeal(len(params), q_gens, claimed_prime=True)
+    if len(params) == 1 and q_ideal.gb and not q_ideal.is_unit_ideal():
+        # one parameter: Q = (g) is prime iff g is irreducible
+        g = q_ideal.gb[0]
+        if factor_squarefree(g) != [g.primitive()]:
+            raise NotPrime(f"qideal {q_ideal} is not prime")
     field = QQ_FIELD if not params else ParamField(len(params), q_ideal)
     order = OrderSpec(n, base=base, xprio=xprio, weights=tuple(weights),
                       homogenized=True)

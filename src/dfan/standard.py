@@ -6,6 +6,11 @@ Buchberger loop; local orders make tails infinite series, which the x-degree
 cap truncates.  A basis computed at several caps whose staircase has
 stabilized between the last two caps is reported as certified.
 
+One loop serves both rings: `spair`, `completion`, `reduce_basis` and
+`division.divide` take the product as `mul`, the homogenized product by
+default.  `fan.dn_standard_basis` passes the z = 1 product to complete plain
+differential operators.
+
 Generic standard bases run the same loop over Frac(C/Q); the multiplier h
 collects the (square-free) numerator factors of every leading coefficient the
 completion divides by, so any specialization with h(y0) != 0 replays the
@@ -14,6 +19,7 @@ whole trace verbatim.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,16 +37,16 @@ def _join(a: Exponent, b: Exponent):
                     max(a.k, b.k))
 
 
-def spair(gi, gj, ord_spec):
+def spair(gi, gj, ord_spec, mul=operator.mul):
     """S-operator: cross-multiply to the join of the leading exponents and
     subtract; the joined leading terms cancel exactly."""
-    ei, lci, _ = leading_data(gi, ord_spec)
-    ej, lcj, _ = leading_data(gj, ord_spec)
+    ei, lci = leading_data(gi, ord_spec)
+    ej, lcj = leading_data(gj, ord_spec)
     e = _join(ei, ej)
     field = gi.field
     mi = HOperator.monomial(gi.n, field, e - ei, field.one / lci, cap=gi.cap)
     mj = HOperator.monomial(gj.n, field, e - ej, field.one / lcj, cap=gj.cap)
-    return mi * gi - mj * gj
+    return mul(mi, gi) - mul(mj, gj)
 
 
 @dataclass
@@ -61,8 +67,9 @@ def _collect_lc_factors(lc, factors):
             factors.setdefault(frozenset(f.terms.items()), f)
 
 
-def completion(gens, ord_spec, cap=None, h_factors=None):
-    """Run the S-pair loop; returns the (non-reduced) standard basis list."""
+def completion(gens, ord_spec, cap=None, h_factors=None, mul=operator.mul):
+    """Run the S-pair loop with the product mul; returns the (non-reduced)
+    standard basis list and the taint flag."""
     G = []
     for g in gens:
         g = g if cap is None else g.truncated(cap) if (g.cap is None or g.cap > cap) else g
@@ -83,11 +90,11 @@ def completion(gens, ord_spec, cap=None, h_factors=None):
     while pairs:
         pairs.sort(key=pair_key)
         i, j = pairs.pop(0)
-        sp = spair(G[i], G[j], ord_spec)
+        sp = spair(G[i], G[j], ord_spec, mul=mul)
         tainted = tainted or sp.tainted
         if sp.is_zero():
             continue
-        res = divide(sp, G, ord_spec)
+        res = divide(sp, G, ord_spec, mul=mul)
         tainted = tainted or res.tainted
         r = res.remainder + res.t_part
         if r.is_zero():
@@ -99,9 +106,9 @@ def completion(gens, ord_spec, cap=None, h_factors=None):
     return G, tainted
 
 
-def reduce_basis(basis, ord_spec, h_factors=None):
+def reduce_basis(basis, ord_spec, h_factors=None, mul=operator.mul):
     """Minimal, monic, tail-reduced basis (the reduced standard basis)."""
-    data = [(g,) + leading_data(g, ord_spec)[:2] for g in basis if not g.is_zero()]
+    data = [(g,) + leading_data(g, ord_spec) for g in basis if not g.is_zero()]
     # minimalize: drop elements whose leading exponent is divisible by another's
     data.sort(key=lambda t: (t[1].xdeg + t[1].level, t[1].vec()))
     minimal = []
@@ -124,7 +131,7 @@ def reduce_basis(basis, ord_spec, h_factors=None):
         if tail.is_zero():
             out.append(lm)
             continue
-        res = divide(tail, G0, ord_spec)
+        res = divide(tail, G0, ord_spec, mul=mul)
         tainted = tainted or res.tainted
         red = lm + res.remainder + res.t_part
         out.append(red)

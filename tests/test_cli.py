@@ -105,3 +105,15 @@ def test_oracle_fan_groups_weights():
     doc = json.loads(proc.stdout)
     assert doc["num_weights"] == 20
     assert sum(len(c["weights"]) for c in doc["classes"]) == 20
+    # the sample spans the grid, so it reaches the u = 0 weights
+    assert any(c["signature"]["u_zero"] == [0] for c in doc["classes"])
+
+
+def test_one_parameter_qideal_must_be_prime():
+    body = "vars: x1\nideal: dx1^2 - y*x1*z^2\n"
+    for q in ("y^2 - 1", "y^2"):
+        proc = run_cli(["compfan"], f"params: y\nqideal: {q}\n" + body)
+        assert proc.returncode == 1
+        assert "NotPrime" in proc.stderr
+    proc = run_cli(["compfan"], "params: y\nqideal: y^2 - 2\n" + body)
+    assert proc.returncode == 0

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import qop, random_qop
 from dfan.division import (DEFAULT_GUARD_SLACK, denominator_certificate,
-                           divide, divide_mod_q, partition)
+                           divide, partition)
 from dfan.errors import (DivisorInQ, LcDoesNotDivideH, LeadingTermNotCancelled,
                          ZeroDivisor)
 from dfan.operators import Exponent, HOperator, exponent
@@ -116,7 +116,7 @@ def test_divide_mod_q_routes_t_part(F1):
     g = HOperator(1, F1, {exponent(1, beta=[1]): F1.from_poly(y + 1),
                           exponent(1, alpha=[1]): F1.from_poly(y)})
     P = HOperator(1, F1, {exponent(1, beta=[2]): F1.one})
-    res = divide_mod_q(P.truncated(5), [g.truncated(5)], order, Q, h=y + 1)
+    res = divide(P.truncated(5), [g.truncated(5)], order, mod_q=Q, h=y + 1)
     # every T coefficient numerator lies in Q, remainder's do not
     assert all(Q.contains(c.num) for c in res.t_part.terms.values())
     assert all(not Q.contains(c.num) for c in res.remainder.terms.values())
@@ -139,7 +139,7 @@ def test_lc_must_divide_h(F1):
     g = HOperator(1, F1, {exponent(1, beta=[1]): F1.from_poly(y + 1)})
     P = HOperator(1, F1, {exponent(1, beta=[2]): F1.one})
     with pytest.raises(LcDoesNotDivideH):
-        divide_mod_q(P.truncated(4), [g.truncated(4)], OrderSpec(1), Q, h=y + 2)
+        divide(P.truncated(4), [g.truncated(4)], OrderSpec(1), mod_q=Q, h=y + 2)
 
 
 def test_denominator_powers_bound(F1):

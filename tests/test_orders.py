@@ -106,7 +106,7 @@ def test_leading_data_and_mod_q():
     from dfan.operators import HOperator
     p2 = HOperator(1, F, terms)
     assert leading_data(p2, order)[0] == exponent(1, beta=[1])
-    e, lc, _ = leading_data_mod_q(p2, order, Q)
+    e, lc = leading_data_mod_q(p2, order, Q)
     assert e == exponent(1, alpha=[1])
     with pytest.raises(ZeroOperator):
         leading_data(qop(1, {}), order)

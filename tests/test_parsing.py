@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import qop
-from dfan.errors import OperatorSyntaxError, UnknownName
+from dfan.errors import NotPrime, OperatorSyntaxError, UnknownName
 from dfan.operators import exponent
 from dfan.orders import Weight
 from dfan.params import ParamField, ParamPoly
@@ -62,7 +62,7 @@ vars: x1 x2
 order: antigraded_lex x2 > x1
 weight: u -1 0 v 2 1
 cap: 5
-qideal: y^2 - y
+qideal: y^2 - 2
 ideal: y*x2 - x1*x2 + x1; dx1^2
 dividend: dx2
 """
@@ -74,6 +74,9 @@ dividend: dx2
     assert len(prob.generators) == 2
     assert prob.dividend is not None
     assert len(prob.q_ideal.generators) == 1
+    # a one-parameter Q must be prime: y^2 - y = y*(y - 1) is rejected
+    with pytest.raises(NotPrime):
+        parse_problem(text.replace("y^2 - 2", "y^2 - y"))
 
 
 def test_parse_problem_serialize_roundtrip():

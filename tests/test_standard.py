@@ -60,7 +60,7 @@ def test_reduced_basis_is_monic_minimal_autoreduced():
     sb = standard_basis([a, b], order, cap=8)
     stair = sb.staircase
     for g in sb.basis:
-        e, lc, _ = leading_data(g, order)
+        e, lc = leading_data(g, order)
         assert lc == g.field.one
         # no lower term of g is divisible by another leader
         for t in g.terms:

@@ -162,11 +162,21 @@ def _as_weight(n, point):
     return Weight.make(tuple(point[:n]), tuple(point[n:2 * n]))
 
 
+def _leaves_w(n, pt, d):
+    """True when no step pt + eps*d with eps > 0 is admissible: some W
+    constraint is tight at pt (u_i = 0 or u_i + v_i = 0) and d leaves it."""
+    return any((pt[i] == 0 and d[i] > 0)
+               or (pt[i] + pt[n + i] == 0 and d[i] + d[n + i] < 0)
+               for i in range(n))
+
+
 def _cross_facet(n, facet_pt, inner_witness, cell):
     """A weight just past the facet: facet_pt + eps*(facet_pt - witness),
     eps halved until the step is admissible and stays adjacent (the new
     weight's cell closure must contain the facet point)."""
     d = tuple(p - q for p, q in zip(facet_pt, inner_witness))
+    if _leaves_w(n, facet_pt, d):
+        return None
     eps = Fraction(1)
     for _ in range(60):
         cand = tuple(p + eps * di for p, di in zip(facet_pt, d))
@@ -208,6 +218,8 @@ def enumerate_fan(gens, cap, Q=None, base_order=None, max_cells=4096):
         for form in cell.cone.equalities:
             for sign in (1, -1):
                 d = tuple(sign * Fraction(c) for c in form)
+                if _leaves_w(n, cell.cone.witness, d):
+                    continue
                 eps = Fraction(1, 2)
                 for _ in range(40):
                     cand = tuple(p + eps * di

@@ -5,6 +5,12 @@ domain `QQ_FIELD`) or `ParamFraction` over a `ParamField`.  A `ParamField`
 carries a `ParamIdeal` q; fraction numerators are kept normal-form reduced
 modulo q, so the zero test is a stored-zero test and the field models
 Frac(C/q).  The plain fraction field of C is the q = (0) case.
+
+`ParamPoly` is the value type (a dict of exponent tuples to Fractions, with
+its own sum, product and printing).  Everything else -- Groebner bases,
+normal forms, gcds, exact division and factoring -- runs on elements of
+sympy's sparse `PolyRing` Q[y1..ym] with grevlex order, one ring per m, built
+on first use; `_to_ring` and `_from_ring` convert between the two.
 """
 
 from __future__ import annotations
@@ -198,39 +204,28 @@ class ParamPoly:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge (commutative GB, gcd, divisibility, factorization)
+# commutative algebra on sympy's sparse polynomial ring
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _syms(m):
-    import sympy
-    return sympy.symbols(f"y1:{m+1}") if m else ()
+def _ring(m):
+    """Q[y1..ym] as a sympy `PolyRing` with grevlex order (built on first use)."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import PolyRing
+    return PolyRing([f"y{i+1}" for i in range(m)], QQ, grevlex)
 
 
-def _to_sympy(p):
-    import sympy
-    syms = _syms(p.m)
-    expr = sympy.Integer(0)
-    for e, c in p.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
-        for s, k in zip(syms, e):
-            if k:
-                t *= s ** k
-        expr += t
-    return expr
+def _to_ring(p):
+    # terms are nonzero exact rationals, so the element is built without
+    # sympy's per-coefficient domain conversion
+    R = _ring(p.m)
+    mpq = R.domain.dtype
+    return R.dtype({e: mpq(c) for e, c in p.terms.items()})
 
 
-def _from_sympy(expr, m):
-    import sympy
-    syms = _syms(m)
-    if m == 0:
-        q = sympy.Rational(expr)
-        return ParamPoly.const(0, Fraction(q.p, q.q))
-    poly = sympy.Poly(expr, *syms, domain="QQ")
-    terms = {}
-    for mono, coeff in poly.terms():
-        terms[tuple(int(x) for x in mono)] = Fraction(coeff.p, coeff.q)
-    return ParamPoly(m, terms)
+def _from_ring(f, m):
+    return ParamPoly(m, {e: Fraction(c.numerator, c.denominator) for e, c in f.items()})
 
 
 def poly_gcd(a, b):
@@ -240,9 +235,7 @@ def poly_gcd(a, b):
         return a.primitive()
     if a.is_constant() or b.is_constant():
         return ParamPoly.const(a.m, 1)
-    import sympy
-    g = sympy.gcd(_to_sympy(a), _to_sympy(b))
-    return _from_sympy(g, a.m).primitive()
+    return _from_ring(_to_ring(a).gcd(_to_ring(b)), a.m).primitive()
 
 
 def poly_divides(a, b):
@@ -253,10 +246,7 @@ def poly_divides(a, b):
         return True
     if a.is_constant():
         return True
-    import sympy
-    syms = _syms(a.m)
-    q, r = sympy.div(_to_sympy(b), _to_sympy(a), *syms, domain="QQ")
-    return r == 0
+    return not _to_ring(b).rem(_to_ring(a))
 
 
 def poly_exact_div(b, a):
@@ -265,12 +255,10 @@ def poly_exact_div(b, a):
         return ParamPoly.zero(b.m)
     if a.is_constant():
         return b * (1 / a.constant_value())
-    import sympy
-    syms = _syms(a.m)
-    q, r = sympy.div(_to_sympy(b), _to_sympy(a), *syms, domain="QQ")
-    if r != 0:
+    q, r = _to_ring(b).div(_to_ring(a))
+    if r:
         raise ValueError("not divisible")
-    return _from_sympy(q, b.m)
+    return _from_ring(q, b.m)
 
 
 def factor_squarefree(p):
@@ -281,16 +269,12 @@ def factor_squarefree(p):
     """
     if p.is_zero() or p.is_constant():
         return []
-    import sympy
-    expr = _to_sympy(p)
-    if p.m == 1:
-        _, factors = sympy.factor_list(expr, *_syms(1), domain="QQ")
-    else:
-        _, factors = sympy.sqf_list(sympy.Poly(expr, *_syms(p.m), domain="QQ"))
+    f = _to_ring(p)
+    _, factors = f.factor_list() if p.m == 1 else f.sqf_list()
     out = []
     seen = set()
     for f, _mult in factors:
-        fp = _from_sympy(f if not hasattr(f, "as_expr") else f.as_expr(), p.m).primitive()
+        fp = _from_ring(f, p.m).primitive()
         if fp.is_constant():
             continue
         key = frozenset(fp.terms.items())
@@ -305,9 +289,14 @@ def factor_squarefree(p):
 # ---------------------------------------------------------------------------
 
 class ParamIdeal:
-    """Ideal of Q[y1..ym] with a stored reduced grevlex Groebner basis."""
+    """Ideal of Q[y1..ym] with a stored reduced grevlex Groebner basis.
 
-    __slots__ = ("m", "generators", "gb", "claimed_prime", "_gb_exprs")
+    `gb` holds the basis as primitive `ParamPoly`s (the public value, used for
+    printing and equality); the same basis is kept as `PolyRing` elements, so
+    `normal_form` is one sparse division with no conversion of the divisors.
+    """
+
+    __slots__ = ("m", "generators", "gb", "claimed_prime", "_gb_ring")
 
     def __init__(self, m, generators, claimed_prime=False):
         self.m = m
@@ -316,24 +305,15 @@ class ParamIdeal:
         gens = [g for g in self.generators if not g.is_zero()]
         if any(g.is_constant() for g in gens):
             # unit ideal; normalize to gb = {1}
-            self.gb = [ParamPoly.const(m, 1)]
+            self._gb_ring = [_ring(m).one]
         elif not gens:
-            self.gb = []
+            self._gb_ring = []
         else:
-            self.gb = self._reduced_gb(gens)
-        self._gb_exprs = None
-
-    @staticmethod
-    def _reduced_gb(gens):
-        import sympy
-        m = gens[0].m
-        syms = _syms(m)
-        G = sympy.groebner([_to_sympy(g) for g in gens], *syms,
-                           order="grevlex", domain="QQ")
-        out = [_from_sympy(e, m).primitive() for e in G.exprs]
-        if any(g.is_constant() and not g.is_zero() for g in out):
-            return [ParamPoly.const(m, 1)]
-        return out
+            from sympy.polys.groebnertools import groebner
+            self._gb_ring = groebner([_to_ring(g) for g in gens], _ring(m))
+            if any(g.is_ground for g in self._gb_ring):
+                self._gb_ring = [_ring(m).one]
+        self.gb = [_from_ring(g, m).primitive() for g in self._gb_ring]
 
     @classmethod
     def zero(cls, m, claimed_prime=True):
@@ -351,13 +331,7 @@ class ParamIdeal:
             return p
         if self.is_unit_ideal():
             return ParamPoly.zero(self.m)
-        import sympy
-        syms = _syms(self.m)
-        if self._gb_exprs is None:
-            self._gb_exprs = [_to_sympy(g) for g in self.gb]
-        _, r = sympy.reduced(_to_sympy(p), self._gb_exprs, *syms,
-                             order="grevlex", domain="QQ")
-        return _from_sympy(r, self.m)
+        return _from_ring(_to_ring(p).rem(self._gb_ring), self.m)
 
     def contains(self, p):
         return self.normal_form(p).is_zero()
@@ -451,6 +425,8 @@ class ParamField:
 
     def coerce(self, x):
         if isinstance(x, ParamFraction):
+            if x.field == self:
+                return x
             if x.field.m != self.m:
                 raise ValueError("parameter count mismatch")
             return ParamFraction(self, x.num, x.den)

@@ -1,8 +1,10 @@
 """Fan enumeration, the z = 1 completion, and the independent grid oracle."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import qop
 import dfan.fan as fan_module
@@ -101,3 +103,50 @@ def test_grid_weights_admissible_and_exhaustive():
     # all four per-coordinate activity patterns occur in the grid
     assert (frozenset(), frozenset()) in activities
     assert (frozenset({0, 1}), frozenset({0, 1})) in activities
+
+
+coords = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(-1, 3), Fraction(0),
+                          Fraction(1, 2), Fraction(1), Fraction(3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=2).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(coords, min_size=2 * n, max_size=2 * n),
+                        st.lists(coords, min_size=2 * n, max_size=2 * n))))
+def test_leaves_w_is_exact(args):
+    """When the predicate fires no halved step pt + 2^-k d (k < 60) is
+    admissible; when it does not fire at an admissible pt, a small one is."""
+    n, pt, d = args
+    steps = [fan_module._as_weight(n, [p + Fraction(1, 2 ** k) * di
+                                       for p, di in zip(pt, d)])
+             for k in range(60)]
+    if fan_module._leaves_w(n, pt, d):
+        assert not any(w.is_admissible() for w in steps)
+    elif fan_module._as_weight(n, pt).is_admissible():
+        assert steps[-1].is_admissible()
+
+
+def _fan_doc(fan):
+    return json.dumps([[c.cone.to_doc(), str(c.witness), [str(e) for e in c.staircase],
+                        [list(v) for v in c.face_vertices]] for c in fan.cells])
+
+
+@pytest.mark.parametrize("gens", [
+    [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})],
+    [qop(2, {((1, 0), (1, 0), 0): 1, ((0, 1), (0, 1), 0): 1}),
+     qop(2, {((0, 0), (1, 1), 0): 1, ((0, 0), (0, 0), 2): 1})],
+])
+def test_w_boundary_exit_keeps_the_fan(gens, monkeypatch):
+    """Skipping steps that leave W changes no cell of the enumerated fan."""
+    fired = []
+    leaves_w = fan_module._leaves_w
+
+    def recording(*args):
+        fired.append(leaves_w(*args))
+        return fired[-1]
+
+    monkeypatch.setattr(fan_module, "_leaves_w", recording)
+    with_exit = _fan_doc(enumerate_fan(gens, cap=8))
+    assert any(fired)
+    monkeypatch.setattr(fan_module, "_leaves_w", lambda *a: False)
+    assert _fan_doc(enumerate_fan(gens, cap=8)) == with_exit

@@ -1,10 +1,12 @@
 """Parameter ring, ideals, and the fraction field Frac(C/Q)."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dfan
 from dfan.errors import DenominatorVanishes, DivisionByZeroModQ, NotPrime
 from dfan.params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
                          commutative_gb, factor_squarefree, poly_divides,
@@ -141,3 +143,202 @@ def test_fraction_field_axioms_mod_q(a, b, which):
     # distributivity
     fc = F.from_poly(y) if which else F.one
     assert fa * (fb + fc) == fa * fb + fa * fc
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the PolyRing route against the sympy expression route
+# (sympy.reduced / gcd / div / factor_list / sqf_list / groebner), which is
+# kept here as the reference.
+# ---------------------------------------------------------------------------
+
+def _syms(m):
+    import sympy
+    return sympy.symbols(f"y1:{m+1}") if m else ()
+
+
+def _to_expr(p):
+    import sympy
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        t = sympy.Rational(c.numerator, c.denominator)
+        for s, k in zip(_syms(p.m), e):
+            t *= s ** k
+        expr += t
+    return expr
+
+
+def _from_expr(expr, m):
+    import sympy
+    if m == 0:
+        q = sympy.Rational(expr)
+        return ParamPoly.const(0, Fraction(q.p, q.q))
+    poly = sympy.Poly(expr, *_syms(m), domain="QQ")
+    return ParamPoly(m, {tuple(int(x) for x in mono): Fraction(c.p, c.q)
+                         for mono, c in poly.terms()})
+
+
+def ref_gb(gens, m):
+    import sympy
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    if m == 0 or any(g.is_constant() for g in gens):
+        return [ParamPoly.const(m, 1)]
+    G = sympy.groebner([_to_expr(g) for g in gens], *_syms(m),
+                       order="grevlex", domain="QQ")
+    out = [_from_expr(e, m).primitive() for e in G.exprs]
+    if any(g.is_constant() for g in out):
+        return [ParamPoly.const(m, 1)]
+    return out
+
+
+def ref_normal_form(gb, p):
+    import sympy
+    if p.is_zero() or not gb:
+        return p
+    if any(g.is_constant() for g in gb):
+        return ParamPoly.zero(p.m)
+    _, r = sympy.reduced(_to_expr(p), [_to_expr(g) for g in gb], *_syms(p.m),
+                         order="grevlex", domain="QQ")
+    return _from_expr(r, p.m)
+
+
+def ref_gcd(a, b):
+    import sympy
+    return _from_expr(sympy.gcd(_to_expr(a), _to_expr(b)), a.m).primitive()
+
+
+def ref_exact_div(b, a):
+    import sympy
+    q, r = sympy.div(_to_expr(b), _to_expr(a), *_syms(a.m), domain="QQ")
+    assert r == 0
+    return _from_expr(q, b.m)
+
+
+def ref_factor_squarefree(p):
+    import sympy
+    if p.m == 1:
+        _, fs = sympy.factor_list(_to_expr(p), *_syms(1), domain="QQ")
+        fs = [f for f, _ in fs]
+    else:
+        _, fs = sympy.sqf_list(sympy.Poly(_to_expr(p), *_syms(p.m), domain="QQ"))
+        fs = [f.as_expr() for f, _ in fs]
+    out = {_from_expr(f, p.m).primitive() for f in fs}
+    return {f for f in out if not f.is_constant()}
+
+
+def _y(m, i):
+    return ParamPoly.var(m, i)
+
+
+# Q in {(0), (y^2 - 2), (y^3 - y - 1)} for m = 1, a two-parameter ideal and
+# (0) for m = 2, and the unit ideal for both.
+Q_GENS = {
+    1: [[], [_y(1, 0) ** 2 - 2], [_y(1, 0) ** 3 - _y(1, 0) - 1],
+        [ParamPoly.const(1, 2)]],
+    2: [[], [_y(2, 0) ** 2 - 2, _y(2, 1) ** 2 - _y(2, 0)],
+        [_y(2, 0) * _y(2, 1) - 1, _y(2, 1) ** 2 - 3],
+        [_y(2, 0) - 1, _y(2, 0) + 1]],
+}
+
+
+def poly_m(m, max_deg=3, max_size=4):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=max_deg)] * m)
+    return st.dictionaries(exps, small_rats, max_size=max_size).map(
+        lambda d: _poly(m, d))
+
+
+m_and_polys = st.sampled_from([1, 2]).flatmap(
+    lambda m: st.tuples(st.just(m), poly_m(m), poly_m(m), poly_m(m, 2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_and_polys, st.integers(min_value=0, max_value=3))
+def test_normal_form_and_gb_match_expression_route(args, qi):
+    m, a, b, _c = args
+    gens = Q_GENS[m][qi]
+    Q = ParamIdeal(m, gens)
+    assert Q.gb == ref_gb(gens, m)
+    for p in (a, b, a * b):
+        assert Q.normal_form(p) == ref_normal_form(Q.gb, p)
+        assert Q.contains(p) == ref_normal_form(Q.gb, p).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_and_polys)
+def test_gb_of_random_generators_matches_expression_route(args):
+    m, a, b, c = args
+    gens = [a * c, b]
+    assert ParamIdeal(m, gens).gb == ref_gb(gens, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_and_polys)
+def test_gcd_and_exact_div_match_expression_route(args):
+    m, a, b, c = args
+    if a.is_zero() or b.is_zero() or c.is_zero():
+        return
+    ac, bc = a * c, b * c
+    g = poly_gcd(ac, bc)
+    if not (ac.is_constant() or bc.is_constant()):
+        assert g == ref_gcd(ac, bc)
+    assert poly_divides(g, ac) and poly_divides(c, bc)
+    if not c.is_constant():
+        assert poly_exact_div(ac, c) == ref_exact_div(ac, c) == a
+    if not g.is_constant():
+        assert poly_exact_div(bc, g) == ref_exact_div(bc, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_and_polys)
+def test_factor_squarefree_matches_expression_route(args):
+    m, a, b, c = args
+    for p in (a * b, a * a * c, b):
+        if p.is_zero() or p.is_constant():
+            assert factor_squarefree(p) == []
+        else:
+            assert set(factor_squarefree(p)) == ref_factor_squarefree(p)
+
+
+def test_ring_route_edge_cases():
+    # m = 0: only constants; the unit ideal reduces everything to 0
+    Z0 = ParamIdeal(0, [])
+    five = ParamPoly.const(0, 5)
+    assert Z0.is_zero_ideal() and Z0.normal_form(five) == five
+    U0 = ParamIdeal(0, [ParamPoly.const(0, 3)])
+    assert U0.is_unit_ideal() and U0.contains(five)
+    assert poly_gcd(five, ParamPoly.const(0, 2)) == ParamPoly.const(0, 1)
+    assert factor_squarefree(five) == []
+    assert ParamField(0).one * 2 == ParamField(0).coerce(2)
+    # generators whose GB is {1} are normalized to the unit ideal
+    y = _y(1, 0)
+    U1 = ParamIdeal(1, [y, y - 1])
+    assert U1.is_unit_ideal() and U1.gb == ref_gb([y, y - 1], 1)
+    assert U1.normal_form(y ** 3 + 2).is_zero()
+    # the zero polynomial
+    Q = ParamIdeal(1, [y * y - 2])
+    assert Q.normal_form(ParamPoly.zero(1)).is_zero()
+    assert poly_gcd(ParamPoly.zero(1), 2 * y + 2) == y + 1
+    assert poly_exact_div(ParamPoly.zero(1), y) == ParamPoly.zero(1)
+
+
+def test_coerce_keeps_fractions_of_an_equal_field():
+    y = _y(1, 0)
+    F = ParamField(1, ParamIdeal(1, [y * y - 2]))
+    f = ParamFraction(F, y + 1, y)
+    assert F.coerce(f) is f
+    G = ParamField(1, ParamIdeal(1, [2 * y * y - 4]))
+    assert G == F and G.coerce(f) is f
+    # another field: rebuilt, and renormalized modulo its own ideal
+    H = ParamField(1, ParamIdeal(1, [y * y - 3]))
+    h = H.coerce(ParamField(1).from_poly(y * y))
+    assert h.field is H and h.num == ParamPoly.const(1, 3)
+
+
+def test_no_expression_bridge_in_src():
+    """The parameter ring runs on PolyRing elements; the sympy expression
+    bridge must not come back."""
+    for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for name in ("sympy.reduced", "_to_sympy", "_from_sympy"):
+            assert name not in text, f"{name} in {path.name}"

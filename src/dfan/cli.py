@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .division import divide, denominator_certificate
 from .errors import DfanError, OperatorSyntaxError
-from .fan import (check_fan_against_grid, fan_of_ideal, grid_weights,
-                  oracle_classify, homogenized_generators)
-from .operators import HOperator
+from .fan import (fan_of_ideal, grid_weights, oracle_classify,
+                  homogenized_generators)
 from .orders import Weight
 from .parametric import (comprehensive_fan, constant_fan_certificate,
                          specialize_ideal)

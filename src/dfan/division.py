@@ -3,18 +3,22 @@ quotient), plain and modulo Q.
 
 The classical process: repeatedly pick the largest unresolved term, reduce it
 by the first divisor whose leading exponent divides it, otherwise move it to
-the remainder.  Working modulo Q, terms whose coefficient numerator lies in Q
-are routed straight to the T part and never reduced; divisor leading data is
-taken modulo Q.  Truncation: the requested x-degree cap is padded internally
-by a guard band (max (dx,z)-degree + slack), which makes the reported window
-exact; quotients keep the padded cap, remainder and T are truncated back.
+the remainder.  The unresolved terms wait in a max-heap on the order's
+integer key: an exponent is pushed when it enters the working set, and an
+entry whose term has cancelled since is skipped when popped.  Working modulo
+Q, terms whose coefficient numerator lies in Q are routed straight to the T
+part and never reduced; divisor leading data is taken modulo Q.  Truncation:
+the requested x-degree cap is padded internally by a guard band (max
+(dx,z)-degree + slack), which makes the reported window exact; quotients keep
+the padded cap, remainder and T are truncated back.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import (ZeroDivisor, DivisorInQ, LcDoesNotDivideH,
                      LeadingTermNotCancelled)
@@ -104,15 +108,23 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK,
     tainted = P.tainted or any(g.tainted for g in G)
     working = dict(P_eff.terms)
     key = ord_spec.key()
+
+    def entry(e):
+        return tuple(map(operator.neg, key(e))), e
+
+    heap = [entry(e) for e in working]
+    heapify(heap)
     quotients = [dict() for _ in G]
     remainder = {}
     t_terms = {}
     denom_powers = {j: 0 for j in range(len(G))}
     route_q = mod_q is not None and not mod_q.is_zero_ideal()
 
-    while working:
-        e = max(working, key=key)
-        c = working.pop(e)
+    while heap:
+        e = heappop(heap)[1]
+        c = working.pop(e, None)
+        if c is None:
+            continue  # cancelled since it was pushed
         if route_q and coeff_num_in_q(c, mod_q):
             t_terms[e] = t_terms.get(e, field.zero) + c
             if not t_terms[e]:
@@ -135,6 +147,8 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK,
                 continue  # leading term cancels exactly
             s = working.get(te, field.zero) - tc
             if s:
+                if te not in working:
+                    heappush(heap, entry(te))
                 working[te] = s
             else:
                 working.pop(te, None)

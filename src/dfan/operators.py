@@ -69,9 +69,14 @@ def _falling(a, j):
 
 
 class HOperator:
-    """Element of the homogenized ring over a coefficient field."""
+    """Element of the homogenized ring over a coefficient field.
 
-    __slots__ = ("n", "field", "terms", "cap", "tainted")
+    `terms` is never mutated after construction.  `lead_memo` holds
+    (OrderSpec, leading exponent) for the last order `orders.leading_data`
+    was asked about, or None.
+    """
+
+    __slots__ = ("n", "field", "terms", "cap", "tainted", "lead_memo")
 
     def __init__(self, n, field, terms=None, cap=None, tainted=False):
         self.n = n
@@ -88,6 +93,7 @@ class HOperator:
         self.terms = clean
         self.cap = cap
         self.tainted = tainted
+        self.lead_memo = None
 
     # -- constructors -------------------------------------------------------
 

@@ -5,13 +5,22 @@ total dx-degree first (descending), then the x-part antigraded
 lexicographically (lower total x-degree is greater, the local direction), then
 lexicographically on dx.  Weight vectors refine in front of the base; the
 homogenized variant compares |beta| + k before everything else.
+
+`OrderSpec.compare` states the order term by term.  The hot paths sort with
+`OrderSpec.key()` instead: a function, compiled once per order, that maps an
+exponent to a tuple of integers whose lexicographic order is the term order
+(each weight is scaled by the lcm of its denominators, which keeps its order
+and makes its values integers).  `leading_data` remembers each operator's
+leading exponent for the last order it was asked about.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .errors import NotAdmissible, ZeroOperator, AllCoefficientsInQ
 from .operators import Exponent
@@ -52,6 +61,11 @@ class Weight:
 
     def as_tuple(self):
         return self.u + self.v
+
+    def integer_form(self):
+        """(u, v) times the lcm of the denominators: integers, same order."""
+        d = lcm(*(c.denominator for c in self.u + self.v))
+        return (tuple(int(a * d) for a in self.u), tuple(int(b * d) for b in self.v))
 
     def activity(self):
         """Indices of active W constraints: ({i: u_i = 0}, {i: u_i + v_i = 0})."""
@@ -135,18 +149,59 @@ class OrderSpec:
         return 0
 
     def key(self):
-        """Sort key object for exponents (ascending in this order)."""
-        return cmp_to_key(self.compare)
+        """Sort key for exponents, ascending in this order.
+
+        The key of (alpha, beta, k) is the integer tuple
+        (|beta| + k if homogenized, each weight's value with its
+        denominators cleared, |beta|, -|alpha|, alpha and then beta in xprio
+        order, k); it orders exponents exactly as `compare` does and is
+        built once per OrderSpec.
+        """
+        return self._key
+
+    @cached_property
+    def _key(self):
+        homogenized = self.homogenized
+        forms = tuple(w.integer_form() for w in self.weights)
+        perm = None if self.xprio == tuple(range(self.n)) else self.xprio
+
+        def key(e):
+            alpha, beta, k = e
+            dx = sum(beta)
+            out = [dx + k] if homogenized else []
+            for u, v in forms:
+                out.append(sum(map(mul, u, alpha)) + sum(map(mul, v, beta)))
+            out.append(dx)
+            out.append(-sum(alpha))
+            if perm is not None:
+                alpha = [alpha[i] for i in perm]
+                beta = [beta[i] for i in perm]
+            out.extend(alpha)
+            out.extend(beta)
+            out.append(k)
+            return tuple(out)
+
+        return key
 
     def max_exponent(self, exps):
         return max(exps, key=self.key())
 
 
 def leading_data(p, ord_spec):
-    """(exp, lc) of a nonzero operator."""
-    if p.is_zero():
-        raise ZeroOperator("leading data of the zero operator")
-    e = ord_spec.max_exponent(p.terms)
+    """(exp, lc) of a nonzero operator.
+
+    The leading exponent is kept in `p.lead_memo` with the order it was
+    found for; an operator's terms never change after construction, so it
+    stays valid for as long as the same OrderSpec object asks.
+    """
+    memo = p.lead_memo
+    if memo is not None and memo[0] is ord_spec:
+        e = memo[1]
+    else:
+        if p.is_zero():
+            raise ZeroOperator("leading data of the zero operator")
+        e = ord_spec.max_exponent(p.terms)
+        p.lead_memo = (ord_spec, e)
     return e, p.terms[e]
 
 

@@ -25,7 +25,6 @@ from itertools import count
 from .errors import DepthExceeded, ZeroOperator
 from .fan import enumerate_fan, homogenized_generators, GroebnerFan
 from .newton import newton
-from .operators import HOperator
 from .params import (ParamFraction, ParamIdeal, ParamPoly, commutative_gb,
                      factor_squarefree)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import NotPrime, OperatorSyntaxError, UnknownName
-from .operators import Exponent, HOperator, exponent
+from .operators import HOperator, exponent
 from .params import (ParamField, ParamIdeal, ParamPoly, QQ_FIELD, factor_squarefree,
                      set_param_display)
 from .orders import OrderSpec, Weight

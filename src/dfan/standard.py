@@ -19,10 +19,12 @@ whole trace verbatim.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .division import divide
 from .errors import CapTooSmall
@@ -78,18 +80,17 @@ def completion(gens, ord_spec, cap=None, h_factors=None, mul=operator.mul):
     if h_factors is not None:
         for g in G:
             _collect_lc_factors(leading_data(g, ord_spec)[1], h_factors)
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    # pairs wait in a heap: the least join of leading exponents first, ties
+    # in the order the pairs were formed
     key = ord_spec.key()
-
-    def pair_key(p):
-        i, j = p
-        return key(_join(leading_data(G[i], ord_spec)[0],
-                         leading_data(G[j], ord_spec)[0]))
-
+    lead = [leading_data(g, ord_spec)[0] for g in G]
+    count = itertools.count()
+    pairs = [(key(_join(lead[i], lead[j])), next(count), i, j)
+             for i, j in itertools.combinations(range(len(G)), 2)]
+    heapify(pairs)
     tainted = any(g.tainted for g in G)
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
+        _, _, i, j = heappop(pairs)
         sp = spair(G[i], G[j], ord_spec, mul=mul)
         tainted = tainted or sp.tainted
         if sp.is_zero():
@@ -102,7 +103,10 @@ def completion(gens, ord_spec, cap=None, h_factors=None, mul=operator.mul):
         if h_factors is not None:
             _collect_lc_factors(leading_data(r, ord_spec)[1], h_factors)
         G.append(r)
-        pairs.extend((t, len(G) - 1) for t in range(len(G) - 1))
+        e = leading_data(r, ord_spec)[0]
+        for t, et in enumerate(lead):
+            heappush(pairs, (key(_join(et, e)), next(count), t, len(lead)))
+        lead.append(e)
     return G, tainted
 
 
@@ -135,7 +139,8 @@ def reduce_basis(basis, ord_spec, h_factors=None, mul=operator.mul):
         tainted = tainted or res.tainted
         red = lm + res.remainder + res.t_part
         out.append(red)
-    out.sort(key=lambda g: ord_spec.key()(leading_data(g, ord_spec)[0]))
+    key = ord_spec.key()
+    out.sort(key=lambda g: key(leading_data(g, ord_spec)[0]))
     return out, tainted
 
 

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import qop
 from dfan.errors import AllCoefficientsInQ, NotAdmissible, ZeroOperator
@@ -120,3 +122,49 @@ def test_activity():
     u0, uv0 = w.activity()
     assert u0 == frozenset({0})
     assert uv0 == frozenset({1})
+
+
+@st.composite
+def _order_and_exponents(draw):
+    """An order on n in {1, 2, 3} variables (either homogenization, any
+    xprio, 0-2 admissible refinement weights with fractional entries) and a
+    few small exponents, so that weight values often tie."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    small = st.integers(min_value=0, max_value=3)
+    weights = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        u = [Fraction(-draw(small), draw(st.integers(1, 6))) for _ in range(n)]
+        v = [Fraction(draw(small), draw(st.integers(1, 6))) - a for a in u]
+        weights.append(Weight.make(u, v))
+    order = OrderSpec(n, xprio=tuple(draw(st.permutations(range(n)))),
+                      weights=tuple(weights), homogenized=draw(st.booleans()))
+    vec = st.lists(small, min_size=n, max_size=n).map(tuple)
+    exps = draw(st.lists(st.builds(Exponent, vec, vec, small),
+                         min_size=2, max_size=8))
+    return order, exps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_order_and_exponents())
+def test_integer_key_matches_compare(args):
+    """compare is the specification; the integer key must order alike."""
+    order, exps = args
+    key = order.key()
+    for a in exps:
+        for b in exps:
+            ka, kb = key(a), key(b)
+            assert all(isinstance(x, int) for x in ka)
+            assert (ka > kb) - (ka < kb) == order.compare(a, b)
+    assert (sorted(exps, key=key)
+            == sorted(exps, key=cmp_to_key(order.compare)))
+
+
+def test_leading_data_memo_follows_the_order():
+    """The memo answers only the OrderSpec object it was filled for."""
+    p = qop(2, {((1, 0), (0, 0), 0): 1, ((0, 1), (0, 0), 0): 1})   # x1 + x2
+    x1, x2 = exponent(2, alpha=[1, 0]), exponent(2, alpha=[0, 1])
+    first, second = OrderSpec(2, xprio=(0, 1)), OrderSpec(2, xprio=(1, 0))
+    assert leading_data(p, first)[0] == x1
+    assert p.lead_memo == (first, x1)
+    assert leading_data(p, second)[0] == x2
+    assert leading_data(p, OrderSpec(2, xprio=(0, 1)))[0] == x1

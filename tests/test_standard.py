@@ -1,17 +1,22 @@
 """Standard bases: completion, reduction, cap certification, generic (G, h)."""
 
+import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
-from conftest import qop
+from conftest import qop, random_qop
+import dfan.standard as st
+from dfan.division import divide
 from dfan.errors import CapTooSmall
 from dfan.operators import HOperator, exponent, homogenize
 from dfan.orders import OrderSpec, Weight, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
-from dfan.standard import (certified_standard_basis, generic_standard_basis,
-                           reduce_basis, reduced_generic_standard_basis,
-                           spair, standard_basis, uniqueness_check)
+from dfan.standard import (_join, certified_standard_basis, completion,
+                           generic_standard_basis, reduce_basis,
+                           reduced_generic_standard_basis, spair,
+                           standard_basis, uniqueness_check)
 
 
 def test_spair_cancels_leading_terms():
@@ -169,3 +174,93 @@ def test_generic_basis_collects_reduction_denominators():
                          exponent(1, alpha=[1]): F.one})
     cert = generic_standard_basis([a], Q, order, cap=8)
     assert any(f == y for f in cert.h_factors)
+
+
+def completion_by_resort(gens, ord_spec, cap):
+    """Reference pair queue: re-sort every pair by the join of its leading
+    exponents (stable, through compare) on every iteration and take the
+    first.  Returns G, the taint flag, the pairs in the order taken and how
+    often the first two pairs tied."""
+    G = [g.truncated(cap) for g in gens]
+    G = [g for g in G if not g.is_zero()]
+    key = cmp_to_key(ord_spec.compare)
+
+    def lead(g):
+        return max(g.terms, key=key)
+
+    def pair_key(p):
+        return key(_join(lead(G[p[0]]), lead(G[p[1]])))
+
+    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    tainted = any(g.tainted for g in G)
+    taken = []
+    ties = 0
+    while pairs:
+        pairs.sort(key=pair_key)
+        ties += len(pairs) > 1 and pair_key(pairs[0]) == pair_key(pairs[1])
+        i, j = pairs.pop(0)
+        taken.append((i, j))
+        sp = spair(G[i], G[j], ord_spec)
+        tainted = tainted or sp.tainted
+        if sp.is_zero():
+            continue
+        res = divide(sp, G, ord_spec)
+        tainted = tainted or res.tainted
+        r = res.remainder + res.t_part
+        if r.is_zero():
+            continue
+        G.append(r)
+        pairs.extend((t, len(G) - 1) for t in range(len(G) - 1))
+    return G, tainted, taken, ties
+
+
+def test_pair_heap_matches_resorted_queue(monkeypatch):
+    """On the criterion-3 pool, shuffled and rescaled copies of it, and an
+    ideal whose first pairs tie, the heap queue takes the pairs in the
+    reference order, ties included, and so builds the same non-reduced basis
+    element by element."""
+    rng = random.Random(20240817)
+    ideals = []
+    while len(ideals) < 20:
+        n = rng.randint(1, 2)
+        maxdeg = 2 if n == 1 else 1
+        gens = [random_qop(rng, n, rng.randint(1, 3) if n == 1 else 2,
+                           maxdeg=maxdeg, maxk=1)
+                for _ in range(rng.randint(1, 2))]
+        gens = [g for g in gens if not g.is_zero()]
+        if gens:
+            ideals.append((n, gens))
+    shuffle = random.Random(5)
+    cases = []
+    for n, gens in ideals:
+        cases.append((n, list(gens)))
+        for _ in range(2):
+            perm = list(gens)
+            shuffle.shuffle(perm)
+            cases.append((n, [g.scale(Fraction(shuffle.randint(1, 7),
+                                               shuffle.randint(1, 7))
+                                      * shuffle.choice((1, -1)))
+                              for g in perm]))
+    # leading exponents A, A, B, B: the pairs (0, 3) and (1, 2) tie, and
+    # formation order puts (0, 3) first
+    cases.append((1, [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1}),
+                      qop(1, {((0,), (2,), 0): 2, ((0,), (0,), 2): 1}),
+                      qop(1, {((1,), (1,), 0): 1, ((0,), (0,), 1): 1}),
+                      qop(1, {((1,), (1,), 0): 1, ((2,), (0,), 1): 3})]))
+    spairs = []
+    monkeypatch.setattr(st, "spair", lambda gi, gj, *a, **k:
+                        spairs.append((gi, gj)) or spair(gi, gj, *a, **k))
+    ties = 0
+    for n, gens in cases:
+        order = OrderSpec(n)
+        spairs.clear()
+        G, tainted = completion(gens, order, cap=6)
+        G_ref, tainted_ref, taken, t = completion_by_resort(gens, order, 6)
+        ties += t
+        index = {id(g): i for i, g in enumerate(G)}
+        assert [(index[id(a)], index[id(b)]) for a, b in spairs] == taken
+        assert tainted == tainted_ref
+        assert len(G) == len(G_ref)
+        for g, h in zip(G, G_ref):
+            assert g == h and g.tainted == h.tainted and g.cap == h.cap
+    assert ties > 0  # the insertion count, not luck, decided some pops

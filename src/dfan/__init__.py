@@ -7,7 +7,7 @@ from .errors import (AllCoefficientsInQ, CapTooSmall, DenominatorVanishes,
                      NotAdmissible, NotPrime, OperatorSyntaxError, UnknownName,
                      ZeroDivisor, ZeroOperator)
 from .params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
-                     QQ_FIELD, QQField, commutative_gb)
+                     QQ_FIELD, QQField, param_ring, poly_str)
 from .operators import Exponent, HOperator, exponent, homogenize
 from .orders import OrderSpec, Weight, leading_data, leading_data_mod_q
 from .cones import RelOpenCone, clear_form, feasible, solve

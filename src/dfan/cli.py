@@ -19,6 +19,7 @@ from .fan import (fan_of_ideal, grid_weights, oracle_classify,
 from .orders import Weight
 from .parametric import (comprehensive_fan, constant_fan_certificate,
                          specialize_ideal)
+from .params import poly_str
 from .parsing import parse_problem
 from .standard import certified_standard_basis, generic_standard_basis, standard_basis
 
@@ -52,7 +53,7 @@ def _cell_doc(cell):
         "staircase": [_exp_doc(e) for e in cell.staircase],
         "basis": _basis_doc(cell.basis),
         "face_vertices": [list(v) for v in cell.face_vertices],
-        "h": str(cell.h) if cell.h is not None else None,
+        "h": poly_str(cell.h) if cell.h is not None else None,
         "tainted": cell.tainted,
     }
 
@@ -109,9 +110,9 @@ def run_command(verb, problem, args):
         if problem.params:
             cert = generic_standard_basis(problem.generators, problem.q_ideal,
                                           order, cap=cap, reduced=reduced)
-            return {"basis": _basis_doc(cert.basis), "h": str(cert.h),
-                    "h_factors": [str(f) for f in cert.h_factors],
-                    "q_ideal": [str(g) for g in problem.q_ideal.gb],
+            return {"basis": _basis_doc(cert.basis), "h": poly_str(cert.h),
+                    "h_factors": [poly_str(f) for f in cert.h_factors],
+                    "q_ideal": [poly_str(g) for g in problem.q_ideal.gb],
                     "cap": cap, "tainted": cert.tainted}
         sb = standard_basis(problem.generators, order, cap=cap, reduced=reduced)
         return {"basis": _basis_doc(sb.basis), "h": "1", "h_factors": [],
@@ -127,8 +128,9 @@ def run_command(verb, problem, args):
         if not problem.params:
             raise OperatorSyntaxError("certify needs parameters")
         cert = constant_fan_certificate(problem.generators, problem.q_ideal, cap)
-        return {"h": str(cert.h), "h_factors": [str(f) for f in cert.h_factors],
-                "q_ideal": [str(g) for g in cert.q_ideal.gb],
+        return {"h": poly_str(cert.h),
+                "h_factors": [poly_str(f) for f in cert.h_factors],
+                "q_ideal": [poly_str(g) for g in cert.q_ideal.gb],
                 "num_cells": len(cert.fan.cells),
                 "cells": [_cell_doc(c) for c in cert.fan.cells],
                 "homogenized_generators": _basis_doc(cert.hom_gens),
@@ -142,8 +144,8 @@ def run_command(verb, problem, args):
         strata = []
         for s in comp.strata():
             strata.append({
-                "q_ideal": [str(g) for g in s.q_ideal.gb],
-                "h": str(s.h),
+                "q_ideal": [poly_str(g) for g in s.q_ideal.gb],
+                "h": poly_str(s.h),
                 "num_cells": len(s.certificate.fan.cells),
                 "cells": [_cell_doc(c) for c in s.certificate.fan.cells],
             })

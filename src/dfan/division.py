@@ -24,7 +24,8 @@ from .errors import (ZeroDivisor, DivisorInQ, LcDoesNotDivideH,
                      LeadingTermNotCancelled)
 from .operators import HOperator
 from .orders import leading_data, leading_data_mod_q
-from .params import ParamFraction, coeff_num_in_q, poly_divides
+from .params import (ParamFraction, coeff_num_in_q, poly_divides, poly_primitive,
+                     poly_str)
 
 DEFAULT_GUARD_SLACK = 4
 
@@ -90,7 +91,8 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK,
             e, lc = leading_data_mod_q(g, ord_spec, mod_q)
             if h is not None and isinstance(lc, ParamFraction):
                 if not poly_divides(lc.num, h):
-                    raise LcDoesNotDivideH(f"lc numerator {lc.num} does not divide {h}")
+                    raise LcDoesNotDivideH(f"lc numerator {poly_str(lc.num)} "
+                                          f"does not divide {poly_str(h)}")
         else:
             e, lc = leading_data(g, ord_spec)
         lead.append((e, lc))
@@ -196,12 +198,12 @@ def denominator_certificate(res, G, ord_spec, mod_q=None):
         if isinstance(lc, ParamFraction):
             d = res.denom_powers.get(j, 0)
             if d:
-                M = M * (lc.num.primitive() ** d)
+                M = M * (poly_primitive(lc.num) ** d)
     for c in coeffs:
         if isinstance(c, Fraction):
             continue
-        den = c.den.primitive()
-        if den.is_constant():
+        den = poly_primitive(c.den)
+        if den.is_ground:
             continue
         if not poly_divides(den, M):
             return False

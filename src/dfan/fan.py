@@ -65,7 +65,7 @@ def homogenized_generators(gens, cap, h_factors=None, Q=None):
     into Frac(C/Q)."""
     z_free = all(g.z_free() for g in gens)
     if Q is not None:
-        field = ParamField(Q.m, Q)
+        field = ParamField(Q.ring, Q)
         gens = [g.to_field(field) for g in gens]
     if not z_free or not gens:
         return list(gens)

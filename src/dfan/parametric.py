@@ -25,8 +25,7 @@ from itertools import count
 from .errors import DepthExceeded, ZeroOperator
 from .fan import enumerate_fan, homogenized_generators, GroebnerFan
 from .newton import newton
-from .params import (ParamFraction, ParamIdeal, ParamPoly, commutative_gb,
-                     factor_squarefree)
+from .params import ParamFraction, ParamIdeal, factor_squarefree, poly_eval
 
 
 def newton_stability_multiplier(g, factors=None):
@@ -39,13 +38,13 @@ def newton_stability_multiplier(g, factors=None):
     for e, c in g.terms.items():
         if e.vec() in poly.vertices and isinstance(c, ParamFraction):
             for f in factor_squarefree(c.num):
-                factors.setdefault(frozenset(f.terms.items()), f)
+                factors.setdefault(f, f)
     return factors
 
 
-def _product(m, factors):
-    h = ParamPoly.const(m, 1)
-    for f in sorted(factors.values(), key=lambda f: sorted(f.terms)):
+def _product(ring, factors):
+    h = ring.one
+    for f in sorted(factors.values(), key=sorted):
         h = h * f
     return h
 
@@ -55,17 +54,17 @@ class ConstancyCertificate:
     """h(y) such that the fan is literally constant on V(Q) \\ V(h)."""
 
     q_ideal: ParamIdeal
-    h: ParamPoly
+    h: object
     h_factors: list
     fan: GroebnerFan
     hom_gens: list
     tainted: bool
 
     def h_vanishes_at(self, y0):
-        return self.h.evaluate(y0) == 0
+        return poly_eval(self.h, y0) == 0
 
     def stratum_contains(self, y0):
-        return (all(g.evaluate(y0) == 0 for g in self.q_ideal.gb)
+        return (all(poly_eval(g, y0) == 0 for g in self.q_ideal.gb)
                 and not self.h_vanishes_at(y0))
 
 
@@ -87,11 +86,11 @@ def constant_fan_certificate(gens, Q, cap):
     tainted = any(c.tainted for c in fan.cells)
     for cell in fan.cells:
         for f in cell.h_factors:
-            factors.setdefault(frozenset(f.terms.items()), f)
+            factors.setdefault(f, f)
         for g in cell.basis:
             newton_stability_multiplier(g, factors)
-    h = _product(Q.m, factors)
-    h_factors = sorted(factors.values(), key=lambda f: sorted(f.terms))
+    h = _product(Q.ring, factors)
+    h_factors = sorted(factors.values(), key=sorted)
     return ConstancyCertificate(Q, h, h_factors, fan, hom, tainted)
 
 
@@ -132,12 +131,12 @@ class ComprehensiveFan:
         best = None
         node = self.root
         while node is not None:
-            if all(g.evaluate(y0) == 0 for g in node.q_ideal.gb):
+            if all(poly_eval(g, y0) == 0 for g in node.q_ideal.gb):
                 if not node.certificate.h_vanishes_at(y0):
                     best = node
                 nxt = None
                 for ch in node.children:
-                    if all(g.evaluate(y0) == 0 for g in ch.q_ideal.gb):
+                    if all(poly_eval(g, y0) == 0 for g in ch.q_ideal.gb):
                         nxt = ch
                         break
                 node = nxt
@@ -157,7 +156,7 @@ def comprehensive_fan(gens, Q, cap, max_depth=6):
         for f in cert.h_factors:
             if q.contains(f):
                 continue
-            sub = commutative_gb(list(q.gb) + [f], m=q.m)
+            sub = ParamIdeal(q.ring, list(q.gb) + [f])
             if sub.is_unit_ideal():
                 continue
             if sub == q:
@@ -165,7 +164,7 @@ def comprehensive_fan(gens, Q, cap, max_depth=6):
             node.children.append(build(sub, depth + 1))
         return node
 
-    return ComprehensiveFan(build(Q, 0), Q.m)
+    return ComprehensiveFan(build(Q, 0), Q.ring.ngens)
 
 
 def common_refinement(fans):
@@ -233,9 +232,9 @@ def sample_points(m, Q=None, avoid=None, num=10, limit=100000):
             cands = [c for c in iproduct(pool, repeat=m) if last in c]
         for y0 in cands:
             tried += 1
-            if Q is not None and any(g.evaluate(y0) != 0 for g in Q.gb):
+            if Q is not None and any(poly_eval(g, y0) != 0 for g in Q.gb):
                 continue
-            if avoid is not None and avoid.evaluate(y0) == 0:
+            if avoid is not None and poly_eval(avoid, y0) == 0:
                 continue
             if y0 not in pts:
                 pts.append(y0)

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .errors import NotPrime, OperatorSyntaxError, UnknownName
 from .operators import HOperator, exponent
-from .params import (ParamField, ParamIdeal, ParamPoly, QQ_FIELD, factor_squarefree,
-                     set_param_display)
+from .params import (ParamField, ParamIdeal, QQ_FIELD, factor_squarefree, param_ring,
+                     poly_str)
 from .orders import OrderSpec, Weight
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[-+*/^()]|\S")
@@ -62,7 +62,7 @@ class _Env:
             if not getattr(self.field, "is_param", False):
                 raise UnknownName(f"parameter {name!r} in a parameter-free context "
                                   f"(line {ln}, column {col})")
-            c = self.field.from_poly(ParamPoly.var(self.field.m, self.params[name]))
+            c = self.field.from_poly(self.field.ring.gens[self.params[name]])
             return HOperator.monomial(self.n, self.field, exponent(self.n), c)
         raise UnknownName(f"unknown name {name!r} (line {ln}, column {col})")
 
@@ -172,7 +172,7 @@ def _invert_scalar(w, ln, col):
 def parse_operator(text, var_names, param_names=(), field=None, line=1, col=1):
     """Parse one operator expression over the declared names."""
     if field is None:
-        field = QQ_FIELD if not param_names else ParamField(len(param_names))
+        field = QQ_FIELD if not param_names else ParamField(param_names)
     env = _Env(list(var_names), list(param_names), field)
     toks = tokenize(text, line=line, col=col)
     if not toks:
@@ -182,17 +182,17 @@ def parse_operator(text, var_names, param_names=(), field=None, line=1, col=1):
 
 def parse_param_poly(text, param_names, line=1, col=1):
     """Parse a parameter-only polynomial (used for Q generators)."""
-    field = ParamField(len(param_names))
+    field = ParamField(param_names)
     op = parse_operator(text, [], param_names, field=field, line=line, col=col)
     e0 = exponent(0)
     if any(e != e0 for e in op.terms):
         raise OperatorSyntaxError("expected a parameter-only polynomial", line, 1)
     c = op.terms.get(e0)
     if c is None:
-        return ParamPoly.zero(len(param_names))
-    if not c.den.is_constant():
+        return field.ring.zero
+    if not c.den.is_ground:
         raise OperatorSyntaxError("Q generators must be polynomial", line, 1)
-    return c.num * (1 / c.den.constant_value())
+    return c.num.quo_ground(c.den.LC)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,9 @@ class ProblemFile:
 
     @property
     def field(self):
-        return QQ_FIELD if not self.params else ParamField(self.m, self.q_ideal)
+        if not self.params:
+            return QQ_FIELD
+        return ParamField(self.q_ideal.ring, self.q_ideal)
 
     def serialize(self):
         lines = []
@@ -236,7 +238,7 @@ class ProblemFile:
                          + " v " + " ".join(str(b) for b in w.v))
         lines.append(f"cap: {self.cap}")
         for g in self.q_ideal.generators:
-            lines.append("qideal: " + str(g))
+            lines.append("qideal: " + poly_str(g))
         for g in self.generators:
             lines.append("ideal: " + str(g))
         if self.dividend is not None:
@@ -337,18 +339,18 @@ def parse_problem(text):
         raise OperatorSyntaxError("names must be disjoint and avoid 'z'", 1, 1)
     if cap is None:
         cap = 8
-    set_param_display(params)
     base, xprio = _parse_order_line(order_desc, var_names, 1)
     n = len(var_names)
     weights = [_parse_weight_line(v, n, ln) for v, ln in weight_lines]
     q_gens = [parse_param_poly(t, params, line=ln, col=c) for t, ln, c in q_texts]
-    q_ideal = ParamIdeal(len(params), q_gens, claimed_prime=True)
+    ring = param_ring(params)
+    q_ideal = ParamIdeal(ring, q_gens, claimed_prime=True)
     if len(params) == 1 and q_ideal.gb and not q_ideal.is_unit_ideal():
         # one parameter: Q = (g) is prime iff g is irreducible
         g = q_ideal.gb[0]
-        if factor_squarefree(g) != [g.primitive()]:
+        if factor_squarefree(g) != [g]:
             raise NotPrime(f"qideal {q_ideal} is not prime")
-    field = QQ_FIELD if not params else ParamField(len(params), q_ideal)
+    field = QQ_FIELD if not params else ParamField(ring, q_ideal)
     order = OrderSpec(n, base=base, xprio=xprio, weights=tuple(weights),
                       homogenized=True)
     gens = [parse_operator(t, var_names, params, field=field, line=ln, col=c)

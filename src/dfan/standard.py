@@ -30,7 +30,7 @@ from .division import divide
 from .errors import CapTooSmall
 from .operators import Exponent, HOperator
 from .orders import leading_data
-from .params import ParamField, ParamFraction, ParamPoly, factor_squarefree
+from .params import ParamField, ParamFraction, factor_squarefree
 
 
 def _join(a: Exponent, b: Exponent):
@@ -66,7 +66,7 @@ class StandardBasis:
 def _collect_lc_factors(lc, factors):
     if isinstance(lc, ParamFraction):
         for f in factor_squarefree(lc.num):
-            factors.setdefault(frozenset(f.terms.items()), f)
+            factors.setdefault(f, f)
 
 
 def completion(gens, ord_spec, cap=None, h_factors=None, mul=operator.mul):
@@ -183,7 +183,7 @@ class GenSBCertificate:
     specializes verbatim at every point of V(Q) off V(h)."""
 
     basis: list
-    h: ParamPoly
+    h: object
     h_factors: list
     q_ideal: object
     ord_spec: object
@@ -198,18 +198,19 @@ class GenSBCertificate:
 def generic_standard_basis(gens, Q, ord_spec, cap=None, reduced=True):
     """Generic standard basis of the ideal generated by gens, modulo Q.
 
-    gens may have Fraction, ParamPoly, or ParamFraction coefficients; they
-    are coerced into Frac(C/Q).  Returns a GenSBCertificate.
+    gens may have Fraction, parameter-polynomial or ParamFraction
+    coefficients; they are coerced into Frac(C/Q).  Returns a
+    GenSBCertificate.
     """
-    field = ParamField(Q.m, Q)
+    field = ParamField(Q.ring, Q)
     work = [g.to_field(field) for g in gens]
     factors = {}
     G, tainted = completion(work, ord_spec, cap=cap, h_factors=factors)
     if reduced and G:
         G, t2 = reduce_basis(G, ord_spec, h_factors=factors)
         tainted = tainted or t2
-    h = ParamPoly.const(Q.m, 1)
-    h_factors = sorted(factors.values(), key=lambda f: sorted(f.terms))
+    h = Q.ring.one
+    h_factors = sorted(factors.values(), key=sorted)
     for f in h_factors:
         h = h * f
     return GenSBCertificate(G, h, h_factors, Q, ord_spec, cap, tainted)

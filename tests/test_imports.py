@@ -1,4 +1,5 @@
-"""Lint: every name a dfan module imports is used in that module."""
+"""Lint: every name a dfan module imports is used in that module, and no
+module keeps mutable state at its top level."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,42 @@ def test_no_unused_imports_in_src():
         found += [f"{path.name}:{line}: {name}"
                   for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+_MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
+                     ast.SetComp)
+
+
+def mutable_module_state(source):
+    """(line, target) of each top-level assignment whose value is a list,
+    dict or set display or comprehension, or a list()/dict()/set() call."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        v = node.value
+        if (isinstance(v, _MUTABLE_DISPLAYS)
+                or (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
+                    and v.func.id in ("list", "dict", "set"))):
+            found += [(node.lineno, ast.unparse(t)) for t in targets]
+    return found
+
+
+def test_mutable_module_state_detects_and_ignores():
+    src = ("A = []\nB: dict = {}\nC = {k: 0 for k in 'ab'}\nD = set()\n"
+           "E = (1, 2)\nF = frozenset()\nG = list\n"
+           "def f():\n    local = []\n    return local\n"
+           "class K:\n    attr = []\n")
+    assert mutable_module_state(src) == [(1, "A"), (2, "B"), (3, "C"), (4, "D")]
+
+
+def test_no_mutable_module_state_in_src():
+    found = []
+    for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{line}: {name}"
+                  for line, name in mutable_module_state(path.read_text())]
+    assert not found, "module-level mutable state:\n" + "\n".join(found)

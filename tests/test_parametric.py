@@ -9,7 +9,7 @@ from dfan.errors import DenominatorVanishes, ZeroOperator
 from dfan.fan import enumerate_fan, grid_weights
 from dfan.operators import HOperator, exponent
 from dfan.orders import OrderSpec, Weight
-from dfan.params import ParamField, ParamIdeal, ParamPoly
+from dfan.params import ParamField, ParamIdeal, ParamPoly, poly_eval
 from dfan.parametric import (ComprehensiveFan, common_refinement,
                              comprehensive_fan, constant_fan_certificate,
                              homogenization_commutes,
@@ -99,7 +99,7 @@ def test_comprehensive_fan_two_strata(F1):
     for y0 in [(q,) for q in (Fraction(0), Fraction(1), Fraction(-2),
                               Fraction(1, 3))]:
         holders = [s for s in strata
-                   if all(p.evaluate(y0) == 0 for p in s.q_ideal.gb)
+                   if all(poly_eval(p, y0) == 0 for p in s.q_ideal.gb)
                    and not s.certificate.h_vanishes_at(y0)]
         assert len(holders) == 1
         assert comp.stratum_for(y0) is holders[0]

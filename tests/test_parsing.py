@@ -55,6 +55,14 @@ def test_parse_param_poly():
     assert q == y1 * y1 - y2 - y2
 
 
+def test_parameter_names_belong_to_their_problem():
+    """Parsing another problem must not rename the parameters of the first."""
+    first = parse_problem("params: a\nvars: x1\nideal: a*x1*dx1 + 1\n")
+    parse_problem("params: t\nvars: x1\nideal: t*x1*dx1 + 1\n")
+    parse_problem("vars: x1\nideal: x1*dx1 + 1\n")
+    assert str(first.generators[0]) == "1 + a*x1*dx1"
+
+
 def test_parse_problem_full():
     text = """# demo
 params: y

@@ -1,15 +1,14 @@
 """dfan: standard bases and Groebner fans for homogenized differential
 operators with parametric coefficients, in exact rational arithmetic."""
 
-from .errors import (AllCoefficientsInQ, CapTooSmall, DenominatorVanishes,
-                     DepthExceeded, DfanError, DivisionByZeroModQ, DivisorInQ,
-                     EmptyCone, LcDoesNotDivideH, NonConvergentTraversal,
+from .errors import (CapTooSmall, DenominatorVanishes, DepthExceeded, DfanError,
+                     DivisionByZeroModQ, EmptyCone, NonConvergentTraversal,
                      NotAdmissible, NotPrime, OperatorSyntaxError, UnknownName,
                      ZeroDivisor, ZeroOperator)
 from .params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
                      QQ_FIELD, QQField, param_ring, poly_str)
 from .operators import Exponent, HOperator, exponent, homogenize
-from .orders import OrderSpec, Weight, leading_data, leading_data_mod_q
+from .orders import OrderSpec, Weight, leading_data
 from .cones import RelOpenCone, clear_form, feasible, solve
 from .newton import (NewtonPolyhedron, face_of, in_wstar, minkowski_sum,
                      newton, normal_cone, vertex_set, wstar_rays)

@@ -3,6 +3,10 @@
 Each verb reads a problem file, delegates to the library, and prints one JSON
 document (sorted keys, exact rationals as strings) on stdout.  Exit codes:
 0 success, 1 mathematical error, 2 usage or parse error.
+
+The parser reads every operator of a problem with parameters into Frac(C/Q),
+so the verbs pass no Q of their own.  `div` keeps its `t_part` key, always
+"0", so that its JSON is unchanged.
 """
 
 from __future__ import annotations
@@ -73,28 +77,22 @@ def _order_for(problem, args):
     return order
 
 
-def _q_or_none(problem):
-    return problem.q_ideal if problem.params else None
-
-
 def run_command(verb, problem, args):
     cap = args.cap if args.cap is not None else problem.cap
     order = _order_for(problem, args)
-    Q = _q_or_none(problem)
 
     if verb == "div":
         if problem.dividend is None:
             raise OperatorSyntaxError("div needs a 'dividend:' line")
         P = problem.dividend.truncated(cap)
         G = _capped(problem.generators, cap)
-        res = divide(P, G, order, mod_q=Q, guard_slack=args.guard)
+        res = divide(P, G, order)
         return {
             "quotients": _basis_doc(res.quotients),
             "remainder": str(res.remainder),
-            "t_part": str(res.t_part),
+            "t_part": "0",
             "denom_powers": {str(j): d for j, d in res.denom_powers.items()},
-            "denominator_certificate": denominator_certificate(res, G, order,
-                                                               mod_q=Q),
+            "denominator_certificate": denominator_certificate(res, G, order),
             "tainted": res.tainted,
         }
 
@@ -119,8 +117,7 @@ def run_command(verb, problem, args):
                 "q_ideal": [], "cap": cap, "tainted": sb.tainted}
 
     if verb == "fan":
-        fan = fan_of_ideal(problem.generators, cap, Q=Q,
-                           max_cells=args.max_cells)
+        fan = fan_of_ideal(problem.generators, cap, max_cells=args.max_cells)
         return {"n": fan.n, "cap": cap, "num_cells": len(fan.cells),
                 "cells": [_cell_doc(c) for c in fan.cells]}
 
@@ -153,7 +150,7 @@ def run_command(verb, problem, args):
         return {"m": comp.m, "cap": cap, "strata": strata}
 
     if verb == "oracle-fan":
-        gens = homogenized_generators(problem.generators, cap, Q=Q)
+        gens = homogenized_generators(problem.generators, cap)
         weights = grid_weights(problem.n)
         if 0 < args.samples < len(weights):
             # evenly spaced: the grid's first weights all share the smallest u1
@@ -161,7 +158,7 @@ def run_command(verb, problem, args):
                        for i in range(args.samples)]
         groups = {}
         for w in weights:
-            stair, face, act = oracle_classify(gens, w, cap, Q=Q)
+            stair, face, act = oracle_classify(gens, w, cap)
             sig = json.dumps({"staircase": [_exp_doc(e) for e in stair],
                               "face": [list(v) for v in face],
                               "u_zero": sorted(act[0]),
@@ -200,7 +197,6 @@ def build_parser():
     ap.add_argument("verb", choices=VERBS)
     ap.add_argument("problem", help="path to a problem file ('-' for stdin)")
     ap.add_argument("--cap", type=int, default=None, help="x-degree cap override")
-    ap.add_argument("--guard", type=int, default=4, help="truncation guard slack")
     ap.add_argument("--samples", type=int, default=0,
                     help="grid size limit for oracle-fan")
     ap.add_argument("--max-cells", type=int, default=4096,

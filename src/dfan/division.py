@@ -1,16 +1,16 @@
 """Formal division in the homogenized ring (or, through `mul`, in its z = 1
-quotient), plain and modulo Q.
+quotient).
 
 The classical process: repeatedly pick the largest unresolved term, reduce it
 by the first divisor whose leading exponent divides it, otherwise move it to
 the remainder.  The unresolved terms wait in a max-heap on the order's
 integer key: an exponent is pushed when it enters the working set, and an
-entry whose term has cancelled since is skipped when popped.  Working modulo
-Q, terms whose coefficient numerator lies in Q are routed straight to the T
-part and never reduced; divisor leading data is taken modulo Q.  Truncation:
-the requested x-degree cap is padded internally by a guard band (max
-(dx,z)-degree + slack), which makes the reported window exact; quotients keep
-the padded cap, remainder and T are truncated back.
+entry whose term has cancelled since is skipped when popped.  Over
+Frac(C/Q) a coefficient whose numerator lies in Q is zero in the field, so
+division modulo Q is plain division there.  Truncation: the requested
+x-degree cap is padded internally by a guard band (max (dx,z)-degree +
+GUARD_SLACK), which makes the reported window exact; quotients keep the
+padded cap, the remainder is truncated back.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .errors import (ZeroDivisor, DivisorInQ, LcDoesNotDivideH,
-                     LeadingTermNotCancelled)
+from .errors import LeadingTermNotCancelled, ZeroDivisor
 from .operators import HOperator
-from .orders import leading_data, leading_data_mod_q
-from .params import (ParamFraction, coeff_num_in_q, poly_divides, poly_primitive,
-                     poly_str)
+from .orders import leading_data
+from .params import ParamFraction, poly_divides, poly_primitive
 
-DEFAULT_GUARD_SLACK = 4
+GUARD_SLACK = 4
 
 
 def partition(divisor_exps):
@@ -47,13 +45,12 @@ def partition(divisor_exps):
 class DivisionResult:
     quotients: list
     remainder: HOperator
-    t_part: HOperator
     denom_powers: dict
     tainted: bool
 
     def reconstruct_window(self, G, cap):
-        """sum q_j g_j + R + T truncated to the cap window."""
-        acc = self.remainder.truncated(cap) + self.t_part.truncated(cap)
+        """sum q_j g_j + R truncated to the cap window."""
+        acc = self.remainder.truncated(cap)
         for q, g in zip(self.quotients, G):
             acc = acc + (q * g).truncated(cap)
         return acc
@@ -70,32 +67,14 @@ def _effective(ops, cap):
     return out
 
 
-def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK,
-           mul=operator.mul):
-    """Divide P by the list G.
-
-    mod_q: a ParamIdeal Q switches on division modulo Q (leading data mod Q,
-    T-part bookkeeping).  h: optional localizer; when given, each divisor's
-    mod-Q leading coefficient numerator must divide it.  mul: the ring
-    product (the homogenized product by default).
-    """
+def divide(P, G, ord_spec, mul=operator.mul):
+    """Divide P by the list G; mul is the ring product (the homogenized
+    product by default)."""
     field = P.field
     n = P.n
     if any(g.is_zero() for g in G):
         raise ZeroDivisor("zero divisor in division")
-    lead = []
-    for g in G:
-        if mod_q is not None and not mod_q.is_zero_ideal():
-            if all(coeff_num_in_q(c, mod_q) for c in g.terms.values()):
-                raise DivisorInQ(f"divisor {g} lies in the Q-coefficient ideal")
-            e, lc = leading_data_mod_q(g, ord_spec, mod_q)
-            if h is not None and isinstance(lc, ParamFraction):
-                if not poly_divides(lc.num, h):
-                    raise LcDoesNotDivideH(f"lc numerator {poly_str(lc.num)} "
-                                          f"does not divide {poly_str(h)}")
-        else:
-            e, lc = leading_data(g, ord_spec)
-        lead.append((e, lc))
+    lead = [leading_data(g, ord_spec) for g in G]
     classify = partition([e for e, _ in lead])
 
     caps = [p.cap for p in [P] + list(G) if p.cap is not None]
@@ -104,7 +83,7 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK,
         internal = None
     else:
         maxlevel = max((e.level for g in [P] + list(G) for e in g.terms), default=0)
-        internal = cap + maxlevel + guard_slack
+        internal = cap + maxlevel + GUARD_SLACK
     P_eff, *G_eff = _effective([P] + list(G), internal)
 
     tainted = P.tainted or any(g.tainted for g in G)
@@ -118,20 +97,13 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK,
     heapify(heap)
     quotients = [dict() for _ in G]
     remainder = {}
-    t_terms = {}
     denom_powers = {j: 0 for j in range(len(G))}
-    route_q = mod_q is not None and not mod_q.is_zero_ideal()
 
     while heap:
         e = heappop(heap)[1]
         c = working.pop(e, None)
         if c is None:
             continue  # cancelled since it was pushed
-        if route_q and coeff_num_in_q(c, mod_q):
-            t_terms[e] = t_terms.get(e, field.zero) + c
-            if not t_terms[e]:
-                del t_terms[e]
-            continue
         j = classify(e)
         if j is None:
             remainder[e] = c
@@ -166,27 +138,18 @@ def divide(P, G, ord_spec, mod_q=None, h=None, guard_slack=DEFAULT_GUARD_SLACK,
 
     q_ops = [HOperator(n, field, q, cap=internal, tainted=tainted) for q in quotients]
     R = HOperator(n, field, remainder, cap=internal, tainted=tainted)
-    T = HOperator(n, field, t_terms, cap=internal, tainted=tainted)
     if cap is not None:
         R = R.truncated(cap)
-        T = T.truncated(cap)
-        tainted = tainted or R.tainted or T.tainted
-        R.tainted = R.tainted or tainted
-        T.tainted = T.tainted or tainted
-    return DivisionResult(q_ops, R, T, denom_powers, tainted)
+        tainted = tainted or R.tainted
+        R.tainted = tainted
+    return DivisionResult(q_ops, R, denom_powers, tainted)
 
 
-def denominator_certificate(res, G, ord_spec, mod_q=None):
+def denominator_certificate(res, G, ord_spec):
     """Check that every coefficient denominator of R and the quotients divides
     the product of divisor leading-coefficient numerators raised to the
     recorded powers (up to rational units)."""
-    lead_nums = []
-    for g in G:
-        if mod_q is not None and not mod_q.is_zero_ideal():
-            _, lc = leading_data_mod_q(g, ord_spec, mod_q)
-        else:
-            _, lc = leading_data(g, ord_spec)
-        lead_nums.append(lc)
+    lead_nums = [leading_data(g, ord_spec)[1] for g in G]
     coeffs = list(res.remainder.terms.values())
     for q in res.quotients:
         coeffs.extend(q.terms.values())

@@ -22,18 +22,6 @@ class ZeroDivisor(DfanError):
     """A divisor in a division call is the zero operator."""
 
 
-class AllCoefficientsInQ(DfanError):
-    """Every coefficient numerator of an operator lies in Q."""
-
-
-class DivisorInQ(DfanError):
-    """A divisor of a division modulo Q lies in the Q-coefficient ideal."""
-
-
-class LcDoesNotDivideH(DfanError):
-    """A leading coefficient numerator fails to divide the localizer h."""
-
-
 class LeadingTermNotCancelled(DfanError):
     """A division step left a different nonzero coefficient on the term it
     was meant to cancel."""

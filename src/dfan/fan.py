@@ -11,6 +11,10 @@ dx-degree weight order (computation in the z = 1 quotient), then homogenized;
 this yields generators of the homogenized ideal, which is what the fan is
 attached to.  The z = 1 completion is the same loop as `standard.completion`
 and `standard.reduce_basis`, run with the z = 1 product.
+
+Over a parameter field Frac(C/Q) each cell holds the generic standard basis
+and its multiplier h; the generators' coefficient field carries Q, so no
+function here takes Q separately.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .newton import (NewtonPolyhedron, face_of, minkowski_sum, minkowski_sum_by_
                      newton, normal_cone)
 from .operators import homogenize
 from .orders import OrderSpec, Weight, leading_data
-from .params import ParamField
 from .standard import (completion, generic_standard_basis, reduce_basis,
                        standard_basis)
 
@@ -56,18 +59,13 @@ def dn_standard_basis(gens, ord_spec, cap=None, h_factors=None):
     return reduce_basis(G, ord_spec, h_factors=h_factors, mul=_dn_mul)[0]
 
 
-def homogenized_generators(gens, cap, h_factors=None, Q=None):
+def homogenized_generators(gens, cap, h_factors=None):
     """Generators of the homogenized ideal of gens.
 
     z-free input is completed with respect to the dx-degree weight in the
     z = 1 quotient, then homogenized elementwise; input involving z is taken
-    as given.  With a parameter ideal Q the coefficients are first coerced
-    into Frac(C/Q)."""
-    z_free = all(g.z_free() for g in gens)
-    if Q is not None:
-        field = ParamField(Q.ring, Q)
-        gens = [g.to_field(field) for g in gens]
-    if not z_free or not gens:
+    as given."""
+    if not gens or not all(g.z_free() for g in gens):
         return list(gens)
     n = gens[0].n
     basis = dn_standard_basis(gens, t_order(n), cap=cap, h_factors=h_factors)
@@ -98,14 +96,15 @@ class FanCell:
         return self.cone.dim - form_rank(self.cone.equalities, self.cone.dim)
 
 
-def _basis_at(gens, w, cap, Q, base_order):
-    """(basis, staircase, h, h_factors, tainted): the reduced (generic)
-    standard basis for the order refined by the admissible weight w."""
+def _basis_at(gens, w, cap):
+    """(basis, staircase, h, h_factors, tainted): the reduced standard
+    basis for the order refined by the admissible weight w; the generic one,
+    with its multiplier, over a parameter field."""
     w.check_admissible()
-    n = gens[0].n
-    order = (base_order or base_fan_order(n)).with_weight(w)
-    if Q is not None:
-        cert = generic_standard_basis(gens, Q, order, cap=cap)
+    order = base_fan_order(gens[0].n).with_weight(w)
+    field = gens[0].field
+    if field.is_param:
+        cert = generic_standard_basis(gens, field.q, order, cap=cap)
         basis, h, h_factors, tainted = (cert.basis, cert.h, tuple(cert.h_factors),
                                         cert.tainted)
     else:
@@ -117,10 +116,10 @@ def _basis_at(gens, w, cap, Q, base_order):
     return basis, staircase, h, h_factors, tainted
 
 
-def cell_at(gens, w, cap, Q=None, base_order=None):
+def cell_at(gens, w, cap):
     """The fan cell of the admissible weight w, for the homogenized ideal
     generated by gens (already z-graded)."""
-    basis, staircase, h, h_factors, tainted = _basis_at(gens, w, cap, Q, base_order)
+    basis, staircase, h, h_factors, tainted = _basis_at(gens, w, cap)
     P = minkowski_sum([newton(g) for g in basis])
     verts, _ = face_of(P, w)
     cone = normal_cone(P, w)
@@ -132,7 +131,6 @@ class GroebnerFan:
     n: int
     cells: list
     cap: object
-    q_ideal: object = None
     gens: list = dc_field(default_factory=list)
 
     def cell_containing(self, w: Weight):
@@ -187,7 +185,7 @@ def _cross_facet(n, facet_pt, inner_witness, cell):
     return None
 
 
-def enumerate_fan(gens, cap, Q=None, base_order=None, max_cells=4096):
+def enumerate_fan(gens, cap, max_cells=4096):
     """All cells of the Groebner fan by facet traversal from stratum seeds."""
     if not gens:
         raise ZeroOperator("fan of the empty generating set")
@@ -202,7 +200,7 @@ def enumerate_fan(gens, cap, Q=None, base_order=None, max_cells=4096):
         w = queue.pop(0)
         if any(c.contains(w) for c in cells):
             continue
-        cell = cell_at(gens, w, cap, Q=Q, base_order=base_order)
+        cell = cell_at(gens, w, cap)
         if any(c.cone.same_cone(cell.cone) for c in cells):
             continue
         cells.append(cell)
@@ -230,14 +228,14 @@ def enumerate_fan(gens, cap, Q=None, base_order=None, max_cells=4096):
                         break
                     eps /= 2
     cells.sort(key=lambda c: (-c.dim(), c.cone.equalities, c.cone.strict))
-    return GroebnerFan(n, cells, cap, Q, list(gens))
+    return GroebnerFan(n, cells, cap, list(gens))
 
 
-def fan_of_ideal(gens, cap, Q=None, base_order=None, max_cells=4096):
+def fan_of_ideal(gens, cap, max_cells=4096):
     """Fan of an ideal of plain operators: homogenize (via the dx-degree
     completion in the z = 1 quotient) if needed, then enumerate."""
-    return enumerate_fan(homogenized_generators(gens, cap, Q=Q), cap, Q=Q,
-                         base_order=base_order, max_cells=max_cells)
+    return enumerate_fan(homogenized_generators(gens, cap), cap,
+                         max_cells=max_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +254,18 @@ def grid_weights(n, denominators=(1, 2, 3), span=3):
     return out
 
 
-def oracle_classify(gens, w, cap, Q=None, base_order=None):
+def oracle_classify(gens, w, cap):
     """Cell data computed directly at w, with no traversal: the staircase of
     the reduced basis, the w-face of the Minkowski polyhedron, and the active
     weight constraints.  The polyhedron comes from the defining hull of all
     vertex sums, not from the normal-fan refinement `cell_at` uses, so the
     grid check shares no polyhedral code with the traversal."""
-    basis, staircase, _, _, _ = _basis_at(gens, w, cap, Q, base_order)
+    basis, staircase, _, _, _ = _basis_at(gens, w, cap)
     face, _ = face_of(minkowski_sum_by_hull([newton(g) for g in basis]), w)
     return (tuple(staircase), face, w.activity())
 
 
-def check_fan_against_grid(fan, gens, weights, cap, Q=None, base_order=None):
+def check_fan_against_grid(fan, gens, weights, cap):
     """Each grid weight must land in exactly one enumerated cell, and that
     cell's stored data must match the independent classification at w."""
     mismatches = []
@@ -277,7 +275,7 @@ def check_fan_against_grid(fan, gens, weights, cap, Q=None, base_order=None):
             mismatches.append((w, f"{len(holders)} containing cells"))
             continue
         cell = holders[0]
-        stair, face, act = oracle_classify(gens, w, cap, Q=Q, base_order=base_order)
+        stair, face, act = oracle_classify(gens, w, cap)
         if tuple(cell.staircase) != stair:
             mismatches.append((w, "staircase differs"))
         elif cell.face_vertices != face:

@@ -22,7 +22,6 @@ from itertools import product
 
 from .cones import RelOpenCone, lp_feasible, solve
 from .errors import ZeroOperator, NotAdmissible
-from .params import coeff_num_in_q
 
 
 def wstar_rays(n):
@@ -112,21 +111,13 @@ class NewtonPolyhedron:
         return f"New{list(self.vertices)}"
 
 
-def newton(g, Q=None):
-    """Newton polyhedron of a nonzero operator.
-
-    With Q given, only terms whose coefficient numerator lies outside Q
-    contribute (the polyhedron of the specialization to Q).
-    """
+def newton(g):
+    """Newton polyhedron of a nonzero operator.  Over Frac(C/Q) the terms
+    whose coefficient numerator lies in Q are already gone, so this is the
+    polyhedron of the specialization to V(Q)."""
     if g.is_zero():
         raise ZeroOperator("Newton polyhedron of the zero operator")
-    if Q is None:
-        pts = [e.vec() for e in g.terms]
-    else:
-        pts = [e.vec() for e, c in g.terms.items() if not coeff_num_in_q(c, Q)]
-        if not pts:
-            raise ZeroOperator("operator vanishes modulo Q")
-    return NewtonPolyhedron(g.n, vertex_set(g.n, pts))
+    return NewtonPolyhedron(g.n, vertex_set(g.n, [e.vec() for e in g.terms]))
 
 
 def _satisfies(point, forms):

@@ -22,9 +22,8 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .errors import NotAdmissible, ZeroOperator, AllCoefficientsInQ
+from .errors import NotAdmissible, ZeroOperator
 from .operators import Exponent
-from .params import coeff_num_in_q
 
 
 @dataclass(frozen=True)
@@ -202,13 +201,4 @@ def leading_data(p, ord_spec):
             raise ZeroOperator("leading data of the zero operator")
         e = ord_spec.max_exponent(p.terms)
         p.lead_memo = (ord_spec, e)
-    return e, p.terms[e]
-
-
-def leading_data_mod_q(p, ord_spec, Q):
-    """(exp, lc) among terms whose coefficient numerator is outside Q."""
-    live = [e for e, c in p.terms.items() if not coeff_num_in_q(c, Q)]
-    if not live:
-        raise AllCoefficientsInQ("every coefficient numerator lies in Q")
-    e = ord_spec.max_exponent(live)
     return e, p.terms[e]

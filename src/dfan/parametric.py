@@ -25,7 +25,8 @@ from itertools import count
 from .errors import DepthExceeded, ZeroOperator
 from .fan import enumerate_fan, homogenized_generators, GroebnerFan
 from .newton import newton
-from .params import ParamFraction, ParamIdeal, factor_squarefree, poly_eval
+from .params import (ParamField, ParamFraction, ParamIdeal, factor_squarefree,
+                     poly_eval)
 
 
 def newton_stability_multiplier(g, factors=None):
@@ -69,10 +70,14 @@ class ConstancyCertificate:
 
 
 def homogenization_commutes(gens, Q, cap):
-    """Homogenized-ideal generators plus the multiplier h' making the
-    construction commute with any specialization off V(h')."""
+    """Homogenized-ideal generators over Frac(C/Q) plus the multiplier h'
+    making the construction commute with any specialization of V(Q) off
+    V(h')."""
+    field = ParamField(Q.ring, Q)
     factors = {}
-    return homogenized_generators(gens, cap, h_factors=factors, Q=Q), factors
+    hom = homogenized_generators([g.to_field(field) for g in gens], cap,
+                                 h_factors=factors)
+    return hom, factors
 
 
 def constant_fan_certificate(gens, Q, cap):
@@ -82,7 +87,7 @@ def constant_fan_certificate(gens, Q, cap):
     if Q.is_unit_ideal():
         raise ValueError("empty stratum: Q is the unit ideal")
     hom, factors = homogenization_commutes(gens, Q, cap)
-    fan = enumerate_fan(hom, cap, Q=Q)
+    fan = enumerate_fan(hom, cap)
     tainted = any(c.tainted for c in fan.cells)
     for cell in fan.cells:
         for f in cell.h_factors:

@@ -241,10 +241,10 @@ class ParamField:
     """The field Frac(C/q) with C = Q[y1..ym], the ring of q.
 
     `ring` is a parameter count, names or ring as `param_ring` takes them; q
-    must lie in that ring and defaults to (0).  q = (0) gives the plain
-    fraction field Frac(C); this is the context used by certificate
-    computations, which keep Q-coefficient bookkeeping explicit instead of
-    reducing it away.
+    must lie in that ring and defaults to (0), which gives the plain fraction
+    field Frac(C).  The field is the one place that knows q: generic standard
+    bases, fans and certificates over V(Q) all compute in Frac(C/Q), where a
+    coefficient whose numerator lies in Q is zero.
     """
 
     is_param = True
@@ -265,6 +265,8 @@ class ParamField:
         return ParamFraction(self, self.ring.one, self.ring.one)
 
     def from_poly(self, p):
+        if p.ring is not self.ring and p.ring != self.ring:
+            raise ValueError("parameter ring mismatch")
         return ParamFraction(self, p, self.ring.one)
 
     def coerce(self, x):
@@ -415,18 +417,3 @@ def _cancel(num, den):
     if den.LC < 0:
         cont, den = -cont, -den
     return num.quo_ground(cont), den
-
-
-# ---------------------------------------------------------------------------
-# module-level helpers used by the rest of the package
-# ---------------------------------------------------------------------------
-
-def coeff_num_in_q(c, Q):
-    """Does the numerator of coefficient c lie in Q?
-
-    For plain Fractions only the zero coefficient qualifies (and it is pruned
-    from operators), matching the Q = (0) reading.
-    """
-    if isinstance(c, Fraction):
-        return c == 0
-    return Q.contains(c.num)

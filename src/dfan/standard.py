@@ -11,7 +11,9 @@ One loop serves both rings: `spair`, `completion`, `reduce_basis` and
 default.  `fan.dn_standard_basis` passes the z = 1 product to complete plain
 differential operators.
 
-Generic standard bases run the same loop over Frac(C/Q); the multiplier h
+Generic standard bases run the same loop over Frac(C/Q).  The field is the
+only place Q enters: a coefficient whose numerator lies in Q is zero there,
+so neither completion nor division treats Q specially.  The multiplier h
 collects the (square-free) numerator factors of every leading coefficient the
 completion divides by, so any specialization with h(y0) != 0 replays the
 whole trace verbatim.
@@ -97,7 +99,7 @@ def completion(gens, ord_spec, cap=None, h_factors=None, mul=operator.mul):
             continue
         res = divide(sp, G, ord_spec, mul=mul)
         tainted = tainted or res.tainted
-        r = res.remainder + res.t_part
+        r = res.remainder
         if r.is_zero():
             continue
         if h_factors is not None:
@@ -137,8 +139,7 @@ def reduce_basis(basis, ord_spec, h_factors=None, mul=operator.mul):
             continue
         res = divide(tail, G0, ord_spec, mul=mul)
         tainted = tainted or res.tainted
-        red = lm + res.remainder + res.t_part
-        out.append(red)
+        out.append(lm + res.remainder)
     key = ord_spec.key()
     out.sort(key=lambda g: key(leading_data(g, ord_spec)[0]))
     return out, tainted

@@ -47,7 +47,7 @@ def test_div_verb():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["quotients"] == ["dx1"]
-    assert doc["remainder"] == "0"
+    assert doc["remainder"] == "0" and doc["t_part"] == "0"
     assert doc["denominator_certificate"] is True
 
 
@@ -97,6 +97,9 @@ def test_exit_codes():
     assert math_err.returncode == 1
     missing_div = run_cli(["div"], AIRY)
     assert missing_div.returncode == 2
+    # the guard band's slack is fixed, not a flag
+    guard = run_cli(["div", "--guard", "4"], DIV)
+    assert guard.returncode == 2 and "--guard" in guard.stderr
 
 
 def test_oracle_fan_groups_weights():

@@ -1,4 +1,8 @@
-"""Division with remainder (and T part mod Q): contract and certificates."""
+"""Division with remainder: contract and certificates.
+
+`divide_by_scan` keeps the retired division modulo Q, which worked over
+Frac(C) and routed terms whose coefficient numerator lies in Q to a T part,
+as an oracle for plain division over Frac(C/Q)."""
 
 import random
 from fractions import Fraction
@@ -7,13 +11,12 @@ from functools import cmp_to_key
 import pytest
 
 from conftest import qop, random_qop
-from dfan.division import (DEFAULT_GUARD_SLACK, _effective,
-                           denominator_certificate, divide, partition)
-from dfan.errors import (DivisorInQ, LcDoesNotDivideH, LeadingTermNotCancelled,
-                         ZeroDivisor)
+from dfan.division import (GUARD_SLACK, _effective, denominator_certificate,
+                           divide, partition)
+from dfan.errors import LeadingTermNotCancelled, ZeroDivisor
 from dfan.operators import Exponent, HOperator, exponent
-from dfan.orders import OrderSpec, leading_data, leading_data_mod_q
-from dfan.params import ParamField, ParamIdeal, ParamPoly, coeff_num_in_q
+from dfan.orders import OrderSpec, leading_data
+from dfan.params import ParamField, ParamIdeal, ParamPoly
 
 
 def test_partition_least_index():
@@ -111,36 +114,32 @@ def test_guard_band_keeps_window_exact():
 
 
 def test_divide_mod_q_routes_t_part(F1):
+    """The old route sends the y-multiples to T; over Frac(C/Q) they are
+    zero, and plain division gives the old remainder."""
     y = ParamPoly.var(1, 0)
     Q = ParamIdeal(1, [y], claimed_prime=True)
+    FQ = ParamField(1, Q)
     order = OrderSpec(1)
     g = HOperator(1, F1, {exponent(1, beta=[1]): F1.from_poly(y + 1),
-                          exponent(1, alpha=[1]): F1.from_poly(y)})
-    P = HOperator(1, F1, {exponent(1, beta=[2]): F1.one})
-    res = divide(P.truncated(5), [g.truncated(5)], order, mod_q=Q, h=y + 1)
-    # every T coefficient numerator lies in Q, remainder's do not
-    assert all(Q.contains(c.num) for c in res.t_part.terms.values())
-    assert all(not Q.contains(c.num) for c in res.remainder.terms.values())
-    assert res.reconstruct_window([g.truncated(5)], 5) == P.truncated(5)
-    assert denominator_certificate(res, [g.truncated(5)], order, mod_q=Q)
+                          exponent(1, alpha=[1]): F1.from_poly(y)}).truncated(5)
+    P = HOperator(1, F1, {exponent(1, beta=[2]): F1.one}).truncated(5)
+    _, R, T, _, _ = divide_by_scan(P, [g], order, mod_q=Q)
+    assert not T.is_zero() and all(Q.contains(c.num) for c in T.terms.values())
+    gq, Pq = g.to_field(FQ), P.to_field(FQ)
+    res = divide(Pq, [gq], order)
+    assert T.to_field(FQ).is_zero() and res.remainder == R.to_field(FQ)
+    assert res.reconstruct_window([gq], 5) == Pq
+    assert denominator_certificate(res, [gq], order)
 
 
 def test_divisor_in_q_raises(F1):
+    """A divisor whose coefficients all lie in Q is zero over Frac(C/Q)."""
     y = ParamPoly.var(1, 0)
-    Q = ParamIdeal(1, [y], claimed_prime=True)
-    g = HOperator(1, F1, {exponent(1, beta=[1]): F1.from_poly(y)})
-    P = HOperator(1, F1, {exponent(1, beta=[2]): F1.one})
-    with pytest.raises(DivisorInQ):
-        divide(P.truncated(4), [g.truncated(4)], OrderSpec(1), mod_q=Q)
-
-
-def test_lc_must_divide_h(F1):
-    y = ParamPoly.var(1, 0)
-    Q = ParamIdeal(1, [y - 1], claimed_prime=True)
-    g = HOperator(1, F1, {exponent(1, beta=[1]): F1.from_poly(y + 1)})
-    P = HOperator(1, F1, {exponent(1, beta=[2]): F1.one})
-    with pytest.raises(LcDoesNotDivideH):
-        divide(P.truncated(4), [g.truncated(4)], OrderSpec(1), mod_q=Q, h=y + 2)
+    FQ = ParamField(1, ParamIdeal(1, [y], claimed_prime=True))
+    g = HOperator(1, F1, {exponent(1, beta=[1]): F1.from_poly(y)}).to_field(FQ)
+    P = HOperator(1, FQ, {exponent(1, beta=[2]): FQ.one})
+    with pytest.raises(ZeroDivisor):
+        divide(P.truncated(4), [g.truncated(4)], OrderSpec(1))
 
 
 def test_denominator_powers_bound(F1):
@@ -155,10 +154,33 @@ def test_denominator_powers_bound(F1):
     assert res.denom_powers[0] >= 1
 
 
+class AllCoefficientsInQ(Exception):
+    """Every coefficient numerator of a divisor lies in Q."""
+
+
+def coeff_num_in_q(c, Q):
+    """Does the numerator of coefficient c lie in Q?  Of the plain Fractions
+    only 0 does."""
+    if isinstance(c, Fraction):
+        return c == 0
+    return Q.contains(c.num)
+
+
+def leading_data_mod_q(p, ord_spec, Q):
+    """(exp, lc) among the terms whose coefficient numerator is outside Q."""
+    live = [e for e, c in p.terms.items() if not coeff_num_in_q(c, Q)]
+    if not live:
+        raise AllCoefficientsInQ(str(p))
+    e = ord_spec.max_exponent(live)
+    return e, p.terms[e]
+
+
 def divide_by_scan(P, G, ord_spec, mod_q=None):
     """Reference division: each step takes the largest working term by a
-    max() scan through compare.  Same contract as divide, without the h
-    check."""
+    max() scan through compare.  With mod_q, the retired division modulo Q:
+    leading data is taken modulo Q, and a term whose coefficient numerator
+    lies in Q goes to the T part unreduced.  Returns (quotients, R, T,
+    denom_powers, tainted)."""
     field, n = P.field, P.n
     route_q = mod_q is not None and not mod_q.is_zero_ideal()
     lead = [leading_data_mod_q(g, ord_spec, mod_q) if route_q
@@ -168,7 +190,7 @@ def divide_by_scan(P, G, ord_spec, mod_q=None):
     cap = min(caps) if caps else None
     internal = None if cap is None else (
         cap + max((e.level for g in [P] + G for e in g.terms), default=0)
-        + DEFAULT_GUARD_SLACK)
+        + GUARD_SLACK)
     P_eff, *G_eff = _effective([P] + G, internal)
     tainted = P.tainted or any(g.tainted for g in G)
     working = dict(P_eff.terms)
@@ -218,9 +240,8 @@ def divide_by_scan(P, G, ord_spec, mod_q=None):
 def _same_division(res, ref):
     q_ref, R, T, denom_powers, tainted = ref
     same_ops = all(a == b and a.tainted == b.tainted and a.cap == b.cap
-                   for a, b in zip(res.quotients + [res.remainder, res.t_part],
-                                   q_ref + [R, T]))
-    return (same_ops and len(res.quotients) == len(q_ref)
+                   for a, b in zip(res.quotients + [res.remainder], q_ref + [R]))
+    return (same_ops and T.is_zero() and len(res.quotients) == len(q_ref)
             and res.denom_powers == denom_powers and res.tainted == tainted)
 
 
@@ -244,8 +265,10 @@ def test_heap_division_matches_max_scan(rng):
 
 
 def test_heap_division_matches_max_scan_mod_q(F1):
+    """Over Frac(C/Q), on operators that had coefficients in Q."""
     y = ParamPoly.var(1, 0)
     Q = ParamIdeal(1, [y * y - 2], claimed_prime=True)
+    FQ = ParamField(1, Q)
     c = F1.from_poly
     order = OrderSpec(1)
     g = HOperator(1, F1, {exponent(1, beta=[1]): c(y + 1),
@@ -255,6 +278,71 @@ def test_heap_division_matches_max_scan_mod_q(F1):
                           exponent(1, alpha=[1], beta=[2]): c(y),
                           exponent(1, beta=[2], k=1): c(-(y * y) + 2),
                           exponent(1, alpha=[2], k=3): c(y - 3)}).truncated(6)
-    res = divide(P, [g], order, mod_q=Q, h=y + 1)
-    assert not res.t_part.is_zero() and res.denom_powers[0] > 1
-    assert _same_division(res, divide_by_scan(P, [g], order, mod_q=Q))
+    assert not divide_by_scan(P, [g], order, mod_q=Q)[2].is_zero()
+    gq, Pq = g.to_field(FQ), P.to_field(FQ)
+    res = divide(Pq, [gq], order)
+    assert res.denom_powers[0] > 1
+    assert _same_division(res, divide_by_scan(Pq, [gq], order))
+
+
+def _random_param_op(rng, F, n, q, nterms, cap, maxdeg):
+    """Random operator over F = Frac(C) with small coefficients in y, about
+    a third of them multiples of the generator q of Q."""
+    y = F.ring.gens[0]
+    terms = {}
+    for _ in range(nterms):
+        e = Exponent(tuple(rng.randint(0, maxdeg) for _ in range(n)),
+                     tuple(rng.randint(0, maxdeg) for _ in range(n)),
+                     rng.randint(0, 1))
+        num = rng.randint(-3, 3) + rng.randint(-2, 2) * y
+        if rng.random() < 0.35:
+            num = (num or F.ring.one) * q
+        den = rng.choice((F.ring.one, F.ring(2), y + 2))
+        if num:
+            terms[e] = F.from_poly(num) / F.from_poly(den)
+    return HOperator(n, F, terms).truncated(cap)
+
+
+@pytest.mark.parametrize("q_text", ["y^2 - 2", "y^3 - y - 1", "y"])
+def test_frac_c_mod_q_division_matches_old_route(q_text):
+    """Seeded differential test: the retired division modulo Q over Frac(C)
+    against plain division of the same operators coerced into Frac(C/Q).
+    Remainders agree, the old T part vanishes in Frac(C/Q), quotients agree
+    inside the cap, and a tainted result was tainted before.  The guard band
+    is sized from the nonzero terms, which differ between the two fields, so
+    quotients and denominator powers may differ above the cap."""
+    F1 = ParamField(1)
+    y = F1.ring.gens[0]
+    q = {"y^2 - 2": y ** 2 - 2, "y^3 - y - 1": y ** 3 - y - 1, "y": y}[q_text]
+    Q = ParamIdeal(F1.ring, [q], claimed_prime=True)
+    FQ = ParamField(F1.ring, Q)
+    rng = random.Random(7)
+    checked = with_t = steps = 0
+    for _ in range(150):
+        n = rng.randint(1, 2)
+        cap = rng.choice((3, 5))
+        order = OrderSpec(n, homogenized=rng.random() < 0.7)
+        P = _random_param_op(rng, F1, n, q, rng.randint(2, 6), cap, 2)
+        G = [_random_param_op(rng, F1, n, q, rng.randint(1, 3), cap, 1)
+             for _ in range(rng.randint(1, 2))]
+        G = [g for g in G if not g.is_zero()]
+        if P.is_zero() or not G:
+            continue
+        Pq, Gq = P.to_field(FQ), [g.to_field(FQ) for g in G]
+        if any(g.is_zero() for g in Gq):
+            with pytest.raises(AllCoefficientsInQ):
+                divide_by_scan(P, G, order, mod_q=Q)
+            with pytest.raises(ZeroDivisor):
+                divide(Pq, Gq, order)
+            continue
+        q_old, R, T, _, tainted_old = divide_by_scan(P, G, order, mod_q=Q)
+        res = divide(Pq, Gq, order)
+        assert res.remainder == R.to_field(FQ)
+        assert T.to_field(FQ).is_zero()
+        assert all(a.truncated(cap) == b.to_field(FQ).truncated(cap)
+                   for a, b in zip(res.quotients, q_old))
+        assert tainted_old or not res.tainted
+        checked += 1
+        with_t += not T.is_zero()
+        steps += sum(res.denom_powers.values())
+    assert checked >= 100 and with_t >= 80 and steps >= 150

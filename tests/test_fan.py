@@ -11,8 +11,9 @@ import dfan.fan as fan_module
 from dfan.fan import (cell_at, check_fan_against_grid, dn_standard_basis,
                       enumerate_fan, fan_of_ideal, grid_weights,
                       homogenized_generators, oracle_classify, t_order)
-from dfan.operators import exponent, homogenize
+from dfan.operators import HOperator, exponent, homogenize
 from dfan.orders import OrderSpec, Weight, leading_data
+from dfan.params import ParamField, ParamIdeal
 
 
 def test_dn_standard_basis_euler_pair():
@@ -49,6 +50,21 @@ def test_cell_at_airy():
     assert cell.contains(Weight.make((-2,), (4,)))
     assert not cell.contains(Weight.make((0,), (1,)))
     assert cell.dim() == 2
+
+
+def test_cell_at_takes_q_from_the_coefficient_field(F1):
+    """Over Frac(C/Q) the cell holds the generic basis and its multiplier,
+    and terms with coefficients in Q are gone; over QQ there is no h."""
+    y = F1.ring.gens[0]
+    g = HOperator(1, F1, {exponent(1, beta=[2]): F1.from_poly(y),
+                          exponent(1, alpha=[1], k=2): -F1.one,
+                          exponent(1, alpha=[2], k=2): F1.from_poly(y * y - 2)})
+    FQ = ParamField(1, ParamIdeal(1, [y * y - 2], claimed_prime=True))
+    w = Weight.make((-1,), (2,))
+    cell = cell_at([g.to_field(FQ)], w, cap=8)
+    assert [str(b) for b in cell.basis] == ["dx1^2 - 1/y1*x1*z^2"]
+    assert cell.h == y and cell.h_factors == (y,)
+    assert cell_at([g.specialize((Fraction(1),))], w, cap=8).h is None
 
 
 def test_airy_fan_structure():

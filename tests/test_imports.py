@@ -1,5 +1,6 @@
-"""Lint: every name a dfan module imports is used in that module, and no
-module keeps mutable state at its top level."""
+"""Lint: every name a dfan module imports is used in that module, no module
+keeps mutable state at its top level, every error class is raised, and the
+retired mod-Q route stays gone."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,69 @@ def test_no_mutable_module_state_in_src():
         found += [f"{path.name}:{line}: {name}"
                   for line, name in mutable_module_state(path.read_text())]
     assert not found, "module-level mutable state:\n" + "\n".join(found)
+
+
+def error_classes(errors_source):
+    """Names of the classes in errors_source that derive, directly or
+    through another class there, from DfanError."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse(errors_source).body
+             if isinstance(node, ast.ClassDef)}
+    found = set()
+    changed = True
+    while changed:
+        changed = False
+        for name, parents in bases.items():
+            if name not in found and any(p == "DfanError" or p in found
+                                         for p in parents):
+                found.add(name)
+                changed = True
+    return found
+
+
+def raised_names(source):
+    """Names raised in source, as `raise X` or `raise X(...)`."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+    return out
+
+
+def test_error_lint_detects_and_ignores():
+    errors = ("class DfanError(Exception): pass\n"
+              "class A(DfanError): pass\nclass B(A): pass\n"
+              "class C(ValueError): pass\n")
+    assert error_classes(errors) == {"A", "B"}
+    src = ("def f(x):\n    if x:\n        raise A('a')\n    raise C\n"
+           "try:\n    f(0)\nexcept B:\n    raise\n")
+    assert raised_names(src) == {"A", "C"}
+
+
+def test_every_error_class_is_raised():
+    """A DfanError subclass that no module raises is dead API."""
+    root = Path(dfan.__file__).parent
+    raised = set()
+    for path in sorted(root.glob("*.py")):
+        raised |= raised_names(path.read_text())
+    unraised = error_classes((root / "errors.py").read_text()) - raised
+    assert not unraised, f"error classes never raised: {sorted(unraised)}"
+
+
+def test_no_mod_q_route_in_src():
+    """Q lives in the coefficient field Frac(C/Q); the division-level route
+    modulo Q, its errors and the tuning knobs must not come back."""
+    names = ("mod_q", "t_terms", "leading_data_mod_q", "coeff_num_in_q",
+             "DivisorInQ", "AllCoefficientsInQ", "LcDoesNotDivideH",
+             "base_order", "guard_slack")
+    root = Path(dfan.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        text = path.read_text()
+        for name in names:
+            assert name not in text, f"{name} in {path.name}"
+    for node in ast.walk(ast.parse((root / "fan.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args.args + node.args.kwonlyargs
+            assert "Q" not in [a.arg for a in args], f"fan.{node.name} takes Q"

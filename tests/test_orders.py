@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import qop
-from dfan.errors import AllCoefficientsInQ, NotAdmissible, ZeroOperator
+from dfan.errors import NotAdmissible, ZeroOperator
 from dfan.operators import Exponent, exponent
-from dfan.orders import OrderSpec, Weight, leading_data, leading_data_mod_q
+from dfan.orders import OrderSpec, Weight, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
 
 
@@ -97,24 +97,21 @@ def test_xprio_controls_lex_tiebreak():
 
 
 def test_leading_data_and_mod_q():
+    from dfan.operators import HOperator
     y = ParamPoly.var(1, 0)
     Q = ParamIdeal(1, [y], claimed_prime=True)
-    F = ParamField(1)  # q = (0): keep Q-coefficients visible
+    F = ParamField(1)  # q = (0): the y-coefficient stays visible
     order = OrderSpec(1)
-    p = qop(1, {((0,), (1,), 0): 1, ((1,), (0,), 0): 1}).to_field(F)
-    # scale dx1 term by y: mod Q it is dead, so x1 leads mod Q
-    terms = dict(p.terms)
-    terms[exponent(1, beta=[1])] = F.from_poly(y)
-    from dfan.operators import HOperator
-    p2 = HOperator(1, F, terms)
-    assert leading_data(p2, order)[0] == exponent(1, beta=[1])
-    e, lc = leading_data_mod_q(p2, order, Q)
-    assert e == exponent(1, alpha=[1])
+    # y*dx1 + x1: the dx1 term leads over Frac(C) and vanishes modulo Q
+    p = HOperator(1, F, {exponent(1, beta=[1]): F.from_poly(y),
+                         exponent(1, alpha=[1]): F.one})
+    assert leading_data(p, order)[0] == exponent(1, beta=[1])
+    pq = p.to_field(ParamField(1, Q))
+    assert leading_data(pq, order) == (exponent(1, alpha=[1]), 1)
     with pytest.raises(ZeroOperator):
         leading_data(qop(1, {}), order)
     yonly = HOperator(1, F, {exponent(1): F.from_poly(y)})
-    with pytest.raises(AllCoefficientsInQ):
-        leading_data_mod_q(yonly, order, Q)
+    assert yonly.to_field(ParamField(1, Q)).is_zero()
 
 
 def test_activity():

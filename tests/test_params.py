@@ -362,3 +362,12 @@ def test_no_expression_bridge_in_src():
         for name in ("sympy.reduced", "_to_sympy", "_from_sympy", "_to_ring",
                      "_from_ring", "PARAM_DISPLAY", "set_param_display"):
             assert name not in text, f"{name} in {path.name}"
+
+
+def test_foreign_ring_polynomial_is_rejected():
+    F = ParamField(1)
+    a = param_ring(["a"]).gens[0]
+    for build in (F.from_poly, F.coerce, lambda p: F.one + p):
+        with pytest.raises(ValueError, match="parameter ring mismatch"):
+            build(a)
+    assert F.from_poly(param_ring(1).gens[0]) == F.coerce(ParamPoly.var(1, 0))

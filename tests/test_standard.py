@@ -206,7 +206,7 @@ def completion_by_resort(gens, ord_spec, cap):
             continue
         res = divide(sp, G, ord_spec)
         tainted = tainted or res.tainted
-        r = res.remainder + res.t_part
+        r = res.remainder
         if r.is_zero():
             continue
         G.append(r)

@@ -2,9 +2,9 @@
 operators with parametric coefficients, in exact rational arithmetic."""
 
 from .errors import (CapTooSmall, DenominatorVanishes, DepthExceeded, DfanError,
-                     DivisionByZeroModQ, EmptyCone, NonConvergentTraversal,
-                     NotAdmissible, NotPrime, OperatorSyntaxError, UnknownName,
-                     ZeroDivisor, ZeroOperator)
+                     DivisionByZeroModQ, NonConvergentTraversal, NotAdmissible,
+                     NotPrime, OperatorSyntaxError, UnknownName, ZeroDivisor,
+                     ZeroOperator)
 from .params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
                      QQ_FIELD, QQField, param_ring, poly_str)
 from .operators import Exponent, HOperator, exponent, homogenize
@@ -14,9 +14,8 @@ from .newton import (NewtonPolyhedron, face_of, in_wstar, minkowski_sum,
                      newton, normal_cone, vertex_set, wstar_rays)
 from .division import DivisionResult, denominator_certificate, divide, partition
 from .standard import (GenSBCertificate, StandardBasis, certified_standard_basis,
-                       generic_standard_basis, reduce_basis,
-                       reduced_generic_standard_basis, spair, standard_basis,
-                       uniqueness_check)
+                       generic_standard_basis, reduce_basis, spair,
+                       standard_basis, uniqueness_check)
 from .fan import (FanCell, GroebnerFan, base_fan_order, cell_at,
                   check_fan_against_grid, dn_standard_basis, enumerate_fan,
                   fan_of_ideal, grid_weights, homogenized_generators,

@@ -1,117 +1,79 @@
 """Exact rational linear feasibility and relatively open polyhedral cones.
 
-Everything runs on Fourier-Motzkin elimination over Fraction, tracking
-strictness, so cone decisions are exact.  A constraint is a triple
-(coeffs, const, rel) meaning coeffs . x + const REL 0 with rel in
-{"eq", "ge", "gt"}.  Cones are homogeneous (const = 0) but the solver also
-handles the affine feasibility problems used for convex-hull redundancy.
+A cone constraint is a pair (form, rel) meaning form . x REL 0, with form a
+tuple of integers and rel in {"eq", "ge", "gt"}.  `solve` decides such
+homogeneous systems by Fourier-Motzkin elimination in integers, tracking
+strictness, so cone decisions are exact; `lp_feasible` is an exact simplex
+for the many-variable convex-hull redundancy test of `newton.vertex_set`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
-from .errors import EmptyCone
 
-
-def _normalize(con):
-    coeffs, const, rel = con
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c.numerator))
-    g = gcd(g, abs(const.numerator))
-    den = 1
-    for c in list(coeffs) + [const]:
-        den = den * c.denominator // gcd(den, c.denominator)
-    if g:
-        scale = Fraction(den, g)
-        coeffs = tuple(c * scale for c in coeffs)
-        const = const * scale
-    return (coeffs, const, rel)
+def _normalize(form):
+    """The integer form divided by the gcd of its coefficients."""
+    g = gcd(*form)
+    return tuple(c // g for c in form) if g > 1 else form
 
 
 def _combine(pos, neg, var):
-    """Eliminate var between pos (coeff > 0) and neg (coeff < 0)."""
-    pc, pconst, prel = pos
-    nc, nconst, nrel = neg
-    a = pc[var]
-    b = -nc[var]
-    coeffs = tuple(b * p + a * q for p, q in zip(pc, nc))
-    const = b * pconst + a * nconst
-    rel = "gt" if "gt" in (prel, nrel) else "ge"
-    return (coeffs, const, rel)
+    """Eliminate x_var between pos (coefficient > 0) and neg (< 0)."""
+    (p, prel), (q, qrel) = pos, neg
+    a, b = p[var], -q[var]
+    rel = "gt" if "gt" in (prel, qrel) else "ge"
+    return (_normalize(tuple(b * x + a * y for x, y in zip(p, q))), rel)
 
 
-def _substitute(con, var, expr_coeffs, expr_const):
-    """Replace x_var by expr (coeffs, const) in con."""
-    coeffs, const, rel = con
-    c = coeffs[var]
-    if not c:
+def _substitute(con, var, pivot):
+    """Eliminate x_var from con with the equality pivot: a positive multiple
+    of con minus a multiple of pivot."""
+    form, rel = con
+    k = form[var]
+    if not k:
         return con
-    new = tuple(a + c * b if i != var else Fraction(0)
-                for i, (a, b) in enumerate(zip(coeffs, expr_coeffs)))
-    return (new, const + c * expr_const, rel)
+    c = pivot[var]
+    s = k if c > 0 else -k
+    return (_normalize(tuple(abs(c) * a - s * b for a, b in zip(form, pivot))), rel)
 
 
 def solve(constraints, dim):
     """A point of Q^dim satisfying every constraint (strict ones strictly),
     or None.  Deterministic: midpoints/offsets of the FM bounds."""
-    cons = []
-    for coeffs, const, rel in constraints:
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != dim:
-            coeffs = coeffs + (Fraction(0),) * (dim - len(coeffs))
-        cons.append(_normalize((coeffs, Fraction(const), rel)))
-    return _solve(cons, dim)
-
-
-def _trivial_ok(const, rel):
-    if rel == "eq":
-        return const == 0
-    if rel == "ge":
-        return const >= 0
-    return const > 0
+    return _solve([(_normalize(tuple(f)), rel) for f, rel in constraints], dim)
 
 
 def _solve(cons, dim):
     cons = list(dict.fromkeys(cons))
-    for coeffs, const, rel in cons:
-        if not any(coeffs) and not _trivial_ok(const, rel):
-            return None
+    if any(rel == "gt" and not any(f) for f, rel in cons):
+        return None
     if dim == 0:
         return ()
     var = dim - 1
     with_var = [c for c in cons if c[0][var]]
     without = [c for c in cons if not c[0][var]]
-    pivot = next((c for c in with_var if c[2] == "eq"), None)
+    pivot = next((c for c in with_var if c[1] == "eq"), None)
     if pivot is not None:
-        pc, pconst, _ = pivot
-        c = pc[var]
-        expr_coeffs = tuple(-a / c for a in pc)
-        expr_const = -pconst / c
-        reduced = [_normalize(_substitute(k, var, expr_coeffs, expr_const))
-                   for k in cons if k is not pivot]
+        pf = pivot[0]
+        reduced = [_substitute(k, var, pf) for k in cons if k is not pivot]
         sol = _solve_lower(reduced, dim)
         if sol is None:
             return None
-        val = expr_const + sum(a * s for a, s in zip(expr_coeffs, sol + (Fraction(0),)))
-        return sol + (val,)
+        return sol + (Fraction(-sum(a * s for a, s in zip(pf, sol)), pf[var]),)
     pos = [c for c in with_var if c[0][var] > 0]
     neg = [c for c in with_var if c[0][var] < 0]
-    reduced = list(without)
-    for p in pos:
-        for q in neg:
-            reduced.append(_normalize(_combine(p, q, var)))
+    reduced = without + [_combine(p, q, var) for p in pos for q in neg]
     sol = _solve_lower(reduced, dim)
     if sol is None:
         return None
     lo = hi = None
     lo_strict = hi_strict = False
-    for coeffs, const, rel in with_var:
-        rest = const + sum(a * s for a, s in zip(coeffs[:var], sol))
-        c = coeffs[var]
-        bound = -rest / c
+    for form, rel in with_var:
+        c = form[var]
+        bound = Fraction(-sum(a * s for a, s in zip(form, sol)), c)
         if c > 0:  # lower bound on x_var
             if lo is None or bound > lo:
                 lo, lo_strict = bound, rel == "gt"
@@ -137,8 +99,7 @@ def _solve(cons, dim):
 
 def _solve_lower(cons, dim):
     # strip the (zeroed) top coordinate before recursing
-    lower = [(c[0][:dim - 1], c[1], c[2]) for c in cons]
-    return _solve(lower, dim - 1)
+    return _solve([(f[:dim - 1], rel) for f, rel in cons], dim - 1)
 
 
 def feasible(constraints, dim):
@@ -220,19 +181,15 @@ def lp_feasible(rows, nvars):
     return cost[total] == 0
 
 
+def _clear_denominators(vec):
+    """The rational vector times the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in vec))
+    return [c.numerator * (den // c.denominator) for c in vec]
+
+
 def clear_form(form):
     """Scale a rational linear form to coprime integers (sign preserved)."""
-    form = tuple(Fraction(c) for c in form)
-    den = 1
-    for c in form:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in form]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return tuple(ints)
+    return _normalize(tuple(_clear_denominators(form)))
 
 
 def form_rank(forms, dim):
@@ -266,25 +223,24 @@ def _canon_eq(form):
 class RelOpenCone:
     """Relatively open rational polyhedral cone in Q^dim.
 
-    equalities / strict / weak are integer-cleared linear forms f with
-    f(x) = 0, f(x) > 0, f(x) >= 0 respectively.  A witness interior point is
-    stored; empty cones are never constructed (build via `make`).
+    equalities / strict are integer-cleared linear forms f with f(x) = 0 and
+    f(x) > 0 respectively.  A witness interior point is stored; empty cones
+    are never constructed (build via `make`).
     """
 
-    __slots__ = ("dim", "equalities", "strict", "weak", "witness")
+    __slots__ = ("dim", "equalities", "strict", "witness")
 
-    def __init__(self, dim, equalities, strict, weak, witness):
+    def __init__(self, dim, equalities, strict, witness):
         self.dim = dim
         self.equalities = tuple(dict.fromkeys(_canon_eq(clear_form(f)) for f in equalities
                                               if any(f)))
         self.strict = tuple(dict.fromkeys(clear_form(f) for f in strict))
-        self.weak = tuple(dict.fromkeys(clear_form(f) for f in weak))
         self.witness = tuple(Fraction(x) for x in witness)
 
     @classmethod
-    def make(cls, dim, equalities, strict, weak=(), witness=None):
+    def make(cls, dim, equalities, strict, witness=None):
         """Construct, computing a witness; returns None if empty."""
-        cone = cls(dim, equalities, strict, weak, witness or (0,) * dim)
+        cone = cls(dim, equalities, strict, witness or (0,) * dim)
         if witness is not None and cone.contains(witness):
             return cone
         pt = solve(cone._constraints(), dim)
@@ -294,50 +250,27 @@ class RelOpenCone:
         return cone
 
     def _constraints(self):
-        zero = Fraction(0)
-        cons = [(f, zero, "eq") for f in self.equalities]
-        cons += [(f, zero, "gt") for f in self.strict]
-        cons += [(f, zero, "ge") for f in self.weak]
-        return cons
+        return ([(f, "eq") for f in self.equalities]
+                + [(f, "gt") for f in self.strict])
 
     def contains(self, point):
-        point = [Fraction(x) for x in point]
-        def ev(f):
-            return sum(a * x for a, x in zip(f, point))
-        return (all(ev(f) == 0 for f in self.equalities)
-                and all(ev(f) > 0 for f in self.strict)
-                and all(ev(f) >= 0 for f in self.weak))
-
-    def closure_contains(self, point):
-        point = [Fraction(x) for x in point]
-        def ev(f):
-            return sum(a * x for a, x in zip(f, point))
-        return (all(ev(f) == 0 for f in self.equalities)
-                and all(ev(f) >= 0 for f in self.strict)
-                and all(ev(f) >= 0 for f in self.weak))
-
-    def interior_point(self):
-        pt = solve(self._constraints(), self.dim)
-        if pt is None:
-            raise EmptyCone("cone is empty")
-        return pt
+        p = _clear_denominators(point)
+        return (all(sum(map(mul, f, p)) == 0 for f in self.equalities)
+                and all(sum(map(mul, f, p)) > 0 for f in self.strict))
 
     def _implies(self, form, rel):
-        """Does every cone point satisfy form REL 0?"""
-        zero = Fraction(0)
+        """Does every cone point satisfy form REL 0, REL "eq" or "gt"?"""
+        cons = self._constraints()
         neg = tuple(-c for c in form)
-        if rel == "eq":
-            return (not feasible(self._constraints() + [(form, zero, "gt")], self.dim)
-                    and not feasible(self._constraints() + [(neg, zero, "gt")], self.dim))
         if rel == "gt":
-            return not feasible(self._constraints() + [(neg, zero, "ge")], self.dim)
-        return not feasible(self._constraints() + [(neg, zero, "gt")], self.dim)
+            return not feasible(cons + [(neg, "ge")], self.dim)
+        return (not feasible(cons + [(form, "gt")], self.dim)
+                and not feasible(cons + [(neg, "gt")], self.dim))
 
     def included_in(self, other):
         return (other.contains(self.witness)
                 and all(self._implies(f, "eq") for f in other.equalities)
-                and all(self._implies(f, "gt") for f in other.strict)
-                and all(self._implies(f, "ge") for f in other.weak))
+                and all(self._implies(f, "gt") for f in other.strict))
 
     def same_cone(self, other):
         """Set equality of the two relatively open cones."""
@@ -351,38 +284,27 @@ class RelOpenCone:
         """Relatively open intersection, or None if empty."""
         return RelOpenCone.make(self.dim,
                                 self.equalities + other.equalities,
-                                self.strict + other.strict,
-                                self.weak + other.weak)
+                                self.strict + other.strict)
 
     def closure_facets(self):
         """(form, facet_interior_point) pairs: inequality forms whose zero set
         meets the closure in a facet with the other inequalities strict."""
-        zero = Fraction(0)
         out = []
-        ineqs = list(dict.fromkeys(self.strict + self.weak))
-        for f in ineqs:
-            cons = [(g, zero, "eq") for g in self.equalities]
-            cons.append((f, zero, "eq"))
-            for g in ineqs:
-                if g != f:
-                    cons.append((g, zero, "gt"))
+        for f in self.strict:
+            cons = [(g, "eq") for g in self.equalities]
+            cons.append((f, "eq"))
+            cons += [(g, "gt") for g in self.strict if g != f]
             pt = solve(cons, self.dim)
             if pt is not None and any(pt):
                 out.append((f, pt))
         return out
 
     def to_doc(self):
-        doc = []
-        for f in self.equalities:
-            doc.append({"rel": "=", "form": list(f)})
-        for f in self.strict:
-            doc.append({"rel": ">", "form": list(f)})
-        for f in self.weak:
-            doc.append({"rel": ">=", "form": list(f)})
+        doc = [{"rel": "=", "form": list(f)} for f in self.equalities]
+        doc += [{"rel": ">", "form": list(f)} for f in self.strict]
         return {"forms": doc, "witness": [str(x) for x in self.witness]}
 
     def __repr__(self):
         bits = [f"{f}=0" for f in self.equalities]
         bits += [f"{f}>0" for f in self.strict]
-        bits += [f"{f}>=0" for f in self.weak]
         return "Cone{" + ", ".join(bits) + "}"

@@ -31,10 +31,6 @@ class CapTooSmall(DfanError):
     """The staircase did not stabilize between consecutive truncation caps."""
 
 
-class EmptyCone(DfanError):
-    """Interior point requested for an empty cone."""
-
-
 class NotAdmissible(DfanError):
     """A weight vector violates u_i <= 0 or u_i + v_i >= 0."""
 

@@ -24,8 +24,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import NonConvergentTraversal, ZeroOperator
-from .newton import (NewtonPolyhedron, face_of, minkowski_sum, minkowski_sum_by_hull,
-                     newton, normal_cone)
+from .newton import face_of, minkowski_sum, minkowski_sum_by_hull, newton, normal_cone
 from .operators import homogenize
 from .orders import OrderSpec, Weight, leading_data
 from .standard import (completion, generic_standard_basis, reduce_basis,
@@ -80,7 +79,6 @@ def homogenized_generators(gens, cap, h_factors=None):
 class FanCell:
     cone: object
     witness: Weight
-    polyhedron: NewtonPolyhedron
     face_vertices: tuple
     basis: list
     staircase: list
@@ -123,7 +121,7 @@ def cell_at(gens, w, cap):
     P = minkowski_sum([newton(g) for g in basis])
     verts, _ = face_of(P, w)
     cone = normal_cone(P, w)
-    return FanCell(cone, w, P, verts, basis, staircase, h, h_factors, tainted)
+    return FanCell(cone, w, verts, basis, staircase, h, h_factors, tainted)
 
 
 @dataclass
@@ -201,8 +199,6 @@ def enumerate_fan(gens, cap, max_cells=4096):
         if any(c.contains(w) for c in cells):
             continue
         cell = cell_at(gens, w, cap)
-        if any(c.cone.same_cone(cell.cone) for c in cells):
-            continue
         cells.append(cell)
         # descend / move sideways: cross every closure facet
         for _form, pt in cell.cone.closure_facets():

@@ -135,7 +135,7 @@ def _vertex_cones(poly):
     for v in poly.vertices:
         forms = [tuple(a - b for a, b in zip(v, q))
                  for q in poly.vertices if q != v] + ray_forms
-        point = solve([(f, 0, "gt") for f in forms], dim)
+        point = solve([(f, "gt") for f in forms], dim)
         if point is not None:
             out.append((v, forms, point))
     return out
@@ -163,7 +163,7 @@ def minkowski_sum(polys):
                 elif _satisfies(b_point, a_forms):
                     point = b_point
                 else:
-                    point = solve([(f, 0, "gt") for f in forms], dim)
+                    point = solve([(f, "gt") for f in forms], dim)
                     if point is None:
                         continue
                 nxt.append((tuple(x + y for x, y in zip(a, b)), forms, point))
@@ -202,32 +202,23 @@ def normal_cone(poly, w):
     n = poly.n
     dim = 2 * n
     verts, frays = face_of(poly, w)
-    eqs = []
-    strict = []
-
-    def proj(vec):
-        return tuple(Fraction(c) for c in vec[:dim])
-
     p0 = verts[0]
-    for p in verts[1:]:
-        eqs.append(proj(tuple(a - b for a, b in zip(p0, p))))
-    for q in poly.vertices:
-        if q not in verts:
-            strict.append(proj(tuple(a - b for a, b in zip(p0, q))))
+    eqs = [tuple(a - b for a, b in zip(p0[:dim], p)) for p in verts[1:]]
+    strict = [tuple(a - b for a, b in zip(p0[:dim], q))
+              for q in poly.vertices if q not in verts]
     fray_set = set(frays)
     for r in wstar_rays(n):
         if r in fray_set:
-            eqs.append(proj(r))
+            eqs.append(r[:dim])
         else:
-            strict.append(proj(tuple(-c for c in r)))
+            strict.append(tuple(-c for c in r[:dim]))
     # W activity at w
     for i in range(n):
-        f = [Fraction(0)] * dim
-        f[i] = Fraction(-1)  # -u_i
+        f = [0] * dim
+        f[i] = -1  # -u_i
         (eqs if w.u[i] == 0 else strict).append(tuple(f))
-        g = [Fraction(0)] * dim
-        g[i] = Fraction(1)
-        g[n + i] = Fraction(1)  # u_i + v_i
+        g = [0] * dim
+        g[i] = g[n + i] = 1  # u_i + v_i
         (eqs if w.u[i] + w.v[i] == 0 else strict).append(tuple(g))
     cone = RelOpenCone.make(dim, eqs, strict, witness=w.as_tuple())
     if cone is None:

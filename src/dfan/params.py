@@ -265,8 +265,6 @@ class ParamField:
         return ParamFraction(self, self.ring.one, self.ring.one)
 
     def from_poly(self, p):
-        if p.ring is not self.ring and p.ring != self.ring:
-            raise ValueError("parameter ring mismatch")
         return ParamFraction(self, p, self.ring.one)
 
     def coerce(self, x):
@@ -275,8 +273,6 @@ class ParamField:
         if isinstance(x, ParamFraction):
             if x.field == self:
                 return x
-            if x.field.ring != self.ring:
-                raise ValueError("parameter ring mismatch")
             return ParamFraction(self, x.num, x.den)
         if isinstance(x, (int, Fraction)):
             return self.from_poly(self.ring(x))
@@ -306,11 +302,15 @@ class ParamFraction:
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field, num, den):
+        ring = field.ring
+        if ((num.ring is not ring or den.ring is not ring)
+                and (num.ring != ring or den.ring != ring)):
+            raise ValueError("parameter ring mismatch")
         if not den or field.q.contains(den):
             raise DivisionByZeroModQ(f"denominator {poly_str(den)} lies in {field.q}")
         num = field.q.normal_form(num)
         if not num:
-            den = field.ring.one
+            den = ring.one
         else:
             num, den = _cancel(num, den)
         self.field = field

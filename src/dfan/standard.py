@@ -217,10 +217,6 @@ def generic_standard_basis(gens, Q, ord_spec, cap=None, reduced=True):
     return GenSBCertificate(G, h, h_factors, Q, ord_spec, cap, tainted)
 
 
-def reduced_generic_standard_basis(gens, Q, ord_spec, cap=None):
-    return generic_standard_basis(gens, Q, ord_spec, cap=cap, reduced=True)
-
-
 def uniqueness_check(gens, ord_spec, cap, shuffles=5, seed=0):
     """Reduced standard bases from shuffled and rescaled generator lists must
     coincide."""

@@ -22,7 +22,7 @@ from dfan.params import (ParamField, ParamIdeal, ParamPoly, ParamFraction, param
 from dfan.parametric import (comprehensive_fan, constant_fan_certificate,
                              homogenization_commutes, sample_points,
                              specialize_ideal)
-from dfan.standard import (reduced_generic_standard_basis, standard_basis,
+from dfan.standard import (generic_standard_basis, standard_basis,
                            uniqueness_check)
 
 Q0 = ParamIdeal(1, [], claimed_prime=True)
@@ -56,7 +56,7 @@ def test_criterion_1_geometric_series_basis_and_multiplier():
     order = OrderSpec(2, xprio=(1, 0))
     g = _series_generator()
     for cap in (3, 5, 8):
-        cert = reduced_generic_standard_basis([g], Q0, order, cap=cap)
+        cert = generic_standard_basis([g], Q0, order, cap=cap)
         assert len(cert.basis) == 1
         expect = {exponent(2, alpha=[0, 1]): F1.one}
         c = F1.one

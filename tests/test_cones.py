@@ -1,32 +1,242 @@
 """Exact feasibility (elimination and simplex) and relatively open cones."""
 
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
+import dfan.cones as cones
 from dfan.cones import (RelOpenCone, clear_form, feasible, form_rank,
                         lp_feasible, solve)
-from dfan.errors import EmptyCone
 
 F = Fraction
 
 
+# ---------------------------------------------------------------------------
+# the Fraction elimination that `solve` replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+def _normalize_by_fractions(con):
+    coeffs, const, rel = con
+    g = 0
+    for c in coeffs:
+        g = gcd(g, abs(c.numerator))
+    g = gcd(g, abs(const.numerator))
+    den = 1
+    for c in list(coeffs) + [const]:
+        den = den * c.denominator // gcd(den, c.denominator)
+    if g:
+        scale = Fraction(den, g)
+        coeffs = tuple(c * scale for c in coeffs)
+        const = const * scale
+    return (coeffs, const, rel)
+
+
+def _combine_by_fractions(pos, neg, var):
+    pc, pconst, prel = pos
+    nc, nconst, nrel = neg
+    a = pc[var]
+    b = -nc[var]
+    coeffs = tuple(b * p + a * q for p, q in zip(pc, nc))
+    const = b * pconst + a * nconst
+    rel = "gt" if "gt" in (prel, nrel) else "ge"
+    return (coeffs, const, rel)
+
+
+def _substitute_by_fractions(con, var, expr_coeffs, expr_const):
+    coeffs, const, rel = con
+    c = coeffs[var]
+    if not c:
+        return con
+    new = tuple(a + c * b if i != var else Fraction(0)
+                for i, (a, b) in enumerate(zip(coeffs, expr_coeffs)))
+    return (new, const + c * expr_const, rel)
+
+
+def _trivial_ok(const, rel):
+    if rel == "eq":
+        return const == 0
+    if rel == "ge":
+        return const >= 0
+    return const > 0
+
+
+def solve_by_fractions(constraints, dim):
+    """Affine constraints (coeffs, const, rel), coeffs . x + const REL 0,
+    eliminated in Fraction arithmetic."""
+    cons = []
+    for coeffs, const, rel in constraints:
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != dim:
+            coeffs = coeffs + (Fraction(0),) * (dim - len(coeffs))
+        cons.append(_normalize_by_fractions((coeffs, Fraction(const), rel)))
+    return _solve_by_fractions(cons, dim)
+
+
+def _solve_by_fractions(cons, dim):
+    cons = list(dict.fromkeys(cons))
+    for coeffs, const, rel in cons:
+        if not any(coeffs) and not _trivial_ok(const, rel):
+            return None
+    if dim == 0:
+        return ()
+    var = dim - 1
+    with_var = [c for c in cons if c[0][var]]
+    without = [c for c in cons if not c[0][var]]
+    pivot = next((c for c in with_var if c[2] == "eq"), None)
+    if pivot is not None:
+        pc, pconst, _ = pivot
+        c = pc[var]
+        expr_coeffs = tuple(-a / c for a in pc)
+        expr_const = -pconst / c
+        reduced = [_normalize_by_fractions(
+            _substitute_by_fractions(k, var, expr_coeffs, expr_const))
+            for k in cons if k is not pivot]
+        sol = _lower_by_fractions(reduced, dim)
+        if sol is None:
+            return None
+        val = expr_const + sum(a * s for a, s in zip(expr_coeffs, sol + (Fraction(0),)))
+        return sol + (val,)
+    pos = [c for c in with_var if c[0][var] > 0]
+    neg = [c for c in with_var if c[0][var] < 0]
+    reduced = list(without)
+    for p in pos:
+        for q in neg:
+            reduced.append(_normalize_by_fractions(_combine_by_fractions(p, q, var)))
+    sol = _lower_by_fractions(reduced, dim)
+    if sol is None:
+        return None
+    lo = hi = None
+    lo_strict = hi_strict = False
+    for coeffs, const, rel in with_var:
+        rest = const + sum(a * s for a, s in zip(coeffs[:var], sol))
+        c = coeffs[var]
+        bound = -rest / c
+        if c > 0:
+            if lo is None or bound > lo:
+                lo, lo_strict = bound, rel == "gt"
+            elif bound == lo and rel == "gt":
+                lo_strict = True
+        else:
+            if hi is None or bound < hi:
+                hi, hi_strict = bound, rel == "gt"
+            elif bound == hi and rel == "gt":
+                hi_strict = True
+    if lo is not None and hi is not None:
+        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+            return None
+        val = lo if lo == hi else (lo + hi) / 2
+    elif lo is not None:
+        val = lo + 1
+    elif hi is not None:
+        val = hi - 1
+    else:
+        val = Fraction(0)
+    return sol + (val,)
+
+
+def _lower_by_fractions(cons, dim):
+    return _solve_by_fractions([(c[0][:dim - 1], c[1], c[2]) for c in cons], dim - 1)
+
+
+# ---------------------------------------------------------------------------
+# solve
+# ---------------------------------------------------------------------------
+
+def _satisfied(pt, cons):
+    vals = [(sum(a * x for a, x in zip(f, pt)), rel) for f, rel in cons]
+    return all(v == 0 if rel == "eq" else v >= 0 if rel == "ge" else v > 0
+               for v, rel in vals)
+
+
 def test_solve_simple_systems():
-    # x > 0, x < 1
-    pt = solve([((F(1),), F(0), "gt"), ((F(-1),), F(1), "gt")], 1)
-    assert pt is not None and 0 < pt[0] < 1
+    # x > 0, x < t, t > 0: the cone over the open interval 0 < x < 1
+    cons = [((1, 0), "gt"), ((-1, 1), "gt"), ((0, 1), "gt")]
+    pt = solve(cons, 2)
+    assert pt is not None and 0 < pt[0] / pt[1] < 1 and _satisfied(pt, cons)
     # infeasible: x > 0 and x < 0
-    assert solve([((F(1),), F(0), "gt"), ((F(-1),), F(0), "gt")], 1) is None
-    # equality pivot: x + y = 1, x - y = 0
-    pt = solve([((F(1), F(1)), F(-1), "eq"), ((F(1), F(-1)), F(0), "eq")], 2)
-    assert pt == (F(1, 2), F(1, 2))
+    assert solve([((1,), "gt"), ((-1,), "gt")], 1) is None
+    # equality pivots: x + y = t, x - y = 0, t > 0 gives x = y = t/2
+    cons = [((1, 1, -1), "eq"), ((1, -1, 0), "eq"), ((0, 0, 1), "gt")]
+    pt = solve(cons, 3)
+    assert pt[0] == pt[1] == pt[2] / 2 and pt[2] > 0
+    assert all(type(x) is Fraction for x in pt)
 
 
 def test_solve_strictness_tracking():
-    # x >= 1 and x <= 1 is feasible, but x > 1 and x <= 1 is not
-    assert feasible([((F(1),), F(-1), "ge"), ((F(-1),), F(1), "ge")], 1)
-    assert not feasible([((F(1),), F(-1), "gt"), ((F(-1),), F(1), "ge")], 1)
+    # with t > 0: x >= t and x <= t is feasible, but x > t and x <= t is not
+    t_pos = ((0, 1), "gt")
+    assert feasible([((1, -1), "ge"), ((-1, 1), "ge"), t_pos], 2)
+    assert not feasible([((1, -1), "gt"), ((-1, 1), "ge"), t_pos], 2)
+    # a zero form: 0 >= 0 holds, 0 > 0 does not
+    assert feasible([((0, 0), "ge")], 2) and not feasible([((0, 0), "gt")], 2)
 
+
+def _integer_only_solve(seen):
+    """Wrap cones._solve: every system elimination produces is recorded and
+    must hold int coefficients only."""
+    raw = cones._solve
+
+    def checked(cons, dim):
+        for form, _ in cons:
+            assert len(form) == dim and all(type(c) is int for c in form), form
+        seen.append(len(cons))
+        return raw(cons, dim)
+
+    return mock.patch.object(cones, "_solve", checked)
+
+
+systems = st.integers(min_value=1, max_value=5).flatmap(
+    lambda dim: st.tuples(st.just(dim), st.lists(
+        st.tuples(st.lists(st.integers(min_value=-3, max_value=3),
+                           min_size=dim, max_size=dim).map(tuple),
+                  st.sampled_from(["eq", "ge", "gt"])),
+        max_size=7)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems)
+def test_integer_elimination_matches_fraction_oracle(system):
+    """Homogeneous systems: the integer elimination returns exactly the
+    point (or None) of the Fraction elimination it replaced, and every
+    system it recurses on holds ints only."""
+    dim, cons = system
+    seen = []
+    with _integer_only_solve(seen):
+        pt = solve(cons, dim)
+    assert len(seen) == dim + 1 or pt is None
+    assert pt == solve_by_fractions([(f, 0, rel) for f, rel in cons], dim)
+    if pt is not None:
+        assert _satisfied(pt, cons)
+
+
+def test_cone_queries_match_fraction_oracle():
+    """The elimination inside cone construction, facets and inclusion
+    answers as the Fraction oracle does, point for point."""
+    calls = []
+    raw = cones.solve
+
+    def both(cons, dim):
+        pt = raw(cons, dim)
+        assert pt == solve_by_fractions([(f, 0, rel) for f, rel in cons], dim)
+        calls.append(pt)
+        return pt
+
+    with mock.patch.object(cones, "solve", both):
+        a = RelOpenCone.make(3, [], [(1, 0, 0), (0, 1, -1), (1, 1, 1)])
+        redundant = RelOpenCone.make(3, [], [(2, 1, 1), (1, 0, 0), (0, 2, -2),
+                                             (1, 1, 1)])
+        b = RelOpenCone.make(3, [(1, -1, 0)], [(1, 0, 0), (0, 0, 1)])
+        assert a.closure_facets() and b.closure_facets()
+        assert a.intersect(b) is not None
+        assert a.same_cone(redundant) and not a.same_cone(b)
+    assert len(calls) > 15 and any(pt is None for pt in calls)
+
+
+# ---------------------------------------------------------------------------
+# simplex, forms, cones
+# ---------------------------------------------------------------------------
 
 def test_lp_feasible_matches_elimination():
     # mu1 + mu2 = 1, mu >= 0, mu1 - mu2 >= 1/2
@@ -41,6 +251,7 @@ def test_lp_feasible_matches_elimination():
 
 def test_clear_form_and_rank():
     assert clear_form((F(1, 2), F(-1, 3))) == (3, -2)
+    assert clear_form((4, -6, 0)) == (2, -3, 0) and clear_form((0, 0)) == (0, 0)
     assert form_rank([(1, 0), (0, 1), (1, 1)], 2) == 2
     assert form_rank([(1, 1), (2, 2)], 2) == 1
     assert form_rank([], 2) == 0
@@ -50,10 +261,11 @@ def test_rel_open_cone_membership():
     # open quadrant x > 0, y > 0
     c = RelOpenCone.make(2, [], [(1, 0), (0, 1)])
     assert c.contains((1, 2)) and not c.contains((0, 1))
-    assert c.closure_contains((0, 1))
+    assert c.contains((F(1, 2), F(1, 3))) and not c.contains((F(-1, 6), F(5, 4)))
     # ray x = y, x > 0
     r = RelOpenCone.make(2, [(1, -1)], [(1, 0)])
     assert r.contains((3, 3)) and not r.contains((3, 2))
+    assert r.contains((F(2, 3), F(4, 6))) and not r.contains((F(1, 3), F(1, 2)))
     # empty: x > 0 and x = 0
     assert RelOpenCone.make(1, [(1,)], [(1,)]) is None
 
@@ -86,12 +298,3 @@ def test_closure_facets():
     # a pointed ray has no facets besides the excluded apex
     r = RelOpenCone.make(2, [(1, -1)], [(1, 0)])
     assert r.closure_facets() == []
-
-
-def test_interior_point_of_empty_raises():
-    c = RelOpenCone(1, [], [(1,)], [], witness=(1,))
-    bad = RelOpenCone(1, [(1,)], [(1,)], [], witness=(0,))
-    assert not bad.contains((0,))
-    with pytest.raises(EmptyCone):
-        bad.interior_point()
-    assert c.interior_point() == (1,)

@@ -112,6 +112,25 @@ def test_oracle_matches_cells_pointwise(monkeypatch):
         assert tuple(c.staircase) == stair and c.face_vertices == face
 
 
+AIRY = [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})]
+EULER = [qop(1, {((1,), (1,), 0): 1})]
+TWO_VARIABLE = [qop(2, {((1, 0), (1, 0), 0): 1, ((0, 1), (0, 1), 0): 1}),
+                qop(2, {((0, 0), (1, 1), 0): 1, ((0, 0), (0, 0), 2): 1})]
+
+
+@pytest.mark.parametrize("gens", [AIRY, EULER, TWO_VARIABLE],
+                         ids=["airy", "euler", "two_variable"])
+def test_each_cell_is_the_only_one_holding_its_witness(gens):
+    """The traversal builds a cell only at a weight no stored cell holds,
+    and the cell's cone keeps that weight as its witness, so no two cells
+    can be the same cone."""
+    fan = enumerate_fan(gens, cap=8)
+    for cell in fan.cells:
+        assert cell.cone.witness == cell.witness.as_tuple()
+        holders = [c for c in fan.cells if c.contains(cell.witness)]
+        assert len(holders) == 1 and holders[0] is cell
+
+
 def test_grid_weights_admissible_and_exhaustive():
     ws = grid_weights(2, denominators=(1,), span=2)
     assert all(w.is_admissible() for w in ws)

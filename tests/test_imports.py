@@ -1,8 +1,9 @@
 """Lint: every name a dfan module imports is used in that module, no module
 keeps mutable state at its top level, every error class is raised, and the
-retired mod-Q route stays gone."""
+retired mod-Q route and cone API stay gone."""
 
 import ast
+import re
 from pathlib import Path
 
 import dfan
@@ -145,3 +146,31 @@ def test_no_mod_q_route_in_src():
         if isinstance(node, ast.FunctionDef):
             args = node.args.args + node.args.kwonlyargs
             assert "Q" not in [a.arg for a in args], f"fan.{node.name} takes Q"
+
+
+def retired_names(source, names):
+    """The names that occur in source as whole identifiers (or, for a name
+    starting with ".", as an attribute access)."""
+    return [name for name in names
+            if re.search((r"\b" if name[0].isidentifier() else "")
+                         + re.escape(name) + r"\b", source)]
+
+
+def test_retired_names_detects_and_ignores():
+    src = "c.weak = 1\nfacet_interior_point = cell.polyhedron_count\n"
+    assert retired_names(src, ("weak", "interior_point", ".polyhedron")) == ["weak"]
+    assert retired_names("x = cell.polyhedron\n", (".polyhedron",)) == [".polyhedron"]
+
+
+def test_no_retired_cone_api_in_src():
+    """Cones take homogeneous (form, rel) constraints with = and > only;
+    the unused weak inequalities, closure and interior-point queries, the
+    fan cell's unread polyhedron and the reduced-basis alias must not come
+    back."""
+    names = ("weak", "closure_contains", "interior_point", "EmptyCone",
+             "reduced_generic_standard_basis", ".polyhedron")
+    found = []
+    for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
+        found += [f"{path.name}: {name}"
+                  for name in retired_names(path.read_text(), names)]
+    assert not found, "retired names:\n" + "\n".join(found)

@@ -367,7 +367,11 @@ def test_no_expression_bridge_in_src():
 def test_foreign_ring_polynomial_is_rejected():
     F = ParamField(1)
     a = param_ring(["a"]).gens[0]
-    for build in (F.from_poly, F.coerce, lambda p: F.one + p):
+    for build in (F.from_poly, F.coerce, lambda p: F.one + p,
+                  lambda p: ParamFraction(F, p, F.ring.one),
+                  lambda p: ParamFraction(F, F.ring.one, p)):
         with pytest.raises(ValueError, match="parameter ring mismatch"):
             build(a)
+    with pytest.raises(ValueError, match="parameter ring mismatch"):
+        ParamFraction(ParamField(1), param_ring(["a"]).gens[0], ParamField(1).ring.one)
     assert F.from_poly(param_ring(1).gens[0]) == F.coerce(ParamPoly.var(1, 0))

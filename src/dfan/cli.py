@@ -79,6 +79,8 @@ def _order_for(problem, args):
 
 def run_command(verb, problem, args):
     cap = args.cap if args.cap is not None else problem.cap
+    if cap < 1:
+        raise OperatorSyntaxError("cap must be at least 1")
     order = _order_for(problem, args)
 
     if verb == "div":

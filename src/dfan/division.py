@@ -10,7 +10,8 @@ Frac(C/Q) a coefficient whose numerator lies in Q is zero in the field, so
 division modulo Q is plain division there.  Truncation: the requested
 x-degree cap is padded internally by a guard band (max (dx,z)-degree +
 GUARD_SLACK), which makes the reported window exact; quotients keep the
-padded cap, the remainder is truncated back.
+padded cap, the remainder is truncated back.  A step subtracts the bare
+terms of `operators.term_product`; quotient operators are built on demand.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .errors import LeadingTermNotCancelled, ZeroDivisor
-from .operators import HOperator
+from .operators import HOperator, term_product
 from .orders import leading_data
 from .params import ParamFraction, poly_divides, poly_primitive
 
@@ -30,11 +32,12 @@ GUARD_SLACK = 4
 
 def partition(divisor_exps):
     """Delta classifier: e -> least j with e in exp_j + N^{2n+1}, else None."""
-    exps = list(divisor_exps)
+    vecs = [e.vec() for e in divisor_exps]
 
     def classify(e):
-        for j, ej in enumerate(exps):
-            if e.dominates(ej):
+        v = e.vec()
+        for j, vj in enumerate(vecs):
+            if all(map(operator.ge, v, vj)):
                 return j
         return None
 
@@ -43,10 +46,22 @@ def partition(divisor_exps):
 
 @dataclass
 class DivisionResult:
-    quotients: list
+    """One division.  `quotients` builds an operator from each of the
+    `quotient_dicts` (exponent -> coefficient) when it is first read."""
+
     remainder: HOperator
     denom_powers: dict
     tainted: bool
+    quotient_dicts: list
+    quotient_cap: object
+    quotient_tainted: bool
+
+    @cached_property
+    def quotients(self):
+        R = self.remainder
+        return [HOperator(R.n, R.field, q, cap=self.quotient_cap,
+                          tainted=self.quotient_tainted)
+                for q in self.quotient_dicts]
 
     def reconstruct_window(self, G, cap):
         """sum q_j g_j + R truncated to the cap window."""
@@ -56,20 +71,10 @@ class DivisionResult:
         return acc
 
 
-def _effective(ops, cap):
-    """Raise untainted operators to the internal cap (their content is exact)."""
-    out = []
-    for p in ops:
-        if not p.tainted and (p.cap is None or (cap is not None and p.cap < cap)):
-            out.append(p.with_cap(cap))
-        else:
-            out.append(p)
-    return out
-
-
-def divide(P, G, ord_spec, mul=operator.mul):
-    """Divide P by the list G; mul is the ring product (the homogenized
-    product by default)."""
+def divide(P, G, ord_spec, mul=None):
+    """Divide P by the list G.  mul(e, c, g, cap) -> (terms, discarded) is
+    the term product, `term_product` (homogenized) when None."""
+    mul = mul or term_product
     field = P.field
     n = P.n
     if any(g.is_zero() for g in G):
@@ -84,10 +89,12 @@ def divide(P, G, ord_spec, mul=operator.mul):
     else:
         maxlevel = max((e.level for g in [P] + list(G) for e in g.terms), default=0)
         internal = cap + maxlevel + GUARD_SLACK
-    P_eff, *G_eff = _effective([P] + list(G), internal)
+    # a tainted divisor is known only up to its own cap
+    gcaps = [min(g.cap, internal) if g.tainted and g.cap is not None else internal
+             for g in G]
 
     tainted = P.tainted or any(g.tainted for g in G)
-    working = dict(P_eff.terms)
+    working = dict(P.terms)
     key = ord_spec.key()
 
     def entry(e):
@@ -113,10 +120,9 @@ def divide(P, G, ord_spec, mul=operator.mul):
         qe = e - ej
         quotients[j][qe] = quotients[j].get(qe, field.zero) + coef
         denom_powers[j] += 1
-        mono = HOperator.monomial(n, field, qe, coef, cap=internal)
-        prod = mul(mono, G_eff[j])
-        tainted = tainted or prod.tainted
-        for te, tc in prod.terms.items():
+        prod, discarded = mul(qe, coef, G[j], gcaps[j])
+        tainted = tainted or discarded
+        for te, tc in prod.items():
             if te == e:
                 continue  # leading term cancels exactly
             s = working.get(te, field.zero) - tc
@@ -129,20 +135,21 @@ def divide(P, G, ord_spec, mul=operator.mul):
         # exact cancellation of the leading term; with a tainted divisor the
         # product can lose it to the divisor's cap when e sits in the guard
         # band, which only forfeits exactness above the shared window
-        got = prod.terms.get(e)
+        got = prod.get(e)
         if got != c:
             if got is not None:
                 raise LeadingTermNotCancelled(
                     f"term {e}: divisor product has {got}, expected {c}")
             tainted = True
 
-    q_ops = [HOperator(n, field, q, cap=internal, tainted=tainted) for q in quotients]
+    quotient_tainted = tainted
     R = HOperator(n, field, remainder, cap=internal, tainted=tainted)
     if cap is not None:
         R = R.truncated(cap)
         tainted = tainted or R.tainted
         R.tainted = tainted
-    return DivisionResult(q_ops, R, denom_powers, tainted)
+    return DivisionResult(R, denom_powers, tainted, quotients, internal,
+                          quotient_tainted)
 
 
 def denominator_certificate(res, G, ord_spec):

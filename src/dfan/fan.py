@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 
 from .errors import NonConvergentTraversal, ZeroOperator
 from .newton import face_of, minkowski_sum, minkowski_sum_by_hull, newton, normal_cone
-from .operators import homogenize
+from .operators import homogenize, term_product
 from .orders import OrderSpec, Weight, leading_data
 from .standard import (completion, generic_standard_basis, reduce_basis,
                        standard_basis)
@@ -45,17 +46,14 @@ def base_fan_order(n):
 # completion in the z = 1 quotient (plain differential operators)
 # ---------------------------------------------------------------------------
 
-def _dn_mul(a, b):
-    return (a * b).substitute_z_one()
-
-
 def dn_standard_basis(gens, ord_spec, cap=None, h_factors=None):
     """Reduced standard basis in the z = 1 quotient: the completion loop of
     `standard` run with the z = 1 product."""
     if not all(g.z_free() for g in gens):
         raise ValueError("z = 1 completion expects z-free input")
-    G, _ = completion(gens, ord_spec, cap=cap, h_factors=h_factors, mul=_dn_mul)
-    return reduce_basis(G, ord_spec, h_factors=h_factors, mul=_dn_mul)[0]
+    mul = partial(term_product, z_one=True)
+    G, _ = completion(gens, ord_spec, cap=cap, h_factors=h_factors, mul=mul)
+    return reduce_basis(G, ord_spec, h_factors=h_factors, mul=mul)[0]
 
 
 def homogenized_generators(gens, cap, h_factors=None):

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
-from .cones import RelOpenCone, lp_feasible, solve
+from .cones import RelOpenCone, _clear_denominators, lp_feasible, solve
 from .errors import ZeroOperator, NotAdmissible
 
 
@@ -121,7 +122,8 @@ def newton(g):
 
 
 def _satisfies(point, forms):
-    return all(sum(a * x for a, x in zip(f, point)) > 0 for f in forms)
+    p = _clear_denominators(point)  # a positive scale keeps every sign
+    return all(sum(map(mul, f, p)) > 0 for f in forms)
 
 
 def _vertex_cones(poly):

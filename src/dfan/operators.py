@@ -9,12 +9,15 @@ normal-ordered (all x to the left of all dx).  The only nontrivial relation is
 coordinatewise.  Products preserve the total (dx,z)-degree, the grading of the
 ring.  An optional cap on the total x-degree truncates formal (power-series)
 computations; discarding a term sets the taint flag on the result.
+`term_product`, one term times an operator, is the product division runs on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
+from operator import add, sub
 from typing import NamedTuple
 
 from .params import QQ_FIELD
@@ -145,14 +148,7 @@ class HOperator:
         cap, taint = self._meta(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            if e in t:
-                s = t[e] + c
-                if s:
-                    t[e] = s
-                else:
-                    del t[e]
-            else:
-                t[e] = c
+            _add_term(t, e, c)
         return HOperator(self.n, self.field, t, cap=cap, tainted=taint)
 
     def __sub__(self, other):
@@ -173,12 +169,8 @@ class HOperator:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 base = c1 * c2
-                lims = [min(e1.beta[i], e2.alpha[i]) for i in range(n)]
-                if not any(lims):
-                    choices = [((0,) * n, 1)]
-                else:
-                    choices = _commutation_choices(e1.beta, e2.alpha, lims)
-                for j, mult in choices:
+                lims = tuple(map(min, e1.beta, e2.alpha))
+                for j, mult in _commutation_choices(e1.beta, e2.alpha, lims):
                     alpha = tuple(e1.alpha[i] + e2.alpha[i] - j[i] for i in range(n))
                     if cap is not None and sum(alpha) > cap:
                         discarded = True
@@ -186,14 +178,7 @@ class HOperator:
                     beta = tuple(e1.beta[i] + e2.beta[i] - j[i] for i in range(n))
                     e = Exponent(alpha, beta, e1.k + e2.k + sum(j))
                     c = base * mult if mult != 1 else base
-                    if e in out:
-                        s = out[e] + c
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-                    else:
-                        out[e] = c
+                    _add_term(out, e, c)
         return HOperator(n, self.field, out, cap=cap, tainted=taint or discarded)
 
     # -- transforms ----------------------------------------------------------
@@ -211,18 +196,8 @@ class HOperator:
 
     def substitute_z_one(self):
         """Project z -> 1, merging exponents (alpha, beta, k) -> (alpha, beta, 0)."""
-        out = {}
-        for e, c in self.terms.items():
-            e0 = Exponent(e.alpha, e.beta, 0)
-            if e0 in out:
-                s = out[e0] + c
-                if s:
-                    out[e0] = s
-                else:
-                    del out[e0]
-            else:
-                out[e0] = c
-        return HOperator(self.n, self.field, out, cap=self.cap, tainted=self.tainted)
+        return HOperator(self.n, self.field, _z_one(self.terms), cap=self.cap,
+                         tainted=self.tainted)
 
     def specialize(self, y0):
         """Coefficientwise evaluation at the parameter point y0."""
@@ -281,9 +256,61 @@ class HOperator:
     __repr__ = __str__
 
 
+def term_product(e, c, g, cap, z_one=False):
+    """c * x^a dx^b z^k times g, for e = (a, b, k), truncated at the x-degree
+    cap (None: none); with z_one, in the z = 1 quotient.  Returns the terms
+    dict and whether the cap cut a nonzero term.  Terms are summed in the
+    order of `HOperator.__mul__`: both give the same Frac(C/Q) representatives.
+    """
+    a, b, k = e
+    xa = sum(a)
+    if cap is not None and xa > cap:
+        return {}, True  # every product term has x-degree at least |a|
+    out = {}
+    discarded = False
+    for (a2, b2, k2), c2 in g.terms.items():
+        base = c * c2
+        xdeg = xa + sum(a2)
+        alpha = tuple(map(add, a, a2))
+        beta = tuple(map(add, b, b2))
+        lims = tuple(map(min, b, a2))
+        # most pairs do not commute; skipping the call there is measurable
+        for j, mult in _commutation_choices(b, a2, lims) if any(lims) else ((lims, 1),):
+            s = sum(j)
+            if cap is not None and xdeg - s > cap:
+                discarded = True
+                continue
+            te = (Exponent(tuple(map(sub, alpha, j)), tuple(map(sub, beta, j)),
+                           k + k2 + s) if s else Exponent(alpha, beta, k + k2))
+            _add_term(out, te, base * mult if mult != 1 else base)
+    return (_z_one(out) if z_one else out), discarded
+
+
+def _z_one(terms):
+    """Merge exponents (alpha, beta, k) -> (alpha, beta, 0), in term order."""
+    out = {}
+    for e, c in terms.items():
+        _add_term(out, Exponent(e.alpha, e.beta, 0), c)
+    return out
+
+
+def _add_term(terms, e, c):
+    """terms[e] += c, dropping the entry when the sum is zero."""
+    if e in terms:
+        s = terms[e] + c
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
+    else:
+        terms[e] = c
+
+
 def _commutation_choices(beta1, alpha2, lims):
-    """All j vectors with multiplicity prod_i C(beta1_i, j_i)*(alpha2_i)_{j_i}."""
-    from itertools import product
+    """All j <= lims = min(beta1, alpha2) with multiplicity
+    prod_i C(beta1_i, j_i)*(alpha2_i)_{j_i}, starting with j = 0."""
+    if not any(lims):
+        return ((lims, 1),)
     out = []
     for j in product(*(range(l + 1) for l in lims)):
         mult = 1

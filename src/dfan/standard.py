@@ -7,9 +7,9 @@ cap truncates.  A basis computed at several caps whose staircase has
 stabilized between the last two caps is reported as certified.
 
 One loop serves both rings: `spair`, `completion`, `reduce_basis` and
-`division.divide` take the product as `mul`, the homogenized product by
-default.  `fan.dn_standard_basis` passes the z = 1 product to complete plain
-differential operators.
+`division.divide` take the term product as `mul`, by default
+`operators.term_product` in the homogenized ring; `fan.dn_standard_basis`
+passes its z = 1 form to complete plain differential operators.
 
 Generic standard bases run the same loop over Frac(C/Q).  The field is the
 only place Q enters: a coefficient whose numerator lies in Q is zero there,
@@ -22,7 +22,6 @@ whole trace verbatim.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,7 @@ from heapq import heapify, heappop, heappush
 
 from .division import divide
 from .errors import CapTooSmall
-from .operators import Exponent, HOperator
+from .operators import Exponent, HOperator, term_product
 from .orders import leading_data
 from .params import ParamField, ParamFraction, factor_squarefree
 
@@ -41,16 +40,19 @@ def _join(a: Exponent, b: Exponent):
                     max(a.k, b.k))
 
 
-def spair(gi, gj, ord_spec, mul=operator.mul):
+def spair(gi, gj, ord_spec, mul=None):
     """S-operator: cross-multiply to the join of the leading exponents and
-    subtract; the joined leading terms cancel exactly."""
+    subtract; the joined leading terms cancel exactly.  mul is as in
+    `division.divide`."""
+    mul = mul or term_product
     ei, lci = leading_data(gi, ord_spec)
     ej, lcj = leading_data(gj, ord_spec)
     e = _join(ei, ej)
     field = gi.field
-    mi = HOperator.monomial(gi.n, field, e - ei, field.one / lci, cap=gi.cap)
-    mj = HOperator.monomial(gj.n, field, e - ej, field.one / lcj, cap=gj.cap)
-    return mul(mi, gi) - mul(mj, gj)
+    ti, cut_i = mul(e - ei, field.one / lci, gi, gi.cap)
+    tj, cut_j = mul(e - ej, field.one / lcj, gj, gj.cap)
+    return (HOperator(gi.n, field, ti, cap=gi.cap, tainted=gi.tainted or cut_i)
+            - HOperator(gj.n, field, tj, cap=gj.cap, tainted=gj.tainted or cut_j))
 
 
 @dataclass
@@ -71,9 +73,9 @@ def _collect_lc_factors(lc, factors):
             factors.setdefault(f, f)
 
 
-def completion(gens, ord_spec, cap=None, h_factors=None, mul=operator.mul):
-    """Run the S-pair loop with the product mul; returns the (non-reduced)
-    standard basis list and the taint flag."""
+def completion(gens, ord_spec, cap=None, h_factors=None, mul=None):
+    """Run the S-pair loop with the term product mul (see `divide`); returns
+    the (non-reduced) standard basis list and the taint flag."""
     G = []
     for g in gens:
         g = g if cap is None else g.truncated(cap) if (g.cap is None or g.cap > cap) else g
@@ -112,7 +114,7 @@ def completion(gens, ord_spec, cap=None, h_factors=None, mul=operator.mul):
     return G, tainted
 
 
-def reduce_basis(basis, ord_spec, h_factors=None, mul=operator.mul):
+def reduce_basis(basis, ord_spec, h_factors=None, mul=None):
     """Minimal, monic, tail-reduced basis (the reduced standard basis)."""
     data = [(g,) + leading_data(g, ord_spec) for g in basis if not g.is_zero()]
     # minimalize: drop elements whose leading exponent is divisible by another's
@@ -156,8 +158,9 @@ def standard_basis(gens, ord_spec, cap=None, reduced=True):
 
 def certified_standard_basis(gens, ord_spec, caps, reduced=True, strict=False):
     """Compute at increasing caps; certified when the staircase (and the
-    shared window of the bases) is stable between the last two caps."""
-    caps = sorted(caps)
+    shared window of the bases) is stable between the last two distinct
+    caps.  With one distinct cap the result is uncertified."""
+    caps = sorted(set(caps))
     runs = []
     for cap in caps:
         runs.append(standard_basis(gens, ord_spec, cap=cap, reduced=reduced))

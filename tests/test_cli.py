@@ -102,6 +102,25 @@ def test_exit_codes():
     assert guard.returncode == 2 and "--guard" in guard.stderr
 
 
+def test_cap_override_below_one_is_a_usage_error():
+    # a `cap:` line below 1 is refused by the parser; --cap is refused alike
+    for verb, text, cap in (("reduce", AIRY, "0"), ("sb", AIRY, "0"),
+                            ("reduce", AIRY, "-1"), ("div", DIV, "-1")):
+        proc = run_cli([verb, "--cap", cap], text)
+        assert proc.returncode == 2, (verb, cap)
+        assert "cap must be at least 1" in proc.stderr and not proc.stdout
+
+
+def test_sb_at_cap_one_is_not_certified_against_itself():
+    # sb compares the caps max(1, cap - 2) and cap, which coincide at cap 1;
+    # this ideal's staircase grows between caps 1 and 3
+    proc = run_cli(["sb", "--cap", "1"],
+                   "vars: x1\nideal: dx1^2 - x1*z^2; x1*dx1 - x1^3\n")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["cap"] == 1 and doc["cap_certified"] is False
+
+
 def test_oracle_fan_groups_weights():
     proc = run_cli(["oracle-fan", "--samples", "20"], AIRY)
     assert proc.returncode == 0

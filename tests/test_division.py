@@ -11,10 +11,10 @@ from functools import cmp_to_key
 import pytest
 
 from conftest import qop, random_qop
-from dfan.division import (GUARD_SLACK, _effective, denominator_certificate,
-                           divide, partition)
+from dfan.division import (GUARD_SLACK, denominator_certificate, divide,
+                           partition)
 from dfan.errors import LeadingTermNotCancelled, ZeroDivisor
-from dfan.operators import Exponent, HOperator, exponent
+from dfan.operators import Exponent, HOperator, exponent, term_product
 from dfan.orders import OrderSpec, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
 
@@ -33,16 +33,50 @@ def test_zero_divisor_raises():
         divide(qop(1, {((0,), (0,), 0): 1}), [qop(1, {})], OrderSpec(1))
 
 
-def test_uncancelled_leading_term_raises(monkeypatch):
+def test_uncancelled_leading_term_raises():
     # a divisor product that leaves another coefficient on the term being
     # cancelled is a DfanError, which unlike an assert survives python -O
-    mul = HOperator.__mul__
-    monkeypatch.setattr(HOperator, "__mul__",
-                        lambda a, b: mul(a, b).scale(Fraction(2)))
+    def doubled(e, c, g, cap):
+        terms, discarded = term_product(e, c, g, cap)
+        return {te: 2 * tc for te, tc in terms.items()}, discarded
+
     x = qop(1, {((1,), (0,), 0): 1})
     x2 = qop(1, {((2,), (0,), 0): 1})
+    assert divide(x2, [x], OrderSpec(1)).remainder.is_zero()
     with pytest.raises(LeadingTermNotCancelled):
-        divide(x2, [x], OrderSpec(1))
+        divide(x2, [x], OrderSpec(1), mul=doubled)
+
+
+def test_quotients_are_built_once_on_first_read(rng, monkeypatch):
+    """divide builds no operator per reduction step and no quotient; the
+    first read of `quotients` builds one operator per divisor, equal to the
+    reference division's, and later reads return the same list."""
+    built = []
+    init = HOperator.__init__
+    monkeypatch.setattr(HOperator, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    checked = 0
+    for _ in range(80):
+        n = rng.randint(1, 2)
+        order = OrderSpec(n)
+        P = random_qop(rng, n, rng.randint(2, 6)).truncated(6)
+        G = [g.truncated(6) for g in
+             (random_qop(rng, n, rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))]
+        G = [g for g in G if not g.is_zero()]
+        if P.is_zero() or not G:
+            continue
+        built.clear()
+        res = divide(P, G, order)
+        assert len(built) <= 2  # the remainder and its truncation
+        steps, before = sum(res.denom_powers.values()), len(built)
+        quotients = res.quotients
+        assert len(built) == before + len(G)
+        assert res.quotients is quotients and len(built) == before + len(G)
+        q_ref = divide_by_scan(P, G, order)[0]
+        assert all(a == b and a.cap == b.cap and a.tainted == b.tainted
+                   for a, b in zip(quotients, q_ref))
+        checked += steps > 0
+    assert checked >= 25
 
 
 def test_simple_exact_division():
@@ -175,6 +209,18 @@ def leading_data_mod_q(p, ord_spec, Q):
     return e, p.terms[e]
 
 
+def raise_caps(ops, cap):
+    """The reference's operand copies: untainted operators raised to the
+    internal cap (their content is exact)."""
+    out = []
+    for p in ops:
+        if not p.tainted and (p.cap is None or (cap is not None and p.cap < cap)):
+            out.append(p.with_cap(cap))
+        else:
+            out.append(p)
+    return out
+
+
 def divide_by_scan(P, G, ord_spec, mod_q=None):
     """Reference division: each step takes the largest working term by a
     max() scan through compare.  With mod_q, the retired division modulo Q:
@@ -191,7 +237,7 @@ def divide_by_scan(P, G, ord_spec, mod_q=None):
     internal = None if cap is None else (
         cap + max((e.level for g in [P] + G for e in g.terms), default=0)
         + GUARD_SLACK)
-    P_eff, *G_eff = _effective([P] + G, internal)
+    P_eff, *G_eff = raise_caps([P] + G, internal)
     tainted = P.tainted or any(g.tainted for g in G)
     working = dict(P_eff.terms)
     key = cmp_to_key(ord_spec.compare)
@@ -262,6 +308,27 @@ def test_heap_division_matches_max_scan(rng):
         assert _same_division(res, divide_by_scan(P, G, order))
         steps += sum(res.denom_powers.values())
     assert steps > 150
+
+
+def test_tainted_divisors_match_max_scan(rng):
+    """Divisors cut by a cap below the dividend's: the products with them
+    stop at their own cap, and quotients, reduction counts and taint agree
+    with the reference, which multiplies by the divisors themselves."""
+    tainted_steps = 0
+    for _ in range(100):
+        n = rng.randint(1, 2)
+        cap = rng.choice((1, 2, 3))
+        order = OrderSpec(n, homogenized=rng.random() < 0.7)
+        P = random_qop(rng, n, rng.randint(1, 6)).truncated(cap + 2)
+        G = [random_qop(rng, n, rng.randint(3, 5)).truncated(cap)
+             for _ in range(rng.randint(1, 2))]
+        G = [g for g in G if not g.is_zero()]
+        if P.is_zero() or not G:
+            continue
+        res = divide(P, G, order)
+        assert _same_division(res, divide_by_scan(P, G, order))
+        tainted_steps += sum(res.denom_powers[j] for j, g in enumerate(G) if g.tainted)
+    assert tainted_steps > 20
 
 
 def test_heap_division_matches_max_scan_mod_q(F1):

@@ -166,9 +166,11 @@ def test_no_retired_cone_api_in_src():
     """Cones take homogeneous (form, rel) constraints with = and > only;
     the unused weak inequalities, closure and interior-point queries, the
     fan cell's unread polyhedron and the reduced-basis alias must not come
-    back."""
+    back, nor division's per-call cap copies or the z = 1 product built
+    from a general product."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
-             "reduced_generic_standard_basis", ".polyhedron")
+             "reduced_generic_standard_basis", ".polyhedron", "_effective",
+             "_dn_mul")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import qop, random_qop
-from dfan.operators import Exponent, HOperator, exponent, homogenize
+from dfan.operators import Exponent, HOperator, exponent, homogenize, term_product
 from dfan.orders import OrderSpec, leading_data
-from dfan.params import QQ_FIELD
+from dfan.params import QQ_FIELD, ParamField, ParamIdeal, ParamPoly
 
 
 def test_basic_commutation_relation():
@@ -114,3 +115,55 @@ def test_str_roundtrip_through_parser():
     p = qop(2, {((1, 0), (0, 2), 1): Fraction(-3, 2), ((0, 0), (0, 0), 0): 5})
     q = parse_operator(str(p), ["x1", "x2"])
     assert q == p
+
+
+_Y = ParamPoly.var(1, 0)
+KERNEL_FIELDS = (QQ_FIELD, ParamField(1),
+                 ParamField(1, ParamIdeal(1, [_Y * _Y - 2], claimed_prime=True)))
+
+
+@st.composite
+def _kernel_case(draw):
+    """(n, e, c, g, cap): a term c*x^a dx^b z^k and an operator g over QQ,
+    Frac(Q[y]) or Frac(Q[y]/(y^2 - 2)), exponents up to 3."""
+    n = draw(st.sampled_from((1, 2)))
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    small = st.integers(0, 3)
+    exps = st.builds(Exponent, st.tuples(*[small] * n), st.tuples(*[small] * n), small)
+    if field is QQ_FIELD:
+        coeffs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        ring = field.ring
+        dens = st.sampled_from((ring.one, ring(2), _Y, _Y + 2))
+        coeffs = st.builds(
+            lambda a, b, d: field.from_poly(a + b * _Y) / field.from_poly(d),
+            st.integers(-3, 3), st.integers(-2, 2), dens)
+    e = draw(exps)
+    c = draw(coeffs.filter(bool))
+    g = HOperator(n, field, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+    cap = draw(st.one_of(st.none(), st.integers(0, 6)))
+    return n, e, c, g, cap
+
+
+def _same_terms(terms, op):
+    """Equal terms, with the same representatives (same order of sums)."""
+    return (terms.keys() == op.terms.keys()
+            and all(str(tc) == str(op.terms[te]) for te, tc in terms.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_case())
+def test_term_product_matches_general_product(case):
+    """The term kernel against HOperator.__mul__ of a one-term operator, in
+    the homogenized ring and through substitute_z_one in the z = 1 quotient:
+    the same terms, and a discarded term exactly when the product is
+    tainted."""
+    n, e, c, g, cap = case
+    m = HOperator.monomial(n, g.field, e, c, cap=cap)
+    for z_one in (False, True):
+        ref = m * g
+        if z_one:
+            ref = ref.substitute_z_one()
+        terms, discarded = term_product(e, c, g, cap, z_one=z_one)
+        assert _same_terms(terms, ref)
+        assert discarded == ref.tainted

@@ -87,6 +87,21 @@ def test_cap_certification():
     y = ParamPoly.var(1, 0)
 
 
+def test_a_repeated_cap_certifies_nothing():
+    """Certification compares two distinct caps; a cap listed twice is one
+    run, which cannot be compared with itself."""
+    order = OrderSpec(1)
+    gens = [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): -1}),
+            qop(1, {((1,), (1,), 0): 1, ((3,), (0,), 0): -1})]
+    sb, certified, stairs = certified_standard_basis(gens, order, (1, 1))
+    assert not certified and len(stairs) == 1
+    assert sb.staircase != standard_basis(gens, order, cap=3).staircase
+    _, certified, stairs = certified_standard_basis(gens, order, (3, 1, 3))
+    assert len(stairs) == 2 and stairs[0] != stairs[1] and not certified
+    with pytest.raises(CapTooSmall):
+        certified_standard_basis(gens, order, (1, 1), strict=True)
+
+
 def test_strict_cap_failure_raises():
     order = OrderSpec(1, homogenized=False)
 

@@ -13,9 +13,8 @@ from .cones import RelOpenCone, clear_form, feasible, solve
 from .newton import (NewtonPolyhedron, face_of, in_wstar, minkowski_sum,
                      newton, normal_cone, vertex_set, wstar_rays)
 from .division import DivisionResult, denominator_certificate, divide, partition
-from .standard import (GenSBCertificate, StandardBasis, certified_standard_basis,
-                       generic_standard_basis, reduce_basis, spair,
-                       standard_basis, uniqueness_check)
+from .standard import (StandardBasis, certified_standard_basis, reduce_basis,
+                       spair, standard_basis, uniqueness_check)
 from .fan import (FanCell, GroebnerFan, base_fan_order, cell_at,
                   check_fan_against_grid, dn_standard_basis, enumerate_fan,
                   fan_of_ideal, grid_weights, homogenized_generators,

@@ -25,7 +25,7 @@ from .parametric import (comprehensive_fan, constant_fan_certificate,
                          specialize_ideal)
 from .params import poly_str
 from .parsing import parse_problem
-from .standard import certified_standard_basis, generic_standard_basis, standard_basis
+from .standard import certified_standard_basis, standard_basis
 
 VERBS = ("div", "sb", "reduce", "gensb", "fan", "compfan", "certify",
          "oracle-fan", "specialize")
@@ -62,6 +62,13 @@ def _cell_doc(cell):
     }
 
 
+def _fraction(text, flag):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise OperatorSyntaxError(f"{flag}: {text!r} is not a rational number")
+
+
 def _capped(ops, cap):
     return [g.truncated(cap) for g in ops]
 
@@ -69,7 +76,7 @@ def _capped(ops, cap):
 def _order_for(problem, args):
     order = problem.order
     if args.seed_weight:
-        vals = [Fraction(x) for x in args.seed_weight]
+        vals = [_fraction(x, "--seed-weight") for x in args.seed_weight]
         n = problem.n
         if len(vals) != 2 * n:
             raise OperatorSyntaxError(f"--seed-weight needs {2 * n} entries")
@@ -106,17 +113,13 @@ def run_command(verb, problem, args):
                 "cap": cap, "cap_certified": certified, "tainted": sb.tainted}
 
     if verb in ("reduce", "gensb"):
-        reduced = verb == "reduce"
-        if problem.params:
-            cert = generic_standard_basis(problem.generators, problem.q_ideal,
-                                          order, cap=cap, reduced=reduced)
-            return {"basis": _basis_doc(cert.basis), "h": poly_str(cert.h),
-                    "h_factors": [poly_str(f) for f in cert.h_factors],
-                    "q_ideal": [poly_str(g) for g in problem.q_ideal.gb],
-                    "cap": cap, "tainted": cert.tainted}
-        sb = standard_basis(problem.generators, order, cap=cap, reduced=reduced)
-        return {"basis": _basis_doc(sb.basis), "h": "1", "h_factors": [],
-                "q_ideal": [], "cap": cap, "tainted": sb.tainted}
+        sb = standard_basis(problem.generators, order, cap=cap,
+                            reduced=verb == "reduce")
+        return {"basis": _basis_doc(sb.basis),
+                "h": poly_str(sb.h) if sb.h is not None else "1",
+                "h_factors": [poly_str(f) for f in sb.h_factors],
+                "q_ideal": [poly_str(g) for g in problem.q_ideal.gb],
+                "cap": cap, "tainted": sb.tainted}
 
     if verb == "fan":
         fan = fan_of_ideal(problem.generators, cap, max_cells=args.max_cells)
@@ -179,7 +182,7 @@ def run_command(verb, problem, args):
             if "=" not in part:
                 raise OperatorSyntaxError(f"bad assignment {part!r}")
             k, v = part.split("=", 1)
-            assign[k.strip()] = Fraction(v.strip())
+            assign[k.strip()] = _fraction(v.strip(), "--at")
         try:
             y0 = tuple(assign[p] for p in problem.params)
         except KeyError as exc:
@@ -202,7 +205,7 @@ def build_parser():
     ap.add_argument("--samples", type=int, default=0,
                     help="grid size limit for oracle-fan")
     ap.add_argument("--max-cells", type=int, default=4096,
-                    help="fan traversal budget")
+                    help="most cells a fan traversal may find")
     ap.add_argument("--max-depth", type=int, default=6,
                     help="stratification depth budget")
     ap.add_argument("--seed-weight", nargs="*", default=None, metavar="Q",

@@ -13,8 +13,9 @@ attached to.  The z = 1 completion is the same loop as `standard.completion`
 and `standard.reduce_basis`, run with the z = 1 product.
 
 Over a parameter field Frac(C/Q) each cell holds the generic standard basis
-and its multiplier h; the generators' coefficient field carries Q, so no
-function here takes Q separately.
+and its multiplier h, both from one `standard.standard_basis`; the
+generators' coefficient field carries Q, so no function here takes Q
+separately.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from itertools import product as iproduct
 from .errors import NonConvergentTraversal, ZeroOperator
 from .newton import face_of, minkowski_sum, minkowski_sum_by_hull, newton, normal_cone
 from .operators import homogenize, term_product
-from .orders import OrderSpec, Weight, leading_data
-from .standard import (completion, generic_standard_basis, reduce_basis,
-                       standard_basis)
+from .orders import OrderSpec, Weight
+from .params import QQ_FIELD
+from .standard import StandardBasis, completion, reduce_basis, standard_basis
 
 
 def t_order(n):
@@ -46,17 +47,19 @@ def base_fan_order(n):
 # completion in the z = 1 quotient (plain differential operators)
 # ---------------------------------------------------------------------------
 
-def dn_standard_basis(gens, ord_spec, cap=None, h_factors=None):
-    """Reduced standard basis in the z = 1 quotient: the completion loop of
-    `standard` run with the z = 1 product."""
+def dn_standard_basis(gens, ord_spec, cap=None):
+    """Reduced standard basis in the z = 1 quotient, as a `StandardBasis`:
+    the completion loop of `standard` run with the z = 1 product."""
     if not all(g.z_free() for g in gens):
         raise ValueError("z = 1 completion expects z-free input")
     mul = partial(term_product, z_one=True)
-    G, _ = completion(gens, ord_spec, cap=cap, h_factors=h_factors, mul=mul)
-    return reduce_basis(G, ord_spec, h_factors=h_factors, mul=mul)[0]
+    G, tainted = completion(gens, ord_spec, cap=cap, mul=mul)
+    basis, t2 = reduce_basis(G, ord_spec, mul=mul)
+    field = gens[0].field if gens else QQ_FIELD
+    return StandardBasis(basis, ord_spec, cap, tainted or t2, field, G)
 
 
-def homogenized_generators(gens, cap, h_factors=None):
+def homogenized_generators(gens, cap):
     """Generators of the homogenized ideal of gens.
 
     z-free input is completed with respect to the dx-degree weight in the
@@ -64,8 +67,7 @@ def homogenized_generators(gens, cap, h_factors=None):
     as given."""
     if not gens or not all(g.z_free() for g in gens):
         return list(gens)
-    n = gens[0].n
-    basis = dn_standard_basis(gens, t_order(n), cap=cap, h_factors=h_factors)
+    basis = dn_standard_basis(gens, t_order(gens[0].n), cap=cap).basis
     return [homogenize(g) for g in basis]
 
 
@@ -93,33 +95,24 @@ class FanCell:
 
 
 def _basis_at(gens, w, cap):
-    """(basis, staircase, h, h_factors, tainted): the reduced standard
-    basis for the order refined by the admissible weight w; the generic one,
-    with its multiplier, over a parameter field."""
+    """The reduced standard basis (generic over a parameter field) for the
+    order refined by the admissible weight w."""
     w.check_admissible()
-    order = base_fan_order(gens[0].n).with_weight(w)
-    field = gens[0].field
-    if field.is_param:
-        cert = generic_standard_basis(gens, field.q, order, cap=cap)
-        basis, h, h_factors, tainted = (cert.basis, cert.h, tuple(cert.h_factors),
-                                        cert.tainted)
-    else:
-        sb = standard_basis(gens, order, cap=cap)
-        basis, h, h_factors, tainted = sb.basis, None, (), sb.tainted
-    if not basis:
+    sb = standard_basis(gens, base_fan_order(gens[0].n).with_weight(w), cap=cap)
+    if not sb.basis:
         raise ZeroOperator("fan of the zero ideal")
-    staircase = sorted(leading_data(g, order)[0] for g in basis)
-    return basis, staircase, h, h_factors, tainted
+    return sb
 
 
 def cell_at(gens, w, cap):
     """The fan cell of the admissible weight w, for the homogenized ideal
     generated by gens (already z-graded)."""
-    basis, staircase, h, h_factors, tainted = _basis_at(gens, w, cap)
-    P = minkowski_sum([newton(g) for g in basis])
+    sb = _basis_at(gens, w, cap)
+    P = minkowski_sum([newton(g) for g in sb.basis])
     verts, _ = face_of(P, w)
     cone = normal_cone(P, w)
-    return FanCell(cone, w, verts, basis, staircase, h, h_factors, tainted)
+    return FanCell(cone, w, verts, sb.basis, sb.staircase, sb.h, sb.h_factors,
+                   sb.tainted)
 
 
 @dataclass
@@ -182,20 +175,21 @@ def _cross_facet(n, facet_pt, inner_witness, cell):
 
 
 def enumerate_fan(gens, cap, max_cells=4096):
-    """All cells of the Groebner fan by facet traversal from stratum seeds."""
+    """All cells of the Groebner fan by facet traversal from stratum seeds;
+    more than max_cells cells raise NonConvergentTraversal.  Weights are
+    queued only when a cell is added, so the cell bound bounds the loop."""
     if not gens:
         raise ZeroOperator("fan of the empty generating set")
     n = gens[0].n
     cells = []
     queue = list(_seed_weights(n))
-    steps = 0
     while queue:
-        steps += 1
-        if steps > max_cells:
-            raise NonConvergentTraversal("fan traversal did not stabilize")
         w = queue.pop(0)
         if any(c.contains(w) for c in cells):
             continue
+        if len(cells) >= max_cells:
+            raise NonConvergentTraversal(
+                f"fan traversal found more than {max_cells} cells")
         cell = cell_at(gens, w, cap)
         cells.append(cell)
         # descend / move sideways: cross every closure facet
@@ -254,9 +248,9 @@ def oracle_classify(gens, w, cap):
     weight constraints.  The polyhedron comes from the defining hull of all
     vertex sums, not from the normal-fan refinement `cell_at` uses, so the
     grid check shares no polyhedral code with the traversal."""
-    basis, staircase, _, _, _ = _basis_at(gens, w, cap)
-    face, _ = face_of(minkowski_sum_by_hull([newton(g) for g in basis]), w)
-    return (tuple(staircase), face, w.activity())
+    sb = _basis_at(gens, w, cap)
+    face, _ = face_of(minkowski_sum_by_hull([newton(g) for g in sb.basis]), w)
+    return (tuple(sb.staircase), face, w.activity())
 
 
 def check_fan_against_grid(fan, gens, weights, cap):

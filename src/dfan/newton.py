@@ -115,10 +115,14 @@ class NewtonPolyhedron:
 def newton(g):
     """Newton polyhedron of a nonzero operator.  Over Frac(C/Q) the terms
     whose coefficient numerator lies in Q are already gone, so this is the
-    polyhedron of the specialization to V(Q)."""
-    if g.is_zero():
-        raise ZeroOperator("Newton polyhedron of the zero operator")
-    return NewtonPolyhedron(g.n, vertex_set(g.n, [e.vec() for e in g.terms]))
+    polyhedron of the specialization to V(Q).  It is kept in
+    `g.newton_memo`: an operator's terms never change."""
+    if g.newton_memo is None:
+        if g.is_zero():
+            raise ZeroOperator("Newton polyhedron of the zero operator")
+        g.newton_memo = NewtonPolyhedron(
+            g.n, vertex_set(g.n, [e.vec() for e in g.terms]))
+    return g.newton_memo
 
 
 def _satisfies(point, forms):

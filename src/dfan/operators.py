@@ -76,10 +76,12 @@ class HOperator:
 
     `terms` is never mutated after construction.  `lead_memo` holds
     (OrderSpec, leading exponent) for the last order `orders.leading_data`
-    was asked about, or None.
+    was asked about, or None; `newton_memo` holds the polyhedron
+    `newton.newton` built, or None.
     """
 
-    __slots__ = ("n", "field", "terms", "cap", "tainted", "lead_memo")
+    __slots__ = ("n", "field", "terms", "cap", "tainted", "lead_memo",
+                 "newton_memo")
 
     def __init__(self, n, field, terms=None, cap=None, tainted=False):
         self.n = n
@@ -97,6 +99,7 @@ class HOperator:
         self.cap = cap
         self.tainted = tainted
         self.lead_memo = None
+        self.newton_memo = None
 
     # -- constructors -------------------------------------------------------
 
@@ -188,11 +191,6 @@ class HOperator:
         t = {e: c for e, c in self.terms.items() if e.xdeg <= cap}
         taint = self.tainted or len(t) != len(self.terms)
         return HOperator(self.n, self.field, t, cap=cap, tainted=taint)
-
-    def with_cap(self, cap):
-        """Raise or clear the cap without discarding anything."""
-        return HOperator(self.n, self.field, dict(self.terms), cap=cap,
-                         tainted=self.tainted)
 
     def substitute_z_one(self):
         """Project z -> 1, merging exponents (alpha, beta, k) -> (alpha, beta, 0)."""

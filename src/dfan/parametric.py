@@ -2,14 +2,15 @@
 
 For an ideal with coefficients depending polynomially on parameters y, the
 fan is constant on V(Q) off the hypersurface of a single polynomial h(y).
-The certificate multiplies together:
+The certificate multiplies together, through `params.multiplier`:
 
-  * h' — collected leading-coefficient factors of the dx-degree-weight basis
-    used to homogenize, so homogenization commutes with specialization;
-  * per cell: the generic-basis multiplier (its own leading-coefficient
-    factors) and the Newton stability multipliers (vertex coefficient
-    numerators of each basis element), so every cell's polyhedron, face and
-    cone survive specialization.
+  * h' — the multiplier of the dx-degree-weight basis used to homogenize
+    (its `StandardBasis.h_factors`), so homogenization commutes with
+    specialization;
+  * per cell: the generic-basis multiplier (the cell basis's h_factors) and
+    the Newton stability factors (vertex coefficient numerators of each
+    basis element), so every cell's polyhedron, face and cone survive
+    specialization.
 
 The comprehensive fan stratifies the parameter space: compute the certificate
 on a stratum (V(Q) off V(h)), then recurse into V(Q + (f)) for each new
@@ -23,31 +24,20 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import DepthExceeded, ZeroOperator
-from .fan import enumerate_fan, homogenized_generators, GroebnerFan
+from .fan import GroebnerFan, dn_standard_basis, enumerate_fan, t_order
 from .newton import newton
-from .params import (ParamField, ParamFraction, ParamIdeal, factor_squarefree,
+from .operators import homogenize
+from .params import (ParamField, ParamIdeal, multiplier, numerator_factors,
                      poly_eval)
 
 
-def newton_stability_multiplier(g, factors=None):
-    """Product of the numerators of the coefficients sitting on the vertices
-    of New(g): where it does not vanish, the specialized operator keeps the
-    same Newton polyhedron."""
-    poly = newton(g)
-    if factors is None:
-        factors = {}
-    for e, c in g.terms.items():
-        if e.vec() in poly.vertices and isinstance(c, ParamFraction):
-            for f in factor_squarefree(c.num):
-                factors.setdefault(f, f)
-    return factors
-
-
-def _product(ring, factors):
-    h = ring.one
-    for f in sorted(factors.values(), key=sorted):
-        h = h * f
-    return h
+def newton_stability_multiplier(g):
+    """The numerator factors of the coefficients sitting on the vertices of
+    New(g), as a list: where their product does not vanish, the specialized
+    operator keeps the same Newton polyhedron."""
+    vertices = newton(g).vertices
+    return list(numerator_factors(c for e, c in g.terms.items()
+                                  if e.vec() in vertices))
 
 
 @dataclass
@@ -56,7 +46,7 @@ class ConstancyCertificate:
 
     q_ideal: ParamIdeal
     h: object
-    h_factors: list
+    h_factors: tuple
     fan: GroebnerFan
     hom_gens: list
     tainted: bool
@@ -70,14 +60,17 @@ class ConstancyCertificate:
 
 
 def homogenization_commutes(gens, Q, cap):
-    """Homogenized-ideal generators over Frac(C/Q) plus the multiplier h'
-    making the construction commute with any specialization of V(Q) off
+    """Generators of the homogenized ideal over Frac(C/Q), as
+    `fan.homogenized_generators` builds them, and the factors of the
+    multiplier h' of the z = 1 basis they come from (none for input with
+    z): the construction commutes with any specialization of V(Q) off
     V(h')."""
     field = ParamField(Q.ring, Q)
-    factors = {}
-    hom = homogenized_generators([g.to_field(field) for g in gens], cap,
-                                 h_factors=factors)
-    return hom, factors
+    gens = [g.to_field(field) for g in gens]
+    if not all(g.z_free() for g in gens):
+        return gens, ()
+    sb = dn_standard_basis(gens, t_order(gens[0].n), cap=cap)
+    return [homogenize(g) for g in sb.basis], sb.h_factors
 
 
 def constant_fan_certificate(gens, Q, cap):
@@ -86,16 +79,15 @@ def constant_fan_certificate(gens, Q, cap):
         raise ZeroOperator("certificate of the empty generating set")
     if Q.is_unit_ideal():
         raise ValueError("empty stratum: Q is the unit ideal")
-    hom, factors = homogenization_commutes(gens, Q, cap)
+    hom, hom_factors = homogenization_commutes(gens, Q, cap)
+    factors = list(hom_factors)
     fan = enumerate_fan(hom, cap)
     tainted = any(c.tainted for c in fan.cells)
     for cell in fan.cells:
-        for f in cell.h_factors:
-            factors.setdefault(f, f)
+        factors += cell.h_factors
         for g in cell.basis:
-            newton_stability_multiplier(g, factors)
-    h = _product(Q.ring, factors)
-    h_factors = sorted(factors.values(), key=sorted)
+            factors += newton_stability_multiplier(g)
+    h, h_factors = multiplier(Q.ring, factors)
     return ConstancyCertificate(Q, h, h_factors, fan, hom, tainted)
 
 

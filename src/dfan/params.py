@@ -132,6 +132,25 @@ def factor_squarefree(p):
                               if not f.is_ground))
 
 
+def numerator_factors(coeffs):
+    """The `factor_squarefree` factors of the numerator of each parameter
+    coefficient in coeffs, in order and with repeats; rationals have none."""
+    for c in coeffs:
+        if isinstance(c, ParamFraction):
+            yield from factor_squarefree(c.num)
+
+
+def multiplier(ring, factors):
+    """(h, h_factors) for a run of factors: each factor once, sorted by its
+    monomials, and their product.  The sort is stable and ties on factors of
+    equal support (y - 1 and y + 1), so those keep their first-seen order."""
+    h_factors = tuple(sorted(dict.fromkeys(factors), key=sorted))
+    h = ring.one
+    for f in h_factors:
+        h = h * f
+    return h, h_factors
+
+
 # ---------------------------------------------------------------------------
 # Ideals in the parameter ring
 # ---------------------------------------------------------------------------

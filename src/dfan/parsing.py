@@ -17,7 +17,7 @@ from .errors import NotPrime, OperatorSyntaxError, UnknownName
 from .operators import HOperator, exponent
 from .params import (ParamField, ParamIdeal, QQ_FIELD, factor_squarefree, param_ring,
                      poly_str)
-from .orders import OrderSpec, Weight
+from .orders import BASE_ORDERS, OrderSpec, Weight
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[-+*/^()]|\S")
 
@@ -251,6 +251,9 @@ def _parse_order_line(value, var_names, ln):
     if not parts:
         raise OperatorSyntaxError("empty order", ln, 1)
     base = parts[0]
+    if base not in BASE_ORDERS:
+        raise OperatorSyntaxError(f"unknown base order {base!r}; expected one of "
+                                  + ", ".join(BASE_ORDERS), ln, 1)
     rest = [p for p in parts[1:] if p != ">"]
     xprio = ()
     if rest:
@@ -278,12 +281,23 @@ def _parse_weight_line(value, n, ln):
     return Weight.make(u, v)
 
 
+def _parse_names(value_raw, ln, col):
+    """The names of a `params:` or `vars:` line, each at most once; col is
+    the column of value_raw in the line."""
+    names = []
+    for mt in re.finditer(r"\S+", value_raw):
+        if mt.group(0) in names:
+            raise OperatorSyntaxError(f"duplicate name {mt.group(0)!r}", ln,
+                                      col + mt.start())
+        names.append(mt.group(0))
+    return names
+
+
 def parse_problem(text):
     """Parse a problem file (line-based `key: value` records)."""
     params = []
     var_names = None
-    order_desc = "antigraded_lex"
-    base, xprio = "antigraded_lex", ()
+    order_desc, order_ln = "antigraded_lex", 1
     cap = None
     q_texts = []
     gen_texts = []
@@ -311,11 +325,11 @@ def parse_problem(text):
                 off += len(part) + 1
 
         if key == "params":
-            params = value.split()
+            params = _parse_names(value_raw, ln, vstart)
         elif key == "vars":
-            var_names = value.split()
+            var_names = _parse_names(value_raw, ln, vstart)
         elif key == "order":
-            order_desc = value
+            order_desc, order_ln = value, ln
         elif key == "weight":
             weight_lines.append((value, ln))
         elif key == "cap":
@@ -339,7 +353,7 @@ def parse_problem(text):
         raise OperatorSyntaxError("names must be disjoint and avoid 'z'", 1, 1)
     if cap is None:
         cap = 8
-    base, xprio = _parse_order_line(order_desc, var_names, 1)
+    base, xprio = _parse_order_line(order_desc, var_names, order_ln)
     n = len(var_names)
     weights = [_parse_weight_line(v, n, ln) for v, ln in weight_lines]
     q_gens = [parse_param_poly(t, params, line=ln, col=c) for t, ln, c in q_texts]

@@ -1,5 +1,5 @@
-"""Standard bases by S-pair completion, reduction, and generic (parametric)
-standard bases with a constancy multiplier h.
+"""Standard bases by S-pair completion and reduction, with the constancy
+multiplier h of a generic (parametric) standard basis.
 
 Leading exponents are additive under the product, so completion is the usual
 Buchberger loop; local orders make tails infinite series, which the x-degree
@@ -11,12 +11,14 @@ One loop serves both rings: `spair`, `completion`, `reduce_basis` and
 `operators.term_product` in the homogenized ring; `fan.dn_standard_basis`
 passes its z = 1 form to complete plain differential operators.
 
-Generic standard bases run the same loop over Frac(C/Q).  The field is the
-only place Q enters: a coefficient whose numerator lies in Q is zero there,
-so neither completion nor division treats Q specially.  The multiplier h
-collects the (square-free) numerator factors of every leading coefficient the
-completion divides by, so any specialization with h(y0) != 0 replays the
-whole trace verbatim.
+Over Frac(C/Q) the same loop computes the generic standard basis.  The field
+is the only place Q enters: a coefficient whose numerator lies in Q is zero
+there, so neither completion nor division treats Q specially.  The
+multiplier h is a value of the result: the product of the square-free
+numerator factors of the leading coefficients of the list `completion`
+returns.  Those are all the coefficients the computation divides by
+(reduction only rescales elements of that list), so any specialization with
+h(y0) != 0 replays the whole trace verbatim.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .division import divide
 from .errors import CapTooSmall
 from .operators import Exponent, HOperator, term_product
 from .orders import leading_data
-from .params import ParamField, ParamFraction, factor_squarefree
+from .params import QQ_FIELD, multiplier, numerator_factors
 
 
 def _join(a: Exponent, b: Exponent):
@@ -57,23 +60,43 @@ def spair(gi, gj, ord_spec, mul=None):
 
 @dataclass
 class StandardBasis:
+    """A standard basis, and over Frac(C/Q) its multiplier h.
+
+    `completed` is the list `completion` returned, before any reduction.
+    `h_factors` are the distinct square-free numerator factors of its leading
+    coefficients, sorted as `params.multiplier` sorts them, and `h` is their
+    product; both are computed on first read.  Over QQ, h is None and there
+    are no factors.
+    """
+
     basis: list
     ord_spec: object
     cap: object
     tainted: bool
+    field: object
+    completed: list
 
     @property
     def staircase(self):
         return sorted(leading_data(g, self.ord_spec)[0] for g in self.basis)
 
+    @cached_property
+    def _multiplier(self):
+        if not self.field.is_param:
+            return None, ()
+        return multiplier(self.field.ring, numerator_factors(
+            leading_data(g, self.ord_spec)[1] for g in self.completed))
 
-def _collect_lc_factors(lc, factors):
-    if isinstance(lc, ParamFraction):
-        for f in factor_squarefree(lc.num):
-            factors.setdefault(f, f)
+    @property
+    def h(self):
+        return self._multiplier[0]
+
+    @property
+    def h_factors(self):
+        return self._multiplier[1]
 
 
-def completion(gens, ord_spec, cap=None, h_factors=None, mul=None):
+def completion(gens, ord_spec, cap=None, mul=None):
     """Run the S-pair loop with the term product mul (see `divide`); returns
     the (non-reduced) standard basis list and the taint flag."""
     G = []
@@ -81,9 +104,6 @@ def completion(gens, ord_spec, cap=None, h_factors=None, mul=None):
         g = g if cap is None else g.truncated(cap) if (g.cap is None or g.cap > cap) else g
         if not g.is_zero():
             G.append(g)
-    if h_factors is not None:
-        for g in G:
-            _collect_lc_factors(leading_data(g, ord_spec)[1], h_factors)
     # pairs wait in a heap: the least join of leading exponents first, ties
     # in the order the pairs were formed
     key = ord_spec.key()
@@ -104,8 +124,6 @@ def completion(gens, ord_spec, cap=None, h_factors=None, mul=None):
         r = res.remainder
         if r.is_zero():
             continue
-        if h_factors is not None:
-            _collect_lc_factors(leading_data(r, ord_spec)[1], h_factors)
         G.append(r)
         e = leading_data(r, ord_spec)[0]
         for t, et in enumerate(lead):
@@ -114,7 +132,7 @@ def completion(gens, ord_spec, cap=None, h_factors=None, mul=None):
     return G, tainted
 
 
-def reduce_basis(basis, ord_spec, h_factors=None, mul=None):
+def reduce_basis(basis, ord_spec, mul=None):
     """Minimal, monic, tail-reduced basis (the reduced standard basis)."""
     data = [(g,) + leading_data(g, ord_spec) for g in basis if not g.is_zero()]
     # minimalize: drop elements whose leading exponent is divisible by another's
@@ -125,11 +143,7 @@ def reduce_basis(basis, ord_spec, h_factors=None, mul=None):
             continue
         minimal.append((g, e, lc))
     field = minimal[0][0].field if minimal else None
-    monic = []
-    for g, e, lc in minimal:
-        if h_factors is not None:
-            _collect_lc_factors(lc, h_factors)
-        monic.append((g.scale(field.one / lc), e))
+    monic = [(g.scale(field.one / lc), e) for g, e, lc in minimal]
     G0 = [g for g, _ in monic]
     out = []
     tainted = any(g.tainted for g in G0)
@@ -148,12 +162,15 @@ def reduce_basis(basis, ord_spec, h_factors=None, mul=None):
 
 
 def standard_basis(gens, ord_spec, cap=None, reduced=True):
-    """Standard basis of the left ideal generated by gens."""
+    """Standard basis of the left ideal generated by gens; over Frac(C/Q)
+    the generic one, whose multiplier h is read off the result."""
     G, tainted = completion(gens, ord_spec, cap=cap)
+    basis = G
     if reduced and G:
-        G, t2 = reduce_basis(G, ord_spec)
+        basis, t2 = reduce_basis(G, ord_spec)
         tainted = tainted or t2
-    return StandardBasis(G, ord_spec, cap, tainted)
+    field = gens[0].field if gens else QQ_FIELD
+    return StandardBasis(basis, ord_spec, cap, tainted, field, G)
 
 
 def certified_standard_basis(gens, ord_spec, caps, reduced=True, strict=False):
@@ -161,9 +178,8 @@ def certified_standard_basis(gens, ord_spec, caps, reduced=True, strict=False):
     shared window of the bases) is stable between the last two distinct
     caps.  With one distinct cap the result is uncertified."""
     caps = sorted(set(caps))
-    runs = []
-    for cap in caps:
-        runs.append(standard_basis(gens, ord_spec, cap=cap, reduced=reduced))
+    runs = [standard_basis(gens, ord_spec, cap=cap, reduced=reduced)
+            for cap in caps]
     certified = False
     if len(runs) >= 2:
         a, b = runs[-2], runs[-1]
@@ -175,49 +191,6 @@ def certified_standard_basis(gens, ord_spec, caps, reduced=True, strict=False):
     if strict and not certified:
         raise CapTooSmall(f"staircase not stable across caps {caps}")
     return runs[-1], certified, [r.staircase for r in runs]
-
-
-# ---------------------------------------------------------------------------
-# generic standard bases with constancy multiplier
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GenSBCertificate:
-    """(G, h): G a standard basis over Frac(C/Q) whose computation trace
-    specializes verbatim at every point of V(Q) off V(h)."""
-
-    basis: list
-    h: object
-    h_factors: list
-    q_ideal: object
-    ord_spec: object
-    cap: object
-    tainted: bool
-    certified: bool = True
-
-    def specialized_basis(self, y0):
-        return [g.specialize(y0) for g in self.basis]
-
-
-def generic_standard_basis(gens, Q, ord_spec, cap=None, reduced=True):
-    """Generic standard basis of the ideal generated by gens, modulo Q.
-
-    gens may have Fraction, parameter-polynomial or ParamFraction
-    coefficients; they are coerced into Frac(C/Q).  Returns a
-    GenSBCertificate.
-    """
-    field = ParamField(Q.ring, Q)
-    work = [g.to_field(field) for g in gens]
-    factors = {}
-    G, tainted = completion(work, ord_spec, cap=cap, h_factors=factors)
-    if reduced and G:
-        G, t2 = reduce_basis(G, ord_spec, h_factors=factors)
-        tainted = tainted or t2
-    h = Q.ring.one
-    h_factors = sorted(factors.values(), key=sorted)
-    for f in h_factors:
-        h = h * f
-    return GenSBCertificate(G, h, h_factors, Q, ord_spec, cap, tainted)
 
 
 def uniqueness_check(gens, ord_spec, cap, shuffles=5, seed=0):

@@ -17,13 +17,12 @@ from dfan.fan import (check_fan_against_grid, enumerate_fan, fan_of_ideal,
 from dfan.newton import in_wstar, newton
 from dfan.operators import HOperator, exponent
 from dfan.orders import OrderSpec, Weight, leading_data
-from dfan.params import (ParamField, ParamIdeal, ParamPoly, ParamFraction, param_ring,
-                         poly_eval)
+from dfan.params import (ParamField, ParamIdeal, ParamPoly, ParamFraction, multiplier,
+                         param_ring, poly_eval)
 from dfan.parametric import (comprehensive_fan, constant_fan_certificate,
                              homogenization_commutes, sample_points,
                              specialize_ideal)
-from dfan.standard import (generic_standard_basis, standard_basis,
-                           uniqueness_check)
+from dfan.standard import standard_basis, uniqueness_check
 
 Q0 = ParamIdeal(1, [], claimed_prime=True)
 F1 = ParamField(1, Q0)
@@ -56,7 +55,7 @@ def test_criterion_1_geometric_series_basis_and_multiplier():
     order = OrderSpec(2, xprio=(1, 0))
     g = _series_generator()
     for cap in (3, 5, 8):
-        cert = generic_standard_basis([g], Q0, order, cap=cap)
+        cert = standard_basis([g], order, cap=cap)
         assert len(cert.basis) == 1
         expect = {exponent(2, alpha=[0, 1]): F1.one}
         c = F1.one
@@ -193,11 +192,11 @@ def test_criterion_6_newton_polyhedron_specializes():
                               exponent(1, alpha=[2], beta=[1], k=1):
                                   F1.from_poly(Y + 1)}),
             _param_airy_zfree()]
-    from dfan.parametric import newton_stability_multiplier, _product
+    from dfan.parametric import newton_stability_multiplier
     ok = 0
     for g in gens:
         factors = newton_stability_multiplier(g)
-        avoid = _product(Y.ring, factors)
+        avoid = multiplier(Y.ring, factors)[0]
         poly = newton(g)
         for y0 in sample_points(1, avoid=avoid, num=10):
             spec = newton(g.specialize(y0))
@@ -223,8 +222,7 @@ def test_criterion_7_homogenization_commutes_with_specialization():
     for gens in ideals:
         n = gens[0].n
         hom, factors = homogenization_commutes(gens, Q0, cap=8)
-        from dfan.parametric import _product
-        avoid = _product(Y.ring, factors) * Y  # keep clear of trivial degenerations
+        avoid = multiplier(Y.ring, factors)[0] * Y  # keep clear of trivial degenerations
         order = OrderSpec(n)
         for y0 in sample_points(1, avoid=avoid, num=10):
             spec_then_hom = homogenized_generators(

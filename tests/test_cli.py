@@ -139,3 +139,37 @@ def test_one_parameter_qideal_must_be_prime():
         assert "NotPrime" in proc.stderr
     proc = run_cli(["compfan"], "params: y\nqideal: y^2 - 2\n" + body)
     assert proc.returncode == 0
+
+
+def _usage_error(proc, *words):
+    assert proc.returncode == 2 and not proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert all(w in proc.stderr for w in words), proc.stderr
+
+
+def test_unknown_order_is_a_usage_error():
+    _usage_error(run_cli(["reduce"], "vars: x1\norder: foo\nideal: dx1 + x1\n"),
+                 "unknown base order 'foo'", "line 2")
+
+
+def test_seed_weight_must_be_rational():
+    for vals in (["a", "b"], ["1/0", "1"]):
+        # the problem path goes first: --seed-weight takes every later word
+        proc = subprocess.run(
+            [sys.executable, "-m", "dfan.cli", "reduce", "-", "--seed-weight"]
+            + vals, input=DIV, capture_output=True, text=True, timeout=120)
+        _usage_error(proc, "--seed-weight", repr(vals[0]))
+
+
+def test_specialize_point_must_be_rational():
+    for at in ("y=abc", "y=1/0"):
+        _usage_error(run_cli(["specialize", "--at", at], SERIES),
+                     "--at", repr(at[2:]))
+
+
+def test_duplicate_names_are_usage_errors():
+    # x1 declared twice used to parse `dx1 + x1` as x2 + dx2
+    _usage_error(run_cli(["reduce"], "vars: x1 x1\nideal: dx1 + x1\n"),
+                 "duplicate name 'x1'", "line 1, column 10")
+    _usage_error(run_cli(["reduce"], "params: y y\nvars: x1\nideal: y*x1\n"),
+                 "duplicate name 'y'", "line 1, column 11")

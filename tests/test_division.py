@@ -87,7 +87,7 @@ def test_simple_exact_division():
     res = divide(P.truncated(6), [x.truncated(6)], order)
     # dx * x = x dx + z exactly, so the quotient is dx with no remainder
     assert res.remainder.is_zero()
-    assert res.quotients[0] == qop(1, {((0,), (1,), 0): 1}).with_cap(res.quotients[0].cap)
+    assert res.quotients[0] == HOperator(1, dx.field, dx.terms, cap=res.quotients[0].cap)
     assert not res.tainted
     # z alone is reducible by nothing here
     res_z = divide(qop(1, {((0,), (0,), 1): 1}).truncated(6), [x.truncated(6)], order)
@@ -143,7 +143,7 @@ def test_guard_band_keeps_window_exact():
     for _ in range(cap + 1):
         P = P * x
     P = P.truncated(cap)  # only the z-term survives in the window
-    assert P == qop(1, {((cap,), (0,), 1): cap + 1}).with_cap(cap)
+    assert P == HOperator(1, x.field, {exponent(1, alpha=[cap], k=1): cap + 1}, cap=cap)
     assert P.tainted
 
 
@@ -210,15 +210,11 @@ def leading_data_mod_q(p, ord_spec, Q):
 
 
 def raise_caps(ops, cap):
-    """The reference's operand copies: untainted operators raised to the
-    internal cap (their content is exact)."""
-    out = []
-    for p in ops:
-        if not p.tainted and (p.cap is None or (cap is not None and p.cap < cap)):
-            out.append(p.with_cap(cap))
-        else:
-            out.append(p)
-    return out
+    """The reference's operand copies: untainted capped operators raised to
+    the internal cap (their content is exact); uncapped ones are used whole."""
+    return [HOperator(p.n, p.field, p.terms, cap=cap)
+            if not p.tainted and p.cap is not None and p.cap < cap else p
+            for p in ops]
 
 
 def divide_by_scan(P, G, ord_spec, mod_q=None):

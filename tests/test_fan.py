@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import qop
 import dfan.fan as fan_module
+from dfan.errors import NonConvergentTraversal
 from dfan.fan import (cell_at, check_fan_against_grid, dn_standard_basis,
                       enumerate_fan, fan_of_ideal, grid_weights,
                       homogenized_generators, oracle_classify, t_order)
@@ -22,7 +23,7 @@ def test_dn_standard_basis_euler_pair():
     order = t_order(1)
     a = qop(1, {((1,), (1,), 0): 1})
     b = qop(1, {((0,), (2,), 0): 1})
-    basis = dn_standard_basis([a, b], order, cap=8)
+    basis = dn_standard_basis([a, b], order, cap=8).basis
     assert [str(g) for g in basis] == ["dx1"]
 
 
@@ -75,6 +76,15 @@ def test_airy_fan_structure():
     stairs = {tuple(c.staircase) for c in fan.full_dim_cells()}
     assert stairs == {(exponent(1, beta=[2]),)}
     assert check_fan_against_grid(fan, [g], grid_weights(1), 8) == []
+
+
+def test_max_cells_bounds_the_cells_not_the_queue():
+    g = qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})
+    K = len(enumerate_fan([g], cap=8).cells)
+    assert K == 4
+    assert len(enumerate_fan([g], cap=8, max_cells=K).cells) == K
+    with pytest.raises(NonConvergentTraversal):
+        enumerate_fan([g], cap=8, max_cells=K - 1)
 
 
 def test_euler_fan_structure():

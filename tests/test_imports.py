@@ -166,11 +166,13 @@ def test_no_retired_cone_api_in_src():
     """Cones take homogeneous (form, rel) constraints with = and > only;
     the unused weak inequalities, closure and interior-point queries, the
     fan cell's unread polyhedron and the reduced-basis alias must not come
-    back, nor division's per-call cap copies or the z = 1 product built
-    from a general product."""
+    back, nor division's per-call cap copies, the z = 1 product built
+    from a general product, the uncalled cap copier, or the second
+    generic-basis entry point with its out-parameter collector."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
-             "_dn_mul")
+             "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
+             "_collect_lc_factors")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"

@@ -82,7 +82,7 @@ def test_cap_discard_sets_taint():
     x = qop(1, {((1,), (0,), 0): 1})
     p = HOperator(1, QQ_FIELD, dict((x * x * x).terms), cap=2)
     assert p.is_zero() and p.tainted
-    q = (x + qop(1, {((0,), (0,), 0): 1})).with_cap(1)
+    q = HOperator(1, QQ_FIELD, (x + qop(1, {((0,), (0,), 0): 1})).terms, cap=1)
     r = q * q  # x^2 discarded at cap 1
     assert r.tainted and exponent(1, alpha=[2]) not in r.terms
     assert r.terms[exponent(1, alpha=[1])] == 2

@@ -1,6 +1,7 @@
 """Constancy certificates, stratification, and parameter sampling."""
 
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
@@ -27,7 +28,7 @@ def test_newton_stability_multiplier_vertex_coeffs(F1):
     y = ParamPoly.var(1, 0)
     g = _param_airy(F1, y)
     factors = newton_stability_multiplier(g)
-    assert any(f == y for f in factors.values())  # coefficient on the x1 z^2 vertex
+    assert any(f == y for f in factors)  # coefficient on the x1 z^2 vertex
 
 
 def test_certificate_for_parametric_airy(F1):
@@ -47,6 +48,21 @@ def test_certificate_for_parametric_airy(F1):
             match = [d for d in spec.cells if d.cone.same_cone(c.cone)]
             assert len(match) == 1
             assert [b.specialize(y0) for b in c.basis] == match[0].basis
+
+
+def test_certificate_builds_each_basis_polyhedron_once(F1, monkeypatch):
+    """cell_at and the Newton stability factors share one polyhedron per
+    basis operator."""
+    newton_module = import_module("dfan.newton")  # the package's `newton` is the function
+    built = []
+    vertex_set = newton_module.vertex_set
+    monkeypatch.setattr(newton_module, "vertex_set",
+                        lambda n, pts: built.append(n) or vertex_set(n, pts))
+    g = _param_airy(F1, ParamPoly.var(1, 0))
+    cert = constant_fan_certificate([g], ParamIdeal(1, []), cap=8)
+    assert len(built) == sum(len(c.basis) for c in cert.fan.cells) > 0
+    b = cert.fan.cells[0].basis[0]
+    assert newton_module.newton(b) is newton_module.newton(b)
 
 
 def test_certificate_rejects_unit_q():

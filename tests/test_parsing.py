@@ -114,6 +114,19 @@ def test_parse_problem_diagnostics():
         parse_problem("vars: x1 x2\norder: antigraded_lex x1\n")
 
 
+def test_names_and_order_are_checked_where_written():
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_problem("params: y\nvars: x1 x2 x1\n")
+    assert "duplicate name 'x1'" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (2, 13)
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_problem("params: a b a\nvars: x1\n")
+    assert (exc.value.line, exc.value.column) == (1, 13)
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_problem("vars: x1\ncap: 4\norder: lex x1\n")
+    assert "unknown base order 'lex'" in str(exc.value) and exc.value.line == 3
+
+
 def test_weight_line_errors():
     with pytest.raises(OperatorSyntaxError):
         parse_problem("vars: x1\nweight: u -1\n")

@@ -7,6 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 from conftest import qop, random_qop
+import dfan.params as params_module
 import dfan.standard as st
 from dfan.division import divide
 from dfan.errors import CapTooSmall
@@ -14,8 +15,7 @@ from dfan.operators import HOperator, exponent, homogenize
 from dfan.orders import OrderSpec, Weight, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
 from dfan.standard import (_join, certified_standard_basis, completion,
-                           generic_standard_basis, reduce_basis, spair,
-                           standard_basis, uniqueness_check)
+                           reduce_basis, spair, standard_basis, uniqueness_check)
 
 
 def test_spair_cancels_leading_terms():
@@ -150,7 +150,7 @@ def test_generic_basis_series_example():
         exponent(2, alpha=[1, 0]): F.one,
     })
     for cap in (3, 5, 8):
-        cert = generic_standard_basis([g], Q, order, cap=cap)
+        cert = standard_basis([g], order, cap=cap)
         assert len(cert.basis) == 1
         b = cert.basis[0]
         expect = {exponent(2, alpha=[0, 1]): F.one}
@@ -164,15 +164,14 @@ def test_generic_basis_series_example():
 
 
 def test_generic_basis_specializes_off_h(F1):
-    Q = ParamIdeal(1, [], claimed_prime=True)
     y = ParamPoly.var(1, 0)
     order = OrderSpec(1)
     g = HOperator(1, F1, {exponent(1, beta=[2]): F1.one,
                           exponent(1, alpha=[1]): -F1.from_poly(y)})
-    cert = generic_standard_basis([g], Q, order, cap=8)
+    cert = standard_basis([g], order, cap=8)
     assert not cert.h_factors or cert.h == y
     for y0 in ((Fraction(1),), (Fraction(-2),), (Fraction(1, 3),)):
-        spec = cert.specialized_basis(y0)
+        spec = [b.specialize(y0) for b in cert.basis]
         direct = standard_basis(
             [g.specialize(y0)], order, cap=8, reduced=True).basis
         assert spec == direct
@@ -186,8 +185,38 @@ def test_generic_basis_collects_reduction_denominators():
     order = OrderSpec(1)
     a = HOperator(1, F, {exponent(1, beta=[1]): F.from_poly(y),
                          exponent(1, alpha=[1]): F.one})
-    cert = generic_standard_basis([a], Q, order, cap=8)
+    cert = standard_basis([a], order, cap=8)
     assert any(f == y for f in cert.h_factors)
+
+
+def test_h_is_factored_from_the_completion_on_first_read(monkeypatch):
+    """QQ bases never factor; a parametric one factors each leading
+    coefficient of the completion list once, when h or h_factors is first
+    read.  Factors of equal support keep their first-seen order."""
+    calls = []
+    factor = params_module.factor_squarefree
+    monkeypatch.setattr(params_module, "factor_squarefree",
+                        lambda p: calls.append(p) or factor(p))
+    order = OrderSpec(2)
+    qq = [qop(2, {((1, 0), (1, 0), 0): 1, ((0, 1), (0, 1), 0): 1}),
+          qop(2, {((0, 0), (1, 1), 0): 1, ((0, 0), (0, 0), 2): 1})]
+    for reduced in (True, False):
+        sb = standard_basis(qq, order, cap=4, reduced=reduced)
+        assert sb.h is None and sb.h_factors == () and not calls
+    F = ParamField(1)
+    y = F.ring.gens[0]
+    gens = [HOperator(2, F, {exponent(2, alpha=[1], beta=[1]): F.from_poly(y - 1),
+                             exponent(2, alpha=[0, 1], beta=[0, 1]): F.one}),
+            HOperator(2, F, {exponent(2, beta=[1, 1]): F.from_poly(y + 1),
+                             exponent(2, k=2): F.one})]
+    for reduced in (True, False):
+        calls.clear()
+        sb = standard_basis(gens, order, cap=3, reduced=reduced)
+        assert not calls
+        assert sb.h_factors == (y - 1, y + 1, y)
+        lcs = [leading_data(g, order)[1].num for g in sb.completed]
+        assert calls == lcs and len(lcs) > len(gens)
+        assert sb.h == (y - 1) * (y + 1) * y and calls == lcs
 
 
 def completion_by_resort(gens, ord_spec, cap):

@@ -87,8 +87,7 @@ def divide(P, G, ord_spec, mul=None):
     if cap is None:
         internal = None
     else:
-        maxlevel = max((e.level for g in [P] + list(G) for e in g.terms), default=0)
-        internal = cap + maxlevel + GUARD_SLACK
+        internal = cap + max(g.top_level for g in [P, *G]) + GUARD_SLACK
     # a tainted divisor is known only up to its own cap
     gcaps = [min(g.cap, internal) if g.tainted and g.cap is not None else internal
              for g in G]

@@ -77,11 +77,11 @@ class HOperator:
     `terms` is never mutated after construction.  `lead_memo` holds
     (OrderSpec, leading exponent) for the last order `orders.leading_data`
     was asked about, or None; `newton_memo` holds the polyhedron
-    `newton.newton` built, or None.
+    `newton.newton` built, or None; `level_memo` holds `top_level` once read.
     """
 
     __slots__ = ("n", "field", "terms", "cap", "tainted", "lead_memo",
-                 "newton_memo")
+                 "newton_memo", "level_memo")
 
     def __init__(self, n, field, terms=None, cap=None, tainted=False):
         self.n = n
@@ -100,6 +100,7 @@ class HOperator:
         self.tainted = tainted
         self.lead_memo = None
         self.newton_memo = None
+        self.level_memo = None
 
     # -- constructors -------------------------------------------------------
 
@@ -124,6 +125,13 @@ class HOperator:
         if len(levels) == 1:
             return levels.pop()
         return None
+
+    @property
+    def top_level(self):
+        """Largest grading degree of a term (0 for the zero operator)."""
+        if self.level_memo is None:
+            self.level_memo = max((e.level for e in self.terms), default=0)
+        return self.level_memo
 
     def z_free(self):
         return all(e.k == 0 for e in self.terms)

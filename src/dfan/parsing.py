@@ -281,14 +281,18 @@ def _parse_weight_line(value, n, ln):
     return Weight.make(u, v)
 
 
-def _parse_names(value_raw, ln, col):
-    """The names of a `params:` or `vars:` line, each at most once; col is
-    the column of value_raw in the line."""
+def _parse_names(value_raw, ln, col, other):
+    """The names of a `params:` or `vars:` line, each at most once, none of
+    them 'z' or one of `other` (the names of the other line); col is the
+    column of value_raw in the line."""
     names = []
     for mt in re.finditer(r"\S+", value_raw):
         if mt.group(0) in names:
             raise OperatorSyntaxError(f"duplicate name {mt.group(0)!r}", ln,
                                       col + mt.start())
+        if mt.group(0) == "z" or mt.group(0) in other:
+            raise OperatorSyntaxError("names must be disjoint and avoid 'z'",
+                                      ln, col + mt.start())
         names.append(mt.group(0))
     return names
 
@@ -325,9 +329,9 @@ def parse_problem(text):
                 off += len(part) + 1
 
         if key == "params":
-            params = _parse_names(value_raw, ln, vstart)
+            params = _parse_names(value_raw, ln, vstart, var_names or ())
         elif key == "vars":
-            var_names = _parse_names(value_raw, ln, vstart)
+            var_names = _parse_names(value_raw, ln, vstart, params)
         elif key == "order":
             order_desc, order_ln = value, ln
         elif key == "weight":
@@ -349,8 +353,6 @@ def parse_problem(text):
             raise OperatorSyntaxError(f"unknown key {key!r}", ln, 1)
     if var_names is None:
         raise OperatorSyntaxError("missing 'vars:' line", 1, 1)
-    if set(params) & set(var_names) or "z" in params or "z" in var_names:
-        raise OperatorSyntaxError("names must be disjoint and avoid 'z'", 1, 1)
     if cap is None:
         cap = 8
     base, xprio = _parse_order_line(order_desc, var_names, order_ln)

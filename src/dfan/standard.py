@@ -2,9 +2,11 @@
 multiplier h of a generic (parametric) standard basis.
 
 Leading exponents are additive under the product, so completion is the usual
-Buchberger loop; local orders make tails infinite series, which the x-degree
-cap truncates.  A basis computed at several caps whose staircase has
-stabilized between the last two caps is reported as certified.
+Buchberger loop, pruned by Buchberger's chain criterion in the Gebauer-Moller
+form (it holds for left ideals of solvable algebras; the product criterion
+does not).  Local orders make tails infinite series, which the x-degree cap
+truncates.  A basis computed at several caps whose staircase has stabilized
+between the last two caps is reported as certified.
 
 One loop serves both rings: `spair`, `completion`, `reduce_basis` and
 `division.divide` take the term product as `mul`, by default
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .division import divide
 from .errors import CapTooSmall
@@ -98,37 +100,66 @@ class StandardBasis:
 
 def completion(gens, ord_spec, cap=None, mul=None):
     """Run the S-pair loop with the term product mul (see `divide`); returns
-    the (non-reduced) standard basis list and the taint flag."""
-    G = []
+    the (non-reduced) standard basis list and the taint flag.  Inputs and
+    remainders enter through one Gebauer-Moller update; a pair it drops
+    taints the result exactly when `spair` on it would have cut a term."""
+    G, lead, top = [], [], []  # elements, leading exponents, top x-degrees
+    key = ord_spec.key()
+    count = itertools.count()
+    heap = []    # (key of the join, formation count): least join first,
+    queued = {}  # ties in the order formed; count -> (i, j, join) while live
+    tainted = False
+
+    def cut(t, L):
+        # term_product(L - lead[t], ., G[t], G[t].cap) discards a term
+        c = G[t].cap
+        return c is not None and L.xdeg - lead[t].xdeg + top[t] > c
+
+    def add(g):
+        nonlocal tainted
+        r = len(G)
+        e = leading_data(g, ord_spec)[0]
+        G.append(g)
+        lead.append(e)
+        top.append(max(x.xdeg for x in g.terms))
+        # B: a queued pair whose join the new leader divides, and whose joins
+        # with the new leader differ from its own, is useless
+        for c, (i, j, L) in list(queued.items()):
+            if (L.dominates(e) and _join(lead[i], e) != L
+                    and _join(lead[j], e) != L):
+                del queued[c]
+                tainted = tainted or cut(i, L) or cut(j, L)
+        # M: drop a new pair whose join strictly dominates another's;
+        # F: of new pairs with equal joins keep the first formed
+        new = [_join(et, e) for et in lead[:r]]
+        kept = set()
+        for t, L in enumerate(new):
+            if L in kept or any(L != L2 and L.dominates(L2) for L2 in new):
+                tainted = tainted or cut(t, L) or cut(r, L)
+                continue
+            kept.add(L)
+            c = next(count)
+            queued[c] = (t, r, L)
+            heappush(heap, (key(L), c))
+
     for g in gens:
         g = g if cap is None else g.truncated(cap) if (g.cap is None or g.cap > cap) else g
         if not g.is_zero():
-            G.append(g)
-    # pairs wait in a heap: the least join of leading exponents first, ties
-    # in the order the pairs were formed
-    key = ord_spec.key()
-    lead = [leading_data(g, ord_spec)[0] for g in G]
-    count = itertools.count()
-    pairs = [(key(_join(lead[i], lead[j])), next(count), i, j)
-             for i, j in itertools.combinations(range(len(G)), 2)]
-    heapify(pairs)
-    tainted = any(g.tainted for g in G)
-    while pairs:
-        _, _, i, j = heappop(pairs)
+            tainted = tainted or g.tainted
+            add(g)
+    while heap:
+        pair = queued.pop(heappop(heap)[1], None)
+        if pair is None:
+            continue  # dropped by a later update
+        i, j, _ = pair
         sp = spair(G[i], G[j], ord_spec, mul=mul)
         tainted = tainted or sp.tainted
         if sp.is_zero():
             continue
         res = divide(sp, G, ord_spec, mul=mul)
         tainted = tainted or res.tainted
-        r = res.remainder
-        if r.is_zero():
-            continue
-        G.append(r)
-        e = leading_data(r, ord_spec)[0]
-        for t, et in enumerate(lead):
-            heappush(pairs, (key(_join(et, e)), next(count), t, len(lead)))
-        lead.append(e)
+        if not res.remainder.is_zero():
+            add(res.remainder)
     return G, tainted
 
 

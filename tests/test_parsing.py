@@ -122,6 +122,13 @@ def test_names_and_order_are_checked_where_written():
     with pytest.raises(OperatorSyntaxError) as exc:
         parse_problem("params: a b a\nvars: x1\n")
     assert (exc.value.line, exc.value.column) == (1, 13)
+    for text, where in (("vars: x1\nparams: x1\n", (2, 9)),
+                        ("params: y\nvars: x1 y\n", (2, 10)),
+                        ("vars: x1 z\n", (1, 10))):
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_problem(text)
+        assert "names must be disjoint and avoid 'z'" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == where
     with pytest.raises(OperatorSyntaxError) as exc:
         parse_problem("vars: x1\ncap: 4\norder: lex x1\n")
     assert "unknown base order 'lex'" in str(exc.value) and exc.value.line == 3

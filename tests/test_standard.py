@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key, partial
 
 import pytest
 
@@ -11,7 +11,8 @@ import dfan.params as params_module
 import dfan.standard as st
 from dfan.division import divide
 from dfan.errors import CapTooSmall
-from dfan.operators import HOperator, exponent, homogenize
+from dfan.fan import t_order
+from dfan.operators import HOperator, exponent, homogenize, term_product
 from dfan.orders import OrderSpec, Weight, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
 from dfan.standard import (_join, certified_standard_basis, completion,
@@ -219,11 +220,11 @@ def test_h_is_factored_from_the_completion_on_first_read(monkeypatch):
         assert sb.h == (y - 1) * (y + 1) * y and calls == lcs
 
 
-def completion_by_resort(gens, ord_spec, cap):
-    """Reference pair queue: re-sort every pair by the join of its leading
-    exponents (stable, through compare) on every iteration and take the
-    first.  Returns G, the taint flag, the pairs in the order taken and how
-    often the first two pairs tied."""
+def completion_by_resort(gens, ord_spec, cap, mul=None):
+    """Reference pair queue, without criteria: re-sort every pair by the
+    join of its leading exponents (stable, through compare) on every
+    iteration and take the first.  Returns G, the taint flag, the pairs in
+    the order taken and how often the first two pairs tied."""
     G = [g.truncated(cap) for g in gens]
     G = [g for g in G if not g.is_zero()]
     key = cmp_to_key(ord_spec.compare)
@@ -231,6 +232,7 @@ def completion_by_resort(gens, ord_spec, cap):
     def lead(g):
         return max(g.terms, key=key)
 
+    @cache  # G only grows, so a pair's join never changes
     def pair_key(p):
         return key(_join(lead(G[p[0]]), lead(G[p[1]])))
 
@@ -243,11 +245,11 @@ def completion_by_resort(gens, ord_spec, cap):
         ties += len(pairs) > 1 and pair_key(pairs[0]) == pair_key(pairs[1])
         i, j = pairs.pop(0)
         taken.append((i, j))
-        sp = spair(G[i], G[j], ord_spec)
+        sp = spair(G[i], G[j], ord_spec, mul=mul)
         tainted = tainted or sp.tainted
         if sp.is_zero():
             continue
-        res = divide(sp, G, ord_spec)
+        res = divide(sp, G, ord_spec, mul=mul)
         tainted = tainted or res.tainted
         r = res.remainder
         if r.is_zero():
@@ -257,20 +259,22 @@ def completion_by_resort(gens, ord_spec, cap):
     return G, tainted, taken, ties
 
 
-def test_pair_heap_matches_resorted_queue(monkeypatch):
-    """On the criterion-3 pool, shuffled and rescaled copies of it, and an
-    ideal whose first pairs tie, the heap queue takes the pairs in the
-    reference order, ties included, and so builds the same non-reduced basis
-    element by element."""
+def random_ideal(rng, n, maxk=1, most=2):
+    """Generators drawn as the criterion-3 pool draws them."""
+    maxdeg = 2 if n == 1 else 1
+    gens = [random_qop(rng, n, rng.randint(1, 3) if n == 1 else 2,
+                       maxdeg=maxdeg, maxk=maxk)
+            for _ in range(rng.randint(1, most))]
+    return [g for g in gens if not g.is_zero()]
+
+
+def criterion_3_pool():
+    """The criterion-3 pool and two shuffled, rescaled copies of each ideal."""
     rng = random.Random(20240817)
     ideals = []
     while len(ideals) < 20:
         n = rng.randint(1, 2)
-        maxdeg = 2 if n == 1 else 1
-        gens = [random_qop(rng, n, rng.randint(1, 3) if n == 1 else 2,
-                           maxdeg=maxdeg, maxk=1)
-                for _ in range(rng.randint(1, 2))]
-        gens = [g for g in gens if not g.is_zero()]
+        gens = random_ideal(rng, n)
         if gens:
             ideals.append((n, gens))
     shuffle = random.Random(5)
@@ -284,26 +288,142 @@ def test_pair_heap_matches_resorted_queue(monkeypatch):
                                                shuffle.randint(1, 7))
                                       * shuffle.choice((1, -1)))
                               for g in perm]))
-    # leading exponents A, A, B, B: the pairs (0, 3) and (1, 2) tie, and
-    # formation order puts (0, 3) first
-    cases.append((1, [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1}),
-                      qop(1, {((0,), (2,), 0): 2, ((0,), (0,), 2): 1}),
-                      qop(1, {((1,), (1,), 0): 1, ((0,), (0,), 1): 1}),
-                      qop(1, {((1,), (1,), 0): 1, ((2,), (0,), 1): 3})]))
+    return cases
+
+
+def reduced(G, tainted, order, mul=None):
+    """The reduced basis of a completion and the combined taint flag."""
+    basis, t2 = reduce_basis(G, order, mul=mul)
+    return basis, tainted or t2
+
+
+def taken_pairs(monkeypatch):
+    """The S-pairs `completion` forms, as a list of (G[i], G[j]) it fills."""
     spairs = []
     monkeypatch.setattr(st, "spair", lambda gi, gj, *a, **k:
                         spairs.append((gi, gj)) or spair(gi, gj, *a, **k))
+    return spairs
+
+
+def test_pair_heap_matches_resorted_queue(monkeypatch):
+    """On the criterion-3 pool and shuffled, rescaled copies of it, the
+    pruned heap queue gives the oracle's reduced basis and taint flag.
+    Where the criterion leaves the non-reduced list as the oracle builds it,
+    the heap takes the oracle's pairs in the oracle's order, ties included,
+    less the ones it dropped."""
+    spairs = taken_pairs(monkeypatch)
     ties = 0
-    for n, gens in cases:
+    for n, gens in criterion_3_pool():
         order = OrderSpec(n)
         spairs.clear()
         G, tainted = completion(gens, order, cap=6)
-        G_ref, tainted_ref, taken, t = completion_by_resort(gens, order, 6)
-        ties += t
-        index = {id(g): i for i, g in enumerate(G)}
-        assert [(index[id(a)], index[id(b)]) for a, b in spairs] == taken
-        assert tainted == tainted_ref
-        assert len(G) == len(G_ref)
-        for g, h in zip(G, G_ref):
-            assert g == h and g.tainted == h.tainted and g.cap == h.cap
+        G_ref, tainted_ref, taken_ref, t = completion_by_resort(gens, order, 6)
+        assert reduced(G, tainted, order) == reduced(G_ref, tainted_ref, order)
+        if G == G_ref:
+            index = {id(g): i for i, g in enumerate(G)}
+            rest = iter(taken_ref)
+            assert all((index[id(a)], index[id(b)]) in rest for a, b in spairs)
+            ties += t
     assert ties > 0  # the insertion count, not luck, decided some pops
+    # leading exponents A, A, B, B: the oracle takes the tied pairs (0, 3)
+    # and (1, 2); the chain criterion drops both
+    order = OrderSpec(1)
+    gens = [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1}),
+            qop(1, {((0,), (2,), 0): 2, ((0,), (0,), 2): 1}),
+            qop(1, {((1,), (1,), 0): 1, ((0,), (0,), 1): 1}),
+            qop(1, {((1,), (1,), 0): 1, ((2,), (0,), 1): 3})]
+    spairs.clear()
+    G, tainted = completion(gens, order, cap=6)
+    G_ref, tainted_ref, taken_ref, t = completion_by_resort(gens, order, 6)
+    assert reduced(G, tainted, order) == reduced(G_ref, tainted_ref, order)
+    index = {id(g): i for i, g in enumerate(G)}
+    taken = [(index[id(a)], index[id(b)]) for a, b in spairs]
+    assert t > 0 and {(0, 3), (1, 2)} <= set(taken_ref)
+    assert (0, 3) not in taken and (1, 2) not in taken
+
+
+def test_a_dropped_pair_keeps_its_cut(monkeypatch):
+    """At cap 2, no S-pair the pruned run forms and no division it runs cuts
+    a term; some pair the criterion drops would have.  The result is
+    tainted, as the oracle's is."""
+    order = OrderSpec(2)
+    gens = [qop(2, {((0, 0), (1, 0), 0): Fraction(4, 3),
+                    ((0, 1), (1, 1), 1): Fraction(2, 3)}),
+            qop(2, {((0, 1), (0, 0), 1): 2,
+                    ((1, 1), (1, 0), 1): Fraction(2, 3)})]
+    cuts = []
+
+    def record(f):
+        def wrapped(*args, **kwargs):
+            out = f(*args, **kwargs)
+            cuts.append(out.tainted)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(st, "spair", record(spair))
+    monkeypatch.setattr(st, "divide", record(divide))
+    _, tainted = completion(gens, order, cap=2)
+    assert cuts and not any(cuts)
+    assert tainted and completion_by_resort(gens, order, 2)[1]
+
+
+def test_chain_criterion_matches_the_oracle():
+    """Differential test of the pruned completion, reduced, against the
+    criterion-free oracle: random QQ ideals (n = 1, 2 at caps 4 and 6), the
+    z = 1 product, and an ideal over Frac(Q[y]/(y^2 - 2)).  An untainted
+    oracle result is matched exactly.  An untainted result is exact, so it
+    matches the oracle wherever the oracle is untainted, at the cap or two
+    above it.  The flags themselves are not compared: a pruned run takes
+    other pairs, and its divisions can cut terms the oracle's did not meet
+    (or the other way round)."""
+    rng = random.Random(1988)
+    z_one = partial(term_product, z_one=True)
+    cases = []
+    while len(cases) < 100:
+        n = rng.randint(1, 2)
+        gens = random_ideal(rng, n, most=3)
+        if gens:
+            cases.append((gens, OrderSpec(n), rng.choice((4, 6)), None))
+    while len(cases) < 130:
+        n = rng.randint(1, 2)
+        gens = random_ideal(rng, n, maxk=0, most=3)
+        if gens:
+            cases.append((gens, t_order(n), rng.choice((4, 6)), z_one))
+    y = ParamPoly.var(1, 0)
+    F = ParamField(1, ParamIdeal(1, [y * y - 2], claimed_prime=True))
+    c = F.from_poly
+    cases.append(([HOperator(2, F, {exponent(2, alpha=[1], beta=[1]): c(y),
+                                    exponent(2, alpha=[0, 1], beta=[0, 1]): F.one,
+                                    exponent(2, alpha=[1, 1], beta=[1]):
+                                        c(y * y - 2)}),
+                   HOperator(2, F, {exponent(2, beta=[1, 1]): F.one,
+                                    exponent(2, k=2): c(y)})],
+                  OrderSpec(2), 4, None))
+
+    def oracle(gens, order, cap, mul):
+        G, tainted, _, _ = completion_by_resort(gens, order, cap, mul)
+        return reduced(G, tainted, order, mul=mul)
+
+    exact = 0
+    for gens, order, cap, mul in cases:
+        basis, tainted = reduced(*completion(gens, order, cap=cap, mul=mul),
+                                 order, mul=mul)
+        ref, tainted_ref = oracle(gens, order, cap, mul)
+        if tainted_ref and not tainted:
+            ref, tainted_ref = oracle(gens, order, cap + 2, mul)
+        if not tainted_ref:
+            assert basis == ref
+            exact += 1
+    assert exact > len(cases) // 2
+    assert not tainted_ref  # the last case, over Frac(Q[y]/(y^2 - 2))
+
+
+def test_chain_criterion_cuts_the_pairs(monkeypatch):
+    """On the criterion-3 pool at cap 6, the pruned queue forms at most
+    40 % of the S-pairs the criterion-free oracle forms."""
+    spairs = taken_pairs(monkeypatch)
+    formed = 0
+    for n, gens in criterion_3_pool():
+        completion(gens, OrderSpec(n), cap=6)
+        formed += len(completion_by_resort(gens, OrderSpec(n), 6)[2])
+    assert len(spairs) <= 0.4 * formed

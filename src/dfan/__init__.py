@@ -1,7 +1,7 @@
 """dfan: standard bases and Groebner fans for homogenized differential
 operators with parametric coefficients, in exact rational arithmetic."""
 
-from .errors import (CapTooSmall, DenominatorVanishes, DepthExceeded, DfanError,
+from .errors import (DenominatorVanishes, DepthExceeded, DfanError,
                      DivisionByZeroModQ, NonConvergentTraversal, NotAdmissible,
                      NotPrime, OperatorSyntaxError, UnknownName, ZeroDivisor,
                      ZeroOperator)
@@ -11,17 +11,17 @@ from .operators import Exponent, HOperator, exponent, homogenize
 from .orders import OrderSpec, Weight, leading_data
 from .cones import RelOpenCone, clear_form, feasible, solve
 from .newton import (NewtonPolyhedron, face_of, in_wstar, minkowski_sum,
-                     newton, normal_cone, vertex_set, wstar_rays)
+                     normal_cone, vertex_set, wstar_rays)
 from .division import DivisionResult, denominator_certificate, divide, partition
 from .standard import (StandardBasis, certified_standard_basis, reduce_basis,
                        spair, standard_basis, uniqueness_check)
 from .fan import (FanCell, GroebnerFan, base_fan_order, cell_at,
-                  check_fan_against_grid, dn_standard_basis, enumerate_fan,
+                  check_fan_against_grid, enumerate_fan,
                   fan_of_ideal, grid_weights, homogenized_generators,
                   oracle_classify, t_order)
 from .parametric import (ComprehensiveFan, ConstancyCertificate, Stratum,
                          common_refinement, comprehensive_fan,
-                         constant_fan_certificate, homogenization_commutes,
+                         constant_fan_certificate,
                          newton_stability_multiplier, rationals_by_height,
                          sample_points, specialize_ideal)
 from .parsing import ProblemFile, parse_operator, parse_param_poly, parse_problem

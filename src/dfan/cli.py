@@ -20,7 +20,6 @@ from .division import divide, denominator_certificate
 from .errors import DfanError, OperatorSyntaxError
 from .fan import (fan_of_ideal, grid_weights, oracle_classify,
                   homogenized_generators)
-from .orders import Weight
 from .parametric import (comprehensive_fan, constant_fan_certificate,
                          specialize_ideal)
 from .params import poly_str
@@ -73,22 +72,11 @@ def _capped(ops, cap):
     return [g.truncated(cap) for g in ops]
 
 
-def _order_for(problem, args):
-    order = problem.order
-    if args.seed_weight:
-        vals = [_fraction(x, "--seed-weight") for x in args.seed_weight]
-        n = problem.n
-        if len(vals) != 2 * n:
-            raise OperatorSyntaxError(f"--seed-weight needs {2 * n} entries")
-        order = order.with_weight(Weight.make(vals[:n], vals[n:]))
-    return order
-
-
 def run_command(verb, problem, args):
     cap = args.cap if args.cap is not None else problem.cap
     if cap < 1:
         raise OperatorSyntaxError("cap must be at least 1")
-    order = _order_for(problem, args)
+    order = problem.order
 
     if verb == "div":
         if problem.dividend is None:
@@ -155,7 +143,7 @@ def run_command(verb, problem, args):
         return {"m": comp.m, "cap": cap, "strata": strata}
 
     if verb == "oracle-fan":
-        gens = homogenized_generators(problem.generators, cap)
+        gens = homogenized_generators(problem.generators, cap)[0]
         weights = grid_weights(problem.n)
         if 0 < args.samples < len(weights):
             # evenly spaced: the grid's first weights all share the smallest u1
@@ -208,8 +196,6 @@ def build_parser():
                     help="most cells a fan traversal may find")
     ap.add_argument("--max-depth", type=int, default=6,
                     help="stratification depth budget")
-    ap.add_argument("--seed-weight", nargs="*", default=None, metavar="Q",
-                    help="extra weight refinement: u1..un v1..vn")
     ap.add_argument("--at", default=None, help="parameter point, e.g. y=1")
     return ap
 

@@ -27,10 +27,6 @@ class LeadingTermNotCancelled(DfanError):
     was meant to cancel."""
 
 
-class CapTooSmall(DfanError):
-    """The staircase did not stabilize between consecutive truncation caps."""
-
-
 class NotAdmissible(DfanError):
     """A weight vector violates u_i <= 0 or u_i + v_i >= 0."""
 

@@ -7,10 +7,10 @@ constraints (u_i = 0, u_i + v_i = 0).  The fan is enumerated by crossing
 closure facets from seed weights covering every activity stratum.
 
 Inputs that do not involve z are first completed with respect to the
-dx-degree weight order (computation in the z = 1 quotient), then homogenized;
-this yields generators of the homogenized ideal, which is what the fan is
-attached to.  The z = 1 completion is the same loop as `standard.completion`
-and `standard.reduce_basis`, run with the z = 1 product.
+dx-degree weight order in the z = 1 quotient (`standard.standard_basis` run
+with the z = 1 product), then homogenized; this yields generators of the
+homogenized ideal, which is what the fan is attached to.
+`homogenized_generators` is the one place that makes this choice.
 
 Over a parameter field Frac(C/Q) each cell holds the generic standard basis
 and its multiplier h, both from one `standard.standard_basis`; the
@@ -29,46 +29,32 @@ from .errors import NonConvergentTraversal, ZeroOperator
 from .newton import face_of, minkowski_sum, minkowski_sum_by_hull, newton, normal_cone
 from .operators import homogenize, term_product
 from .orders import OrderSpec, Weight
-from .params import QQ_FIELD
-from .standard import StandardBasis, completion, reduce_basis, standard_basis
+from .standard import standard_basis
 
 
 def t_order(n):
     """dx-degree weight order for computing in the z = 1 quotient."""
     t = Weight.make((0,) * n, (1,) * n)
-    return OrderSpec(n, base="tdeg", weights=(t,), homogenized=False)
+    return OrderSpec(n, weights=(t,), homogenized=False)
 
 
 def base_fan_order(n):
-    return OrderSpec(n, base="antigraded_lex", homogenized=True)
-
-
-# ---------------------------------------------------------------------------
-# completion in the z = 1 quotient (plain differential operators)
-# ---------------------------------------------------------------------------
-
-def dn_standard_basis(gens, ord_spec, cap=None):
-    """Reduced standard basis in the z = 1 quotient, as a `StandardBasis`:
-    the completion loop of `standard` run with the z = 1 product."""
-    if not all(g.z_free() for g in gens):
-        raise ValueError("z = 1 completion expects z-free input")
-    mul = partial(term_product, z_one=True)
-    G, tainted = completion(gens, ord_spec, cap=cap, mul=mul)
-    basis, t2 = reduce_basis(G, ord_spec, mul=mul)
-    field = gens[0].field if gens else QQ_FIELD
-    return StandardBasis(basis, ord_spec, cap, tainted or t2, field, G)
+    return OrderSpec(n)
 
 
 def homogenized_generators(gens, cap):
-    """Generators of the homogenized ideal of gens.
+    """Generators of the homogenized ideal of gens, and the factors of the
+    multiplier h' of the basis they come from.
 
     z-free input is completed with respect to the dx-degree weight in the
-    z = 1 quotient, then homogenized elementwise; input involving z is taken
-    as given."""
+    z = 1 quotient, then homogenized elementwise; over Frac(C/Q) the
+    construction commutes with any specialization of V(Q) off V(h').  Input
+    involving z is taken as given, with no factors."""
     if not gens or not all(g.z_free() for g in gens):
-        return list(gens)
-    basis = dn_standard_basis(gens, t_order(gens[0].n), cap=cap).basis
-    return [homogenize(g) for g in basis]
+        return list(gens), ()
+    sb = standard_basis(gens, t_order(gens[0].n), cap=cap,
+                        mul=partial(term_product, z_one=True))
+    return [homogenize(g) for g in sb.basis], sb.h_factors
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +143,16 @@ def _leaves_w(n, pt, d):
                for i in range(n))
 
 
-def _cross_facet(n, facet_pt, inner_witness, cell):
-    """A weight just past the facet: facet_pt + eps*(facet_pt - witness),
-    eps halved until the step is admissible and stays adjacent (the new
-    weight's cell closure must contain the facet point)."""
-    d = tuple(p - q for p, q in zip(facet_pt, inner_witness))
-    if _leaves_w(n, facet_pt, d):
+def _step_off(pt, d, cone, eps, tries):
+    """The first admissible weight pt + eps*d outside cone, eps halved up to
+    tries times; None when none is found or no step along d is admissible."""
+    n = len(pt) // 2
+    if _leaves_w(n, pt, d):
         return None
-    eps = Fraction(1)
-    for _ in range(60):
-        cand = tuple(p + eps * di for p, di in zip(facet_pt, d))
+    for _ in range(tries):
+        cand = tuple(p + eps * di for p, di in zip(pt, d))
         w = _as_weight(n, cand)
-        if w.is_admissible() and not cell.cone.contains(cand):
+        if w.is_admissible() and not cone.contains(cand):
             return w
         eps /= 2
     return None
@@ -192,29 +176,24 @@ def enumerate_fan(gens, cap, max_cells=4096):
                 f"fan traversal found more than {max_cells} cells")
         cell = cell_at(gens, w, cap)
         cells.append(cell)
-        # descend / move sideways: cross every closure facet
-        for _form, pt in cell.cone.closure_facets():
+        # descend / move sideways: cross every closure facet, stepping
+        # from the facet point away from the witness
+        cone = cell.cone
+        for _form, pt in cone.closure_facets():
             fw = _as_weight(n, pt)
             if fw.is_admissible():
                 queue.append(fw)
-                nb = _cross_facet(n, pt, cell.cone.witness, cell)
+                d = tuple(p - q for p, q in zip(pt, cone.witness))
+                nb = _step_off(pt, d, cone, Fraction(1), 60)
                 if nb is not None:
                     queue.append(nb)
         # ascend: step off each equality in both directions
-        for form in cell.cone.equalities:
+        for form in cone.equalities:
             for sign in (1, -1):
                 d = tuple(sign * Fraction(c) for c in form)
-                if _leaves_w(n, cell.cone.witness, d):
-                    continue
-                eps = Fraction(1, 2)
-                for _ in range(40):
-                    cand = tuple(p + eps * di
-                                 for p, di in zip(cell.cone.witness, d))
-                    cw = _as_weight(n, cand)
-                    if cw.is_admissible() and not cell.cone.contains(cand):
-                        queue.append(cw)
-                        break
-                    eps /= 2
+                up = _step_off(cone.witness, d, cone, Fraction(1, 2), 40)
+                if up is not None:
+                    queue.append(up)
     cells.sort(key=lambda c: (-c.dim(), c.cone.equalities, c.cone.strict))
     return GroebnerFan(n, cells, cap, list(gens))
 
@@ -222,7 +201,7 @@ def enumerate_fan(gens, cap, max_cells=4096):
 def fan_of_ideal(gens, cap, max_cells=4096):
     """Fan of an ideal of plain operators: homogenize (via the dx-degree
     completion in the z = 1 quotient) if needed, then enumerate."""
-    return enumerate_fan(homogenized_generators(gens, cap), cap,
+    return enumerate_fan(homogenized_generators(gens, cap)[0], cap,
                          max_cells=max_cells)
 
 

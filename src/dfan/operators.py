@@ -9,7 +9,8 @@ normal-ordered (all x to the left of all dx).  The only nontrivial relation is
 coordinatewise.  Products preserve the total (dx,z)-degree, the grading of the
 ring.  An optional cap on the total x-degree truncates formal (power-series)
 computations; discarding a term sets the taint flag on the result.
-`term_product`, one term times an operator, is the product division runs on.
+`term_product`, one term times an operator, is the product division runs on;
+`HOperator.__mul__` sums it over the terms of its left factor.
 """
 
 from __future__ import annotations
@@ -174,23 +175,11 @@ class HOperator:
     def __mul__(self, other):
         """Normal-ordered ring product, truncated at the combined cap."""
         cap, taint = self._meta(other)
-        n = self.n
         out = {}
-        discarded = False
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                base = c1 * c2
-                lims = tuple(map(min, e1.beta, e2.alpha))
-                for j, mult in _commutation_choices(e1.beta, e2.alpha, lims):
-                    alpha = tuple(e1.alpha[i] + e2.alpha[i] - j[i] for i in range(n))
-                    if cap is not None and sum(alpha) > cap:
-                        discarded = True
-                        continue
-                    beta = tuple(e1.beta[i] + e2.beta[i] - j[i] for i in range(n))
-                    e = Exponent(alpha, beta, e1.k + e2.k + sum(j))
-                    c = base * mult if mult != 1 else base
-                    _add_term(out, e, c)
-        return HOperator(n, self.field, out, cap=cap, tainted=taint or discarded)
+        for e, c in self.terms.items():
+            if _product_into(out, e, c, other, cap):
+                taint = True
+        return HOperator(self.n, self.field, out, cap=cap, tainted=taint)
 
     # -- transforms ----------------------------------------------------------
 
@@ -265,14 +254,22 @@ class HOperator:
 def term_product(e, c, g, cap, z_one=False):
     """c * x^a dx^b z^k times g, for e = (a, b, k), truncated at the x-degree
     cap (None: none); with z_one, in the z = 1 quotient.  Returns the terms
-    dict and whether the cap cut a nonzero term.  Terms are summed in the
-    order of `HOperator.__mul__`: both give the same Frac(C/Q) representatives.
-    """
-    a, b, k = e
-    xa = sum(a)
-    if cap is not None and xa > cap:
+    dict and whether the cap cut a nonzero term, the term e itself
+    included."""
+    if cap is not None and sum(e[0]) > cap:
         return {}, True  # every product term has x-degree at least |a|
     out = {}
+    discarded = _product_into(out, e, c, g, cap)
+    return (_z_one(out) if z_one else out), discarded
+
+
+def _product_into(out, e, c, g, cap):
+    """Add c * x^a dx^b z^k times g, truncated at cap, into the terms dict
+    out, row by row of g; returns whether the cap cut a nonzero term.
+    `HOperator.__mul__` sums its rows term by term of the left factor into
+    one dict, so both products give the same Frac(C/Q) representatives."""
+    a, b, k = e
+    xa = sum(a)
     discarded = False
     for (a2, b2, k2), c2 in g.terms.items():
         base = c * c2
@@ -289,7 +286,7 @@ def term_product(e, c, g, cap, z_one=False):
             te = (Exponent(tuple(map(sub, alpha, j)), tuple(map(sub, beta, j)),
                            k + k2 + s) if s else Exponent(alpha, beta, k + k2))
             _add_term(out, te, base * mult if mult != 1 else base)
-    return (_z_one(out) if z_one else out), discarded
+    return discarded
 
 
 def _z_one(terms):
@@ -315,8 +312,6 @@ def _add_term(terms, e, c):
 def _commutation_choices(beta1, alpha2, lims):
     """All j <= lims = min(beta1, alpha2) with multiplicity
     prod_i C(beta1_i, j_i)*(alpha2_i)_{j_i}, starting with j = 0."""
-    if not any(lims):
-        return ((lims, 1),)
     out = []
     for j in product(*(range(l + 1) for l in lims)):
         mult = 1

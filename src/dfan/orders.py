@@ -1,10 +1,11 @@
 """Admissible weights and term orders on the exponent lattice.
 
-Base orders must satisfy x_i < 1 and x_i*dx_i > 1.  The presets compare the
-total dx-degree first (descending), then the x-part antigraded
-lexicographically (lower total x-degree is greater, the local direction), then
-lexicographically on dx.  Weight vectors refine in front of the base; the
-homogenized variant compares |beta| + k before everything else.
+Orders must satisfy x_i < 1 and x_i*dx_i > 1.  The one built-in base
+comparison takes the total dx-degree first (descending), then the x-part
+antigraded lexicographically (lower total x-degree is greater, the local
+direction), then lexicographically on dx.  Weight vectors refine in front of
+the base; the homogenized variant compares |beta| + k before everything
+else.
 
 `OrderSpec.compare` states the order term by term.  The hot paths sort with
 `OrderSpec.key()` instead: a function, compiled once per order, that maps an
@@ -75,16 +76,11 @@ class Weight:
         return f"(u={tuple(map(str, self.u))}, v={tuple(map(str, self.v))})"
 
 
-BASE_ORDERS = ("antigraded_lex", "tdeg")
-
-
 @dataclass(frozen=True)
 class OrderSpec:
-    """Admissible order: weight refinements in front of a built-in base.
+    """Admissible order: weight refinements in front of the built-in base
+    (total dx-degree, then antigraded lex on x, then lex on dx).
 
-    base: preset name.  "antigraded_lex" and "tdeg" share the comparison
-    (total dx-degree, then antigraded lex on x, then lex on dx); "tdeg" names
-    the total-degree construction used for homogenization preprocessing.
     xprio: x-variable priority for the lex tie-breaks (index tuple, highest
     priority first).
     weights: refinement chain, outermost first.
@@ -92,14 +88,11 @@ class OrderSpec:
     """
 
     n: int
-    base: str = "antigraded_lex"
     xprio: tuple = ()
     weights: tuple = ()
     homogenized: bool = True
 
     def __post_init__(self):
-        if self.base not in BASE_ORDERS:
-            raise ValueError(f"unknown base order {self.base!r}")
         if not self.xprio:
             object.__setattr__(self, "xprio", tuple(range(self.n)))
         for w in self.weights:
@@ -108,7 +101,7 @@ class OrderSpec:
 
     def with_weight(self, w):
         """Refine by w in front of the existing chain."""
-        return OrderSpec(self.n, self.base, self.xprio, (w,) + tuple(self.weights),
+        return OrderSpec(self.n, self.xprio, (w,) + tuple(self.weights),
                          self.homogenized)
 
     def compare(self, a: Exponent, b: Exponent):

@@ -5,8 +5,8 @@ fan is constant on V(Q) off the hypersurface of a single polynomial h(y).
 The certificate multiplies together, through `params.multiplier`:
 
   * h' — the multiplier of the dx-degree-weight basis used to homogenize
-    (its `StandardBasis.h_factors`), so homogenization commutes with
-    specialization;
+    (the factors `fan.homogenized_generators` returns), so homogenization
+    commutes with specialization;
   * per cell: the generic-basis multiplier (the cell basis's h_factors) and
     the Newton stability factors (vertex coefficient numerators of each
     basis element), so every cell's polyhedron, face and cone survive
@@ -24,9 +24,8 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import DepthExceeded, ZeroOperator
-from .fan import GroebnerFan, dn_standard_basis, enumerate_fan, t_order
+from .fan import GroebnerFan, enumerate_fan, homogenized_generators
 from .newton import newton
-from .operators import homogenize
 from .params import (ParamField, ParamIdeal, multiplier, numerator_factors,
                      poly_eval)
 
@@ -59,27 +58,15 @@ class ConstancyCertificate:
                 and not self.h_vanishes_at(y0))
 
 
-def homogenization_commutes(gens, Q, cap):
-    """Generators of the homogenized ideal over Frac(C/Q), as
-    `fan.homogenized_generators` builds them, and the factors of the
-    multiplier h' of the z = 1 basis they come from (none for input with
-    z): the construction commutes with any specialization of V(Q) off
-    V(h')."""
-    field = ParamField(Q.ring, Q)
-    gens = [g.to_field(field) for g in gens]
-    if not all(g.z_free() for g in gens):
-        return gens, ()
-    sb = dn_standard_basis(gens, t_order(gens[0].n), cap=cap)
-    return [homogenize(g) for g in sb.basis], sb.h_factors
-
-
 def constant_fan_certificate(gens, Q, cap):
     """Theorem-of-constancy pipeline: returns a ConstancyCertificate."""
     if not gens:
         raise ZeroOperator("certificate of the empty generating set")
     if Q.is_unit_ideal():
         raise ValueError("empty stratum: Q is the unit ideal")
-    hom, hom_factors = homogenization_commutes(gens, Q, cap)
+    field = ParamField(Q.ring, Q)
+    hom, hom_factors = homogenized_generators(
+        [g.to_field(field) for g in gens], cap)
     factors = list(hom_factors)
     fan = enumerate_fan(hom, cap)
     tainted = any(c.tainted for c in fan.cells)

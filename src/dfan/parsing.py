@@ -17,7 +17,7 @@ from .errors import NotPrime, OperatorSyntaxError, UnknownName
 from .operators import HOperator, exponent
 from .params import (ParamField, ParamIdeal, QQ_FIELD, factor_squarefree, param_ring,
                      poly_str)
-from .orders import BASE_ORDERS, OrderSpec, Weight
+from .orders import OrderSpec, Weight
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[-+*/^()]|\S")
 
@@ -246,14 +246,19 @@ class ProblemFile:
         return "\n".join(lines) + "\n"
 
 
+# Two names for the one base comparison of `OrderSpec`.
+ORDER_NAMES = ("antigraded_lex", "tdeg")
+
+
 def _parse_order_line(value, var_names, ln):
+    """The x-priority of an `order:` line: a base name, then optionally
+    every variable once, highest priority first."""
     parts = value.split()
     if not parts:
         raise OperatorSyntaxError("empty order", ln, 1)
-    base = parts[0]
-    if base not in BASE_ORDERS:
-        raise OperatorSyntaxError(f"unknown base order {base!r}; expected one of "
-                                  + ", ".join(BASE_ORDERS), ln, 1)
+    if parts[0] not in ORDER_NAMES:
+        raise OperatorSyntaxError(f"unknown base order {parts[0]!r}; expected one of "
+                                  + ", ".join(ORDER_NAMES), ln, 1)
     rest = [p for p in parts[1:] if p != ">"]
     xprio = ()
     if rest:
@@ -264,7 +269,7 @@ def _parse_order_line(value, var_names, ln):
         if sorted(rest) != sorted(var_names):
             raise OperatorSyntaxError("order must list every variable once", ln, 1)
         xprio = tuple(idx[v] for v in rest)
-    return base, xprio
+    return xprio
 
 
 def _parse_weight_line(value, n, ln):
@@ -355,7 +360,7 @@ def parse_problem(text):
         raise OperatorSyntaxError("missing 'vars:' line", 1, 1)
     if cap is None:
         cap = 8
-    base, xprio = _parse_order_line(order_desc, var_names, order_ln)
+    xprio = _parse_order_line(order_desc, var_names, order_ln)
     n = len(var_names)
     weights = [_parse_weight_line(v, n, ln) for v, ln in weight_lines]
     q_gens = [parse_param_poly(t, params, line=ln, col=c) for t, ln, c in q_texts]
@@ -367,8 +372,7 @@ def parse_problem(text):
         if factor_squarefree(g) != [g]:
             raise NotPrime(f"qideal {q_ideal} is not prime")
     field = QQ_FIELD if not params else ParamField(ring, q_ideal)
-    order = OrderSpec(n, base=base, xprio=xprio, weights=tuple(weights),
-                      homogenized=True)
+    order = OrderSpec(n, xprio=xprio, weights=tuple(weights), homogenized=True)
     gens = [parse_operator(t, var_names, params, field=field, line=ln, col=c)
             for t, ln, c in gen_texts]
     dividend = None

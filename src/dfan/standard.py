@@ -8,10 +8,11 @@ does not).  Local orders make tails infinite series, which the x-degree cap
 truncates.  A basis computed at several caps whose staircase has stabilized
 between the last two caps is reported as certified.
 
-One loop serves both rings: `spair`, `completion`, `reduce_basis` and
-`division.divide` take the term product as `mul`, by default
-`operators.term_product` in the homogenized ring; `fan.dn_standard_basis`
-passes its z = 1 form to complete plain differential operators.
+One loop serves both rings: `standard_basis`, `spair`, `completion`,
+`reduce_basis` and `division.divide` take the term product as `mul`, by
+default `operators.term_product` in the homogenized ring;
+`fan.homogenized_generators` passes its z = 1 form to complete plain
+differential operators.
 
 Over Frac(C/Q) the same loop computes the generic standard basis.  The field
 is the only place Q enters: a coefficient whose numerator lies in Q is zero
@@ -33,7 +34,6 @@ from functools import cached_property
 from heapq import heappop, heappush
 
 from .division import divide
-from .errors import CapTooSmall
 from .operators import Exponent, HOperator, term_product
 from .orders import leading_data
 from .params import QQ_FIELD, multiplier, numerator_factors
@@ -192,19 +192,20 @@ def reduce_basis(basis, ord_spec, mul=None):
     return out, tainted
 
 
-def standard_basis(gens, ord_spec, cap=None, reduced=True):
-    """Standard basis of the left ideal generated by gens; over Frac(C/Q)
-    the generic one, whose multiplier h is read off the result."""
-    G, tainted = completion(gens, ord_spec, cap=cap)
+def standard_basis(gens, ord_spec, cap=None, reduced=True, mul=None):
+    """Standard basis of the left ideal generated by gens, under the term
+    product mul (see `division.divide`); over Frac(C/Q) the generic one,
+    whose multiplier h is read off the result."""
+    G, tainted = completion(gens, ord_spec, cap=cap, mul=mul)
     basis = G
     if reduced and G:
-        basis, t2 = reduce_basis(G, ord_spec)
+        basis, t2 = reduce_basis(G, ord_spec, mul=mul)
         tainted = tainted or t2
     field = gens[0].field if gens else QQ_FIELD
     return StandardBasis(basis, ord_spec, cap, tainted, field, G)
 
 
-def certified_standard_basis(gens, ord_spec, caps, reduced=True, strict=False):
+def certified_standard_basis(gens, ord_spec, caps, reduced=True):
     """Compute at increasing caps; certified when the staircase (and the
     shared window of the bases) is stable between the last two distinct
     caps.  With one distinct cap the result is uncertified."""
@@ -219,8 +220,6 @@ def certified_standard_basis(gens, ord_spec, caps, reduced=True, strict=False):
             w = caps[-2]
             certified = all(x.truncated(w) == y.truncated(w)
                             for x, y in zip(a.basis, b.basis))
-    if strict and not certified:
-        raise CapTooSmall(f"staircase not stable across caps {caps}")
     return runs[-1], certified, [r.staircase for r in runs]
 
 

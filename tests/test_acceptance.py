@@ -20,8 +20,7 @@ from dfan.orders import OrderSpec, Weight, leading_data
 from dfan.params import (ParamField, ParamIdeal, ParamPoly, ParamFraction, multiplier,
                          param_ring, poly_eval)
 from dfan.parametric import (comprehensive_fan, constant_fan_certificate,
-                             homogenization_commutes, sample_points,
-                             specialize_ideal)
+                             sample_points, specialize_ideal)
 from dfan.standard import standard_basis, uniqueness_check
 
 Q0 = ParamIdeal(1, [], claimed_prime=True)
@@ -221,11 +220,11 @@ def test_criterion_7_homogenization_commutes_with_specialization():
     ]
     for gens in ideals:
         n = gens[0].n
-        hom, factors = homogenization_commutes(gens, Q0, cap=8)
+        hom, factors = homogenized_generators(gens, cap=8)
         avoid = multiplier(Y.ring, factors)[0] * Y  # keep clear of trivial degenerations
         order = OrderSpec(n)
         for y0 in sample_points(1, avoid=avoid, num=10):
-            spec_then_hom = homogenized_generators(
+            spec_then_hom, _ = homogenized_generators(
                 [g.specialize(y0) for g in gens], cap=8)
             hom_then_spec = [g.specialize(y0) for g in hom]
             s1 = standard_basis(spec_then_hom, order, cap=8).staircase

@@ -152,13 +152,32 @@ def test_unknown_order_is_a_usage_error():
                  "unknown base order 'foo'", "line 2")
 
 
+# `reduce` of WEIGHTED with the retired `--seed-weight 0 0 1 2` flag, which
+# prepended that weight to the problem's order
+SEED_WEIGHTED = {
+    "basis": ["3/2*x2*dx1 + x1*dx1", "dx2 + 2/3*dx1", "dx1*z"],
+    "cap": 4, "h": "1", "h_factors": [], "q_ideal": [], "tainted": False}
+
+WEIGHTED = """vars: x1 x2
+weight: u 0 0 v 2 1
+cap: 4
+ideal: 2*dx1 + 3*dx2; x2*dx1 - x1*dx2
+"""
+
+
 def test_seed_weight_must_be_rational():
-    for vals in (["a", "b"], ["1/0", "1"]):
-        # the problem path goes first: --seed-weight takes every later word
-        proc = subprocess.run(
-            [sys.executable, "-m", "dfan.cli", "reduce", "-", "--seed-weight"]
-            + vals, input=DIV, capture_output=True, text=True, timeout=120)
-        _usage_error(proc, "--seed-weight", repr(vals[0]))
+    """A seed weight is a leading `weight:` line, the outermost refinement;
+    the flag is gone, and a weight entry must be rational."""
+    proc = run_cli(["reduce", "--seed-weight", "0", "0", "1", "2"], WEIGHTED)
+    _usage_error(proc, "--seed-weight")
+    seeded = WEIGHTED.replace("weight:", "weight: u 0 0 v 1 2\nweight:", 1)
+    proc = run_cli(["reduce"], seeded)
+    assert proc.returncode == 0 and json.loads(proc.stdout) == SEED_WEIGHTED
+    assert json.loads(run_cli(["reduce"], WEIGHTED).stdout) != SEED_WEIGHTED
+    for u in ("a b", "1/0 0"):
+        _usage_error(run_cli(["reduce"], f"vars: x1 x2\nweight: u {u} v 1 2\n"
+                                         "ideal: dx1\n"),
+                     "weight line must read", "line 2")
 
 
 def test_specialize_point_must_be_rational():

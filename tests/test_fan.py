@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,38 +10,40 @@ from hypothesis import given, settings, strategies as st
 from conftest import qop
 import dfan.fan as fan_module
 from dfan.errors import NonConvergentTraversal
-from dfan.fan import (cell_at, check_fan_against_grid, dn_standard_basis,
-                      enumerate_fan, fan_of_ideal, grid_weights,
-                      homogenized_generators, oracle_classify, t_order)
-from dfan.operators import HOperator, exponent, homogenize
+from dfan.fan import (cell_at, check_fan_against_grid, enumerate_fan,
+                      fan_of_ideal, grid_weights, homogenized_generators,
+                      oracle_classify, t_order)
+from dfan.operators import HOperator, exponent, homogenize, term_product
 from dfan.orders import OrderSpec, Weight, leading_data
 from dfan.params import ParamField, ParamIdeal
+from dfan.standard import standard_basis
 
 
 def test_dn_standard_basis_euler_pair():
-    """x1 dx1 and dx1^2 generate dx1 in the z = 1 quotient:
+    """x1 dx1 and dx1^2 generate dx1 in the z = 1 quotient (the one
+    `standard_basis` run with the z = 1 product):
     dx1 (x1 dx1) - x1 dx1^2 = dx1."""
     order = t_order(1)
     a = qop(1, {((1,), (1,), 0): 1})
     b = qop(1, {((0,), (2,), 0): 1})
-    basis = dn_standard_basis([a, b], order, cap=8).basis
+    basis = standard_basis([a, b], order, cap=8,
+                           mul=partial(term_product, z_one=True)).basis
     assert [str(g) for g in basis] == ["dx1"]
 
 
 def test_homogenized_generators_insert_z():
     a = qop(1, {((1,), (1,), 0): 1})
     b = qop(1, {((0,), (2,), 0): 1})
-    gens = homogenized_generators([a, b], cap=8)
+    gens, factors = homogenized_generators([a, b], cap=8)
     assert len(gens) == 1 and gens[0] == qop(1, {((0,), (1,), 0): 1})
+    assert factors == ()
     # a generator with mixed levels picks up z on the lower part
     c = qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 0): 1})
-    gens2 = homogenized_generators([c], cap=8)
+    gens2, _ = homogenized_generators([c], cap=8)
     assert gens2 == [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})]
-
-
-def test_dn_basis_rejects_z():
-    with pytest.raises(ValueError):
-        dn_standard_basis([qop(1, {((0,), (0,), 1): 1})], t_order(1))
+    # input involving z is taken as given, with no factors
+    with_z = [b, qop(1, {((1,), (0,), 1): 1})]
+    assert homogenized_generators(with_z, cap=8) == (with_z, ())
 
 
 def test_cell_at_airy():
@@ -139,6 +142,22 @@ def test_each_cell_is_the_only_one_holding_its_witness(gens):
         assert cell.cone.witness == cell.witness.as_tuple()
         holders = [c for c in fan.cells if c.contains(cell.witness)]
         assert len(holders) == 1 and holders[0] is cell
+
+
+@pytest.mark.parametrize("gens, tried, built", [(AIRY, 14, 4), (EULER, 13, 4),
+                                                (TWO_VARIABLE, 828, 24)],
+                         ids=["airy", "euler", "two_variable"])
+def test_traversal_tries_the_same_weights(gens, tried, built, monkeypatch):
+    """Pinned traversal work: the membership tests of queued weights against
+    stored cells, and the cells built.  Facet crossings step from eps = 1
+    with 60 halvings and ascents from eps = 1/2 with 40; another start or
+    budget queues other weights and changes these counts."""
+    calls = []
+    contains = fan_module.FanCell.contains
+    monkeypatch.setattr(fan_module.FanCell, "contains",
+                        lambda cell, w: calls.append(w) or contains(cell, w))
+    fan = enumerate_fan(gens, cap=8)
+    assert (len(calls), len(fan.cells)) == (tried, built)
 
 
 def test_grid_weights_admissible_and_exhaustive():

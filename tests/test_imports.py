@@ -1,12 +1,17 @@
 """Lint: every name a dfan module imports is used in that module, no module
-keeps mutable state at its top level, every error class is raised, and the
-retired mod-Q route and cone API stay gone."""
+keeps mutable state at its top level, every error class is raised, the
+retired mod-Q route and cone API stay gone, and each submodule is reachable
+under its own name."""
 
 import ast
+import dataclasses
 import re
+import types
 from pathlib import Path
 
 import dfan
+import dfan.newton
+from dfan.orders import OrderSpec
 
 
 def unused_imports(source):
@@ -168,13 +173,28 @@ def test_no_retired_cone_api_in_src():
     fan cell's unread polyhedron and the reduced-basis alias must not come
     back, nor division's per-call cap copies, the z = 1 product built
     from a general product, the uncalled cap copier, or the second
-    generic-basis entry point with its out-parameter collector."""
+    generic-basis entry point with its out-parameter collector.  Nor may
+    the z = 1 side path: its own basis entry point and homogenization
+    helper, the order's label-only base name, the seed-weight flag, the
+    test-only strict certification with its error, and the second
+    step-off loop of the fan traversal."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
              "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
-             "_collect_lc_factors")
+             "_collect_lc_factors", "dn_standard_basis",
+             "homogenization_commutes", ".base", "BASE_ORDERS", "seed_weight",
+             "--seed-weight", "_order_for", "strict=", "CapTooSmall",
+             "_cross_facet")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"
                   for name in retired_names(path.read_text(), names)]
     assert not found, "retired names:\n" + "\n".join(found)
+    assert "base" not in {f.name for f in dataclasses.fields(OrderSpec)}
+
+
+def test_submodules_are_not_shadowed():
+    """`import dfan.newton` binds the module, not a function the package
+    re-exports under the same name."""
+    assert isinstance(dfan.newton, types.ModuleType)
+    assert callable(dfan.newton.newton)

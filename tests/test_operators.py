@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, perm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +147,39 @@ def _kernel_case(draw):
     return n, e, c, g, cap
 
 
+def double_loop_product(p, q):
+    """Reference product: each term pair of p and q expanded by the Leibniz
+    rule dx^b x^a = sum_j C(b,j) a!/(a-j)! x^(a-j) dx^(b-j) z^j
+    coordinatewise, summed pair by pair (terms of p outermost), truncated at
+    the smaller cap; tainted when a factor is or the cap cut a term."""
+    caps = [c for c in (p.cap, q.cap) if c is not None]
+    cap = min(caps) if caps else None
+    out = {}
+    discarded = False
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            base = c1 * c2
+            lims = tuple(map(min, e1.beta, e2.alpha))
+            for j in product(*(range(l + 1) for l in lims)):
+                alpha = tuple(a1 + a2 - i for a1, a2, i in zip(e1.alpha, e2.alpha, j))
+                if cap is not None and sum(alpha) > cap:
+                    discarded = True
+                    continue
+                beta = tuple(b1 + b2 - i for b1, b2, i in zip(e1.beta, e2.beta, j))
+                e = Exponent(alpha, beta, e1.k + e2.k + sum(j))
+                mult = prod(comb(b, i) * perm(a, i)
+                            for b, a, i in zip(e1.beta, e2.alpha, j))
+                c = base * mult if mult != 1 else base
+                if e not in out:
+                    out[e] = c
+                elif out[e] + c:
+                    out[e] = out[e] + c
+                else:
+                    del out[e]
+    return HOperator(p.n, p.field, out, cap=cap,
+                     tainted=p.tainted or q.tainted or discarded)
+
+
 def _same_terms(terms, op):
     """Equal terms, with the same representatives (same order of sums)."""
     return (terms.keys() == op.terms.keys()
@@ -154,16 +189,65 @@ def _same_terms(terms, op):
 @settings(max_examples=300, deadline=None)
 @given(_kernel_case())
 def test_term_product_matches_general_product(case):
-    """The term kernel against HOperator.__mul__ of a one-term operator, in
-    the homogenized ring and through substitute_z_one in the z = 1 quotient:
-    the same terms, and a discarded term exactly when the product is
-    tainted."""
+    """The term kernel against the double-loop product of a one-term
+    operator, in the homogenized ring and through substitute_z_one in the
+    z = 1 quotient: the same terms, and a discarded term exactly when the
+    product is tainted."""
     n, e, c, g, cap = case
     m = HOperator.monomial(n, g.field, e, c, cap=cap)
     for z_one in (False, True):
-        ref = m * g
+        ref = double_loop_product(m, g)
         if z_one:
             ref = ref.substitute_z_one()
         terms, discarded = term_product(e, c, g, cap, z_one=z_one)
         assert _same_terms(terms, ref)
         assert discarded == ref.tainted
+
+
+def _random_operator(rng, n, field, cap):
+    """Up to four terms, exponents up to 2 and k up to 1 so that products
+    collide (the sum order then shows in Frac(C/Q) representatives); the
+    coefficients may all be zero."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        e = Exponent(tuple(rng.randint(0, 2) for _ in range(n)),
+                     tuple(rng.randint(0, 2) for _ in range(n)), rng.randint(0, 1))
+        if field is QQ_FIELD:
+            terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        else:
+            d = rng.choice((field.ring.one, field.ring(2), _Y, _Y + 2))
+            terms[e] = (field.from_poly(rng.randint(-3, 3) + rng.randint(-2, 2) * _Y)
+                        / field.from_poly(d))
+    return HOperator(n, field, terms, cap=cap)
+
+
+def test_product_matches_double_loop(rng):
+    """HOperator.__mul__ sums term_product's rows over the terms of its left
+    factor: the same terms as the double loop, with the same coefficient
+    strings, the same cap and the same taint, over QQ and over
+    Frac(Q[y]/(y^2 - 2)), with and without caps, zero factors included."""
+    for field in (QQ_FIELD, KERNEL_FIELDS[2]):
+        for _ in range(400):
+            n = rng.choice((1, 1, 2))
+            p, q = (_random_operator(rng, n, field, rng.choice((None, 1, 3, 5)))
+                    for _ in range(2))
+            ref = double_loop_product(p, q)
+            got = p * q
+            assert _same_terms(ref.terms, got)
+            assert (got.cap, got.tainted) == (ref.cap, ref.tainted)
+
+
+def test_product_with_zero_is_untainted():
+    """A left term above the cap of a zero right factor cuts nothing in the
+    product, though term_product reports the term itself as cut; above the
+    cap of a nonzero factor it cuts every row."""
+    e = exponent(1, alpha=[3], beta=[1])
+    m = HOperator.monomial(1, QQ_FIELD, e)
+    zero = HOperator.zero(1, QQ_FIELD, cap=1)
+    got = m * zero
+    assert got.is_zero() and not got.tainted and got.cap == 1
+    assert not double_loop_product(m, zero).tainted
+    assert term_product(e, Fraction(1), zero, 1) == ({}, True)
+    one = HOperator(1, QQ_FIELD, {exponent(1): Fraction(1)}, cap=1)
+    assert term_product(e, Fraction(1), one, 1) == ({}, True)
+    assert (m * one).is_zero() and (m * one).tainted

@@ -1,11 +1,11 @@
 """Constancy certificates, stratification, and parameter sampling."""
 
 from fractions import Fraction
-from importlib import import_module
 
 import pytest
 
 from conftest import qop
+import dfan.newton as newton_module
 from dfan.errors import DenominatorVanishes, ZeroOperator
 from dfan.fan import enumerate_fan, grid_weights
 from dfan.operators import HOperator, exponent
@@ -13,7 +13,6 @@ from dfan.orders import OrderSpec, Weight
 from dfan.params import ParamField, ParamIdeal, ParamPoly, poly_eval
 from dfan.parametric import (ComprehensiveFan, common_refinement,
                              comprehensive_fan, constant_fan_certificate,
-                             homogenization_commutes,
                              newton_stability_multiplier, rationals_by_height,
                              sample_points, specialize_ideal)
 
@@ -53,7 +52,6 @@ def test_certificate_for_parametric_airy(F1):
 def test_certificate_builds_each_basis_polyhedron_once(F1, monkeypatch):
     """cell_at and the Newton stability factors share one polyhedron per
     basis operator."""
-    newton_module = import_module("dfan.newton")  # the package's `newton` is the function
     built = []
     vertex_set = newton_module.vertex_set
     monkeypatch.setattr(newton_module, "vertex_set",
@@ -80,19 +78,17 @@ def test_certificate_rejects_unit_q():
 def test_homogenization_commutes_staircase(F1):
     """h(specialized ideal) and specialized h(I) have the same staircase at
     allowed points."""
-    from dfan.fan import homogenized_generators, t_order
-    from dfan.orders import leading_data
+    from dfan.fan import homogenized_generators
     from dfan.standard import standard_basis
 
     y = ParamPoly.var(1, 0)
     a = HOperator(1, F1, {exponent(1, alpha=[1], beta=[1]): F1.one,
                           exponent(1, alpha=[1]): F1.from_poly(y)})
     b = HOperator(1, F1, {exponent(1, beta=[2]): F1.one})
-    Q = ParamIdeal(1, [], claimed_prime=True)
-    hom, factors = homogenization_commutes([a, b], Q, cap=8)
+    hom, _ = homogenized_generators([a, b], cap=8)
     order = OrderSpec(1)
     for y0 in ((Fraction(1),), (Fraction(-3),), (Fraction(2, 5),)):
-        spec_then_hom = homogenized_generators(
+        spec_then_hom, _ = homogenized_generators(
             [a.specialize(y0), b.specialize(y0)], cap=8)
         hom_then_spec = [g.specialize(y0) for g in hom]
         s1 = standard_basis(spec_then_hom, order, cap=8).staircase

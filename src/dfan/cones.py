@@ -3,8 +3,9 @@
 A cone constraint is a pair (form, rel) meaning form . x REL 0, with form a
 tuple of integers and rel in {"eq", "ge", "gt"}.  `solve` decides such
 homogeneous systems by Fourier-Motzkin elimination in integers, tracking
-strictness, so cone decisions are exact; `lp_feasible` is an exact simplex
-for the many-variable convex-hull redundancy test of `newton.vertex_set`.
+strictness, so cone decisions are exact; `lp_feasible` is an exact,
+fraction-free simplex for the many-variable convex-hull redundancy test of
+`newton.vertex_set`.
 """
 
 from __future__ import annotations
@@ -108,75 +109,70 @@ def feasible(constraints, dim):
 
 def lp_feasible(rows, nvars):
     """Feasibility of {x >= 0, coeffs . x REL rhs for each row}, REL in
-    {"eq", "le", "ge"}.  Exact phase-1 simplex with Bland's rule; suited to
-    many variables, where elimination blows up."""
-    conss = []
+    {"eq", "le", "ge"}, coefficients int or Fraction.  Exact phase-1
+    simplex with Bland's rule; suited to many variables, where elimination
+    blows up.
+
+    Fraction-free (Edmonds; Bareiss, Math. Comp. 1968): each row is scaled
+    to integers once, and the tableau is an integer matrix T over a common
+    denominator D > 0, each pivot dividing exactly.  The artificial of a
+    row scaled by c weighs 1/c in the phase-1 objective, so every reduced
+    cost and ratio is a positive multiple of the rational tableau's and the
+    pivots are the same.  Artificial columns never enter and are not kept."""
+    cons = []
     for coeffs, rel, rhs in rows:
-        coeffs = [Fraction(c) for c in coeffs]
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
+        vec = (*coeffs, rhs)
+        row = _clear_denominators(vec)
+        if row[-1] < 0:
+            row = [-c for c in row]
             rel = {"le": "ge", "ge": "le", "eq": "eq"}[rel]
-        conss.append((coeffs, rel, rhs))
-    m = len(conss)
-    col = nvars
-    slack_col = {}
-    for i, (_, rel, _) in enumerate(conss):
-        if rel in ("le", "ge"):
-            slack_col[i] = col
-            col += 1
-    art_col = {}
-    for i, (_, rel, _) in enumerate(conss):
-        if rel in ("eq", "ge"):
-            art_col[i] = col
-            col += 1
-    total = col
-    zero = Fraction(0)
-    T = []
-    basis = [None] * m
-    for i, (coeffs, rel, rhs) in enumerate(conss):
-        row = coeffs + [zero] * (total - nvars) + [rhs]
+        cons.append((row, rel, lcm(*(c.denominator for c in vec))))
+    nslack = sum(rel != "eq" for _, rel, _ in cons)
+    total = nvars + nslack  # the columns that may enter; then the rhs
+    weight = lcm(*(scale for _, rel, scale in cons if rel != "le"))
+    T, basis, cost = [], [], [0] * (total + 1)
+    slack, art = nvars, total
+    for row, rel, scale in cons:
+        tab = row[:-1] + [0] * nslack + row[-1:]
         if rel == "le":
-            row[slack_col[i]] = Fraction(1)
-            basis[i] = slack_col[i]
-        elif rel == "ge":
-            row[slack_col[i]] = Fraction(-1)
-        if i in art_col:
-            row[art_col[i]] = Fraction(1)
-            basis[i] = art_col[i]
-        T.append(row)
-    arts = set(art_col.values())
-    cost = [zero] * (total + 1)
-    for i in range(m):
-        if basis[i] in arts:
-            cost = [a + b for a, b in zip(cost, T[i])]
+            tab[slack] = 1
+            basis.append(slack)
+        else:
+            if rel == "ge":
+                tab[slack] = -1
+            basis.append(art)
+            art += 1
+            k = weight // scale
+            cost = [a + k * b for a, b in zip(cost, tab)]
+        slack += rel != "eq"
+        T.append(tab)
+    D = 1
     while True:
-        enter = next((j for j in range(total)
-                      if j not in arts and cost[j] > 0), None)
+        enter = next((j for j in range(total) if cost[j] > 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            a = T[i][enter]
+        for i, row in enumerate(T):
+            a = row[enter]
             if a > 0:
-                ratio = T[i][total] / a
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # row[total] / a against the best ratio, cross-multiplied
+                here, best = row[total] * T[leave][enter], T[leave][total] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-        if cost[enter]:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, T[leave])]
+        prow = T[leave]
+        piv = prow[enter]
+        for i, row in enumerate(T):
+            if i != leave:
+                f = row[enter]
+                T[i] = [(piv * x - f * y) // D for x, y in zip(row, prow)]
+        f = cost[enter]
+        cost = [(piv * x - f * y) // D for x, y in zip(cost, prow)]
+        D = piv
         basis[leave] = enter
     return cost[total] == 0
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product as iproduct
 
+from .cones import form_rank
 from .errors import NonConvergentTraversal, ZeroOperator
 from .newton import face_of, minkowski_sum, minkowski_sum_by_hull, newton, normal_cone
 from .operators import homogenize, term_product
@@ -76,7 +77,6 @@ class FanCell:
         return self.cone.contains(w.as_tuple())
 
     def dim(self):
-        from .cones import form_rank
         return self.cone.dim - form_rank(self.cone.equalities, self.cone.dim)
 
 

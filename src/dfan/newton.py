@@ -4,8 +4,10 @@ W* is the polar dual of the admissible cone W, generated by e_i (1 in the
 x_i slot) and e'_i (-1 in the x_i and dx_i slots), embedded in Z^{2n+1} with
 z-slot 0.  W* is simplicial, so cone membership is a closed-form test.
 
-The vertex set of one polyhedron comes from its support points by an exact
-LP redundancy test (`vertex_set`); that is the only place an LP runs.
+The vertex set of one polyhedron comes from its support points by pairwise
+W*-absorption and then an exact LP redundancy test (`vertex_set`), which
+runs only for a point with two or more other candidates left: against one,
+absorption has already decided.  That is the only place an LP runs.
 Minkowski sums need none: the normal fan of A + B is the common refinement
 of the normal fans of A and B (Ziegler, Lectures on Polytopes, Prop. 7.12),
 so a + b is a vertex of A + B exactly when the open normal cones of the
@@ -17,7 +19,6 @@ definition itself, kept as an independent reference.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -56,20 +57,18 @@ def _conv_redundant(p, others, n):
     """Is p in conv(others) + W*?  Exact LP in the hull weights mu >= 0."""
     if not others:
         return False
-    one = Fraction(1)
     rows = [
         # sum mu = 1
-        (tuple(one for _ in others), "eq", one),
+        ((1,) * len(others), "eq", 1),
         # z-slot: sum mu q_z = p_z
-        (tuple(Fraction(q[2 * n]) for q in others), "eq", Fraction(p[2 * n])),
+        (tuple(q[2 * n] for q in others), "eq", p[2 * n]),
     ]
     for i in range(n):
         # (p - sum mu q)_{n+i} <= 0
-        rows.append((tuple(Fraction(q[n + i]) for q in others), "ge",
-                     Fraction(p[n + i])))
+        rows.append((tuple(q[n + i] for q in others), "ge", p[n + i]))
         # (p - sum mu q)_i - (p - sum mu q)_{n+i} >= 0
-        rows.append((tuple(Fraction(q[i] - q[n + i]) for q in others), "le",
-                     Fraction(p[i] - p[n + i])))
+        rows.append((tuple(q[i] - q[n + i] for q in others), "le",
+                     p[i] - p[n + i]))
     return lp_feasible(rows, len(others))
 
 
@@ -84,10 +83,12 @@ def vertex_set(n, points):
         if not absorbed:
             keep.append(p)
     # then convex redundancy, in one pass: W* is pointed, so dropping a
-    # non-vertex never makes a vertex redundant
+    # non-vertex never makes a vertex redundant.  Against one other point q,
+    # p in q + W* is the absorption test above, so the LP needs two or more
     out = list(keep)
     for p in keep:
-        if _conv_redundant(p, [q for q in out if q != p], n):
+        others = [q for q in out if q != p]
+        if len(others) > 1 and _conv_redundant(p, others, n):
             out.remove(p)
     return sorted(out)
 
@@ -193,10 +194,12 @@ def minkowski_sum_by_hull(polys):
 def face_of(poly, w):
     """(face vertices, face rays) of the polyhedron with respect to w in W."""
     w.check_admissible()
-    vals = {v: w.dot_vec(v) for v in poly.vertices}
+    u, v = w.integer_form()  # a positive scale keeps the argmax and the zeros
+    iw = u + v               # zip stops before the z-slot, which w ignores
+    vals = {p: sum(map(mul, iw, p)) for p in poly.vertices}
     top = max(vals.values())
-    verts = tuple(v for v in poly.vertices if vals[v] == top)
-    rays = tuple(r for r in wstar_rays(poly.n) if w.dot_vec(r) == 0)
+    verts = tuple(p for p in poly.vertices if vals[p] == top)
+    rays = tuple(r for r in wstar_rays(poly.n) if not sum(map(mul, iw, r)))
     return verts, rays
 
 

@@ -53,12 +53,6 @@ class Weight:
         return (sum(a * p for a, p in zip(self.u, e.alpha))
                 + sum(b * p for b, p in zip(self.v, e.beta)))
 
-    def dot_vec(self, vec):
-        """Pairing with a point of Z^{2n+1} or Z^{2n} (z-slot ignored)."""
-        n = self.n
-        return (sum(self.u[i] * vec[i] for i in range(n))
-                + sum(self.v[i] * vec[n + i] for i in range(n)))
-
     def as_tuple(self):
         return self.u + self.v
 

@@ -1,5 +1,6 @@
 """Exact feasibility (elimination and simplex) and relatively open cones."""
 
+import random
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -235,6 +236,109 @@ def test_cone_queries_match_fraction_oracle():
 
 
 # ---------------------------------------------------------------------------
+# the Fraction simplex that `lp_feasible` replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+def fraction_simplex(rows, nvars):
+    """Feasibility of {x >= 0, coeffs . x REL rhs for each row}, REL in
+    {"eq", "le", "ge"}.  Exact phase-1 simplex with Bland's rule; suited to
+    many variables, where elimination blows up."""
+    conss = []
+    for coeffs, rel, rhs in rows:
+        coeffs = [Fraction(c) for c in coeffs]
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+            rel = {"le": "ge", "ge": "le", "eq": "eq"}[rel]
+        conss.append((coeffs, rel, rhs))
+    m = len(conss)
+    col = nvars
+    slack_col = {}
+    for i, (_, rel, _) in enumerate(conss):
+        if rel in ("le", "ge"):
+            slack_col[i] = col
+            col += 1
+    art_col = {}
+    for i, (_, rel, _) in enumerate(conss):
+        if rel in ("eq", "ge"):
+            art_col[i] = col
+            col += 1
+    total = col
+    zero = Fraction(0)
+    T = []
+    basis = [None] * m
+    for i, (coeffs, rel, rhs) in enumerate(conss):
+        row = coeffs + [zero] * (total - nvars) + [rhs]
+        if rel == "le":
+            row[slack_col[i]] = Fraction(1)
+            basis[i] = slack_col[i]
+        elif rel == "ge":
+            row[slack_col[i]] = Fraction(-1)
+        if i in art_col:
+            row[art_col[i]] = Fraction(1)
+            basis[i] = art_col[i]
+        T.append(row)
+    arts = set(art_col.values())
+    cost = [zero] * (total + 1)
+    for i in range(m):
+        if basis[i] in arts:
+            cost = [a + b for a, b in zip(cost, T[i])]
+    while True:
+        enter = next((j for j in range(total)
+                      if j not in arts and cost[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][total] / a
+                if (best is None or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("phase-1 objective unbounded")
+        piv = T[leave][enter]
+        T[leave] = [x / piv for x in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        if cost[enter]:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, T[leave])]
+        basis[leave] = enter
+    return cost[total] == 0
+
+
+def _random_lp(rng):
+    """(nvars, rows): 1-4 variables and 1-6 rows mixing eq/le/ge, integer
+    and rational coefficients, right-hand sides of either sign, all-zero
+    rows, and positive multiples of earlier rows (tied ratios)."""
+    def coeff():
+        a = rng.randint(-3, 3)
+        return F(a, rng.randint(1, 3)) if rng.random() < 0.4 else a
+
+    nvars = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        rel = rng.choice(("eq", "le", "ge"))
+        kind = rng.random()
+        if kind < 0.2 and rows:
+            c, _, r = rng.choice(rows)
+            k = rng.choice((2, 3, F(1, 2)))
+            rows.append((tuple(k * a for a in c), rel, k * r))
+        elif kind < 0.3:
+            rows.append(((0,) * nvars, rel, coeff()))
+        else:
+            rows.append((tuple(coeff() for _ in range(nvars)), rel, coeff()))
+    return nvars, rows
+
+
+# ---------------------------------------------------------------------------
 # simplex, forms, cones
 # ---------------------------------------------------------------------------
 
@@ -247,6 +351,36 @@ def test_lp_feasible_matches_elimination():
     # degenerate equalities
     assert lp_feasible([((F(1),), "eq", F(0))], 1)
     assert not lp_feasible([((F(0),), "eq", F(1))], 1)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_lp_feasible_matches_fraction_simplex(rng):
+    nvars, rows = _random_lp(rng)
+    assert lp_feasible(rows, nvars) == fraction_simplex(rows, nvars)
+
+
+def test_lp_feasible_sweep_matches_fraction_simplex():
+    """2,000 seeded systems: the integer tableau decides as the Fraction
+    tableau does, and the sweep holds every kind of row and both answers."""
+    rng = random.Random(2024)
+    answers = []
+    rational = negative = zero = copies = 0
+    for _ in range(2000):
+        nvars, rows = _random_lp(rng)
+        got = lp_feasible(rows, nvars)
+        assert got == fraction_simplex(rows, nvars), rows
+        answers.append(got)
+        vals = [a for c, _, r in rows for a in (*c, r)]
+        rational += any(type(a) is F and a.denominator > 1 for a in vals)
+        negative += any(r < 0 for _, _, r in rows)
+        zero += any(not any(c) for c, _, _ in rows)
+        copies += any(c[0] and d[0] and c != d and all(a * d[0] == b * c[0]
+                                                       for a, b in zip(c, d))
+                      for i, (c, _, _) in enumerate(rows)
+                      for d, _, _ in rows[:i])
+    assert min(rational, negative, zero, copies) > 100
+    assert 0.2 < sum(answers) / len(answers) < 0.8
 
 
 def test_clear_form_and_rank():

@@ -1,7 +1,7 @@
 """Lint: every name a dfan module imports is used in that module, no module
 keeps mutable state at its top level, every error class is raised, the
-retired mod-Q route and cone API stay gone, and each submodule is reachable
-under its own name."""
+retired mod-Q route and cone API stay gone, the hot LP stays fraction-free,
+and each submodule is reachable under its own name."""
 
 import ast
 import dataclasses
@@ -177,20 +177,48 @@ def test_no_retired_cone_api_in_src():
     the z = 1 side path: its own basis entry point and homogenization
     helper, the order's label-only base name, the seed-weight flag, the
     test-only strict certification with its error, and the second
-    step-off loop of the fan traversal."""
+    step-off loop of the fan traversal, nor the weight's Fraction pairing
+    with lattice points."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
              "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
              "_collect_lc_factors", "dn_standard_basis",
              "homogenization_commutes", ".base", "BASE_ORDERS", "seed_weight",
              "--seed-weight", "_order_for", "strict=", "CapTooSmall",
-             "_cross_facet")
+             "_cross_facet", "dot_vec")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"
                   for name in retired_names(path.read_text(), names)]
     assert not found, "retired names:\n" + "\n".join(found)
     assert "base" not in {f.name for f in dataclasses.fields(OrderSpec)}
+
+
+def names_in_function(source, func):
+    """The identifiers (names and attribute names) the body of the
+    top-level function func mentions."""
+    node = next(n for n in ast.parse(source).body
+                if isinstance(n, ast.FunctionDef) and n.name == func)
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_names_in_function_detects_and_ignores():
+    src = ("from fractions import Fraction\n"
+           "def f(x):\n    return fractions.Fraction(x) + g(x)\n"
+           "def g(x):\n    return x.denominator\n")
+    assert "Fraction" in names_in_function(src, "f")
+    assert names_in_function(src, "g") == {"x", "denominator"}
+
+
+def test_hot_lp_is_fraction_free():
+    """The simplex and the rows `vertex_set` hands it stay in integers: a
+    rational tableau must not come back into either body."""
+    root = Path(dfan.__file__).parent
+    for module, func in (("cones.py", "lp_feasible"),
+                         ("newton.py", "_conv_redundant")):
+        names = names_in_function((root / module).read_text(), func)
+        assert "Fraction" not in names, f"{module}: {func} names Fraction"
 
 
 def test_submodules_are_not_shadowed():

@@ -1,18 +1,27 @@
 """Newton polyhedra New(g) = conv(E) + W*, faces, and normal cones."""
 
-import random
+import importlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import qop
 from dfan.errors import ZeroOperator
+from dfan.fan import grid_weights
 from dfan.newton import (NewtonPolyhedron, _conv_redundant, face_of, in_wstar,
                          minkowski_sum, minkowski_sum_by_hull, newton,
                          normal_cone, vertex_set, wstar_rays)
 from dfan.operators import exponent
 from dfan.orders import Weight
+
+newton_module = importlib.import_module("dfan.newton")
+
+
+def dot(w, vec):
+    """The Fraction pairing of w with a point of Z^{2n+1} (z-slot ignored)."""
+    return sum(a * p for a, p in zip(w.as_tuple(), vec))
 
 
 def test_wstar_rays_shape():
@@ -40,7 +49,7 @@ def test_w_wstar_duality_random(rng):
         w = Weight.make(u, v)
         assert w.is_admissible()
         if in_wstar(n, d):
-            assert w.dot_vec(d) <= 0
+            assert dot(w, d) <= 0
     # and the converse: a non-member admits a separating admissible weight
     for _ in range(200):
         d = tuple(rng.randint(-3, 3) for _ in range(2 * n)) + (0,)
@@ -50,11 +59,11 @@ def test_w_wstar_duality_random(rng):
         for i in range(n):
             if d[n + i] > 0:
                 w = Weight.make([0] * n, [1 if j == i else 0 for j in range(n)])
-                found = w.dot_vec(d) > 0
+                found = dot(w, d) > 0
             elif d[i] - d[n + i] < 0:
                 w = Weight.make([-1 if j == i else 0 for j in range(n)],
                                 [1 if j == i else 0 for j in range(n)])
-                found = w.dot_vec(d) > 0
+                found = dot(w, d) > 0
             if found:
                 break
         assert found or d[2 * n] != 0
@@ -182,3 +191,75 @@ def test_vertex_set_irredundant_and_covering(data):
         assert not _conv_redundant(p, [q for q in out if q != p], n)
     for p in points:
         assert p in out or _conv_redundant(p, out, n)
+
+
+def vertex_set_by_lp(n, points):
+    """`vertex_set` with the LP run on every point that absorption keeps,
+    one other point or not."""
+    pts = list(dict.fromkeys(tuple(p) for p in points))
+    keep = [p for p in pts
+            if not any(q != p and in_wstar(n, tuple(a - b for a, b in zip(p, q)))
+                       for q in pts)]
+    out = list(keep)
+    for p in keep:
+        if _conv_redundant(p, [q for q in out if q != p], n):
+            out.remove(p)
+    return sorted(out)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_vertex_set_matches_lp_on_every_point(data):
+    n = data.draw(st.sampled_from((1, 2)))
+    coord = st.tuples(*[st.integers(-2, 3)] * (2 * n), st.integers(0, 1))
+    size = data.draw(st.sampled_from((2, 2, 3, 3, 5, 8)))
+    points = data.draw(st.lists(coord, min_size=size, max_size=size))
+    assert vertex_set(n, points) == vertex_set_by_lp(n, points)
+
+
+def test_vertex_set_runs_no_one_point_lp():
+    """The LP against a single other point only repeats the absorption
+    test, so `vertex_set` never asks for one; it still asks for the rest."""
+    calls = []
+    raw = newton_module.lp_feasible
+
+    def counted(rows, nvars):
+        calls.append(nvars)
+        return raw(rows, nvars)
+
+    pts = [(0, 4, 0, 0, 0), (4, 0, 0, 0, 0), (2, 2, 0, 0, 0), (0, 0, 0, 0, 1),
+           (3, 1, 0, 1, 0), (1, 0, 2, 0, 0), (0, 2, 0, 1, 0)]
+    with mock.patch.object(newton_module, "lp_feasible", counted):
+        got = [vertex_set(2, pts[:k]) for k in range(1, len(pts) + 1)]
+    assert got == [vertex_set_by_lp(2, pts[:k]) for k in range(1, len(pts) + 1)]
+    assert calls and 1 not in calls
+
+
+def _criterion_4_polyhedra():
+    """(n, polyhedra): the Newton polyhedra of the criterion-4 generators
+    and of their Minkowski sum."""
+    cases = [
+        (1, [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})]),
+        (1, [qop(1, {((1,), (1,), 0): 1})]),
+        (2, [qop(2, {((1, 0), (1, 0), 0): 1, ((0, 1), (0, 1), 0): 1}),
+             qop(2, {((0, 0), (1, 1), 0): 1, ((0, 0), (0, 0), 2): 1})]),
+    ]
+    for n, gens in cases:
+        polys = [newton(g) for g in gens]
+        yield n, polys + [minkowski_sum(polys)]
+
+
+def test_face_of_matches_fraction_argmax():
+    """The integer pairing picks the face of the Fraction pairing on the
+    criterion-4 polyhedra over the whole (1, 2, 3)-denominator grid."""
+    checked = 0
+    for n, polys in _criterion_4_polyhedra():
+        for w in grid_weights(n, denominators=(1, 2, 3)):
+            rays = tuple(r for r in wstar_rays(n) if dot(w, r) == 0)
+            for poly in polys:
+                vals = [dot(w, v) for v in poly.vertices]
+                top = max(vals)
+                verts = tuple(v for v, x in zip(poly.vertices, vals) if x == top)
+                assert face_of(poly, w) == (verts, rays)
+                checked += 1
+    assert checked > 20000

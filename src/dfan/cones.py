@@ -188,21 +188,17 @@ def clear_form(form):
     return _normalize(tuple(_clear_denominators(form)))
 
 
-def form_rank(forms, dim):
-    """Rank of a set of linear forms (Gaussian elimination over Q)."""
-    rows = [list(map(Fraction, f)) for f in forms if any(f)]
+def form_rank(forms):
+    """Rank of a set of integer linear forms, eliminating with `solve`'s
+    integer step `_substitute`: each nonzero form in turn eliminates its
+    first variable from the rest."""
+    rows = [f for f in forms if any(f)]
     rank = 0
-    for col in range(dim):
-        piv = next((r for r in rows[rank:] if r[col]), None)
-        if piv is None:
-            continue
-        i = rows.index(piv)
-        rows[rank], rows[i] = rows[i], rows[rank]
-        for r in rows[rank + 1:]:
-            if r[col]:
-                t = r[col] / piv[col]
-                for j in range(col, dim):
-                    r[j] -= t * piv[j]
+    while rows:
+        pivot = rows.pop()
+        var = next(i for i, c in enumerate(pivot) if c)
+        rows = [f for f, _ in (_substitute((r, "eq"), var, pivot) for r in rows)
+                if any(f)]
         rank += 1
     return rank
 

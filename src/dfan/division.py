@@ -63,14 +63,6 @@ class DivisionResult:
                           tainted=self.quotient_tainted)
                 for q in self.quotient_dicts]
 
-    def reconstruct_window(self, G, cap):
-        """sum q_j g_j + R truncated to the cap window."""
-        acc = self.remainder.truncated(cap)
-        for q, g in zip(self.quotients, G):
-            acc = acc + (q * g).truncated(cap)
-        return acc
-
-
 def divide(P, G, ord_spec, mul=None):
     """Divide P by the list G.  mul(e, c, g, cap) -> (terms, discarded) is
     the term product, `term_product` (homogenized) when None."""

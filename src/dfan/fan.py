@@ -2,9 +2,11 @@
 
 Two weights are equivalent when they pick the same reduced standard basis;
 the class of w is the relatively open normal cone of the Minkowski sum of the
-Newton polyhedra of that basis at its w-face, refined by the active weight
-constraints (u_i = 0, u_i + v_i = 0).  The fan is enumerated by crossing
-closure facets from seed weights covering every activity stratum.
+Newton polyhedra of that basis at its w-face.  The W constraints come with
+the rays of W*, the recession cone of every such polyhedron: the cone holds
+all 2n of them (-u_i, u_i + v_i), each an equality where it is active at w,
+so every point of a cell's closure is admissible.  The fan is enumerated by
+crossing closure facets from seed weights covering every activity stratum.
 
 Inputs that do not involve z are first completed with respect to the
 dx-degree weight order in the z = 1 quotient (`standard.standard_basis` run
@@ -77,7 +79,7 @@ class FanCell:
         return self.cone.contains(w.as_tuple())
 
     def dim(self):
-        return self.cone.dim - form_rank(self.cone.equalities, self.cone.dim)
+        return self.cone.dim - form_rank(self.cone.equalities)
 
 
 def _basis_at(gens, w, cap):
@@ -107,15 +109,6 @@ class GroebnerFan:
     cells: list
     cap: object
     gens: list = dc_field(default_factory=list)
-
-    def cell_containing(self, w: Weight):
-        for c in self.cells:
-            if c.contains(w):
-                return c
-        return None
-
-    def full_dim_cells(self):
-        return [c for c in self.cells if not c.cone.equalities]
 
 
 def _seed_weights(n):
@@ -177,16 +170,15 @@ def enumerate_fan(gens, cap, max_cells=4096):
         cell = cell_at(gens, w, cap)
         cells.append(cell)
         # descend / move sideways: cross every closure facet, stepping
-        # from the facet point away from the witness
+        # from the facet point away from the witness; the facet points lie
+        # in W, since the cone carries all 2n W forms
         cone = cell.cone
         for _form, pt in cone.closure_facets():
-            fw = _as_weight(n, pt)
-            if fw.is_admissible():
-                queue.append(fw)
-                d = tuple(p - q for p, q in zip(pt, cone.witness))
-                nb = _step_off(pt, d, cone, Fraction(1), 60)
-                if nb is not None:
-                    queue.append(nb)
+            queue.append(_as_weight(n, pt))
+            d = tuple(p - q for p, q in zip(pt, cone.witness))
+            nb = _step_off(pt, d, cone, Fraction(1), 60)
+            if nb is not None:
+                queue.append(nb)
         # ascend: step off each equality in both directions
         for form in cone.equalities:
             for sign in (1, -1):

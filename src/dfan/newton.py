@@ -215,20 +215,15 @@ def normal_cone(poly, w):
     eqs = [tuple(a - b for a, b in zip(p0[:dim], p)) for p in verts[1:]]
     strict = [tuple(a - b for a, b in zip(p0[:dim], q))
               for q in poly.vertices if q not in verts]
+    # The rays of W* carry the W constraints: e_i gives the form -u_i and
+    # -e_i - e'_i gives u_i + v_i, each an equality exactly when w . r = 0,
+    # that is when the W constraint is active at w.
     fray_set = set(frays)
     for r in wstar_rays(n):
         if r in fray_set:
             eqs.append(r[:dim])
         else:
             strict.append(tuple(-c for c in r[:dim]))
-    # W activity at w
-    for i in range(n):
-        f = [0] * dim
-        f[i] = -1  # -u_i
-        (eqs if w.u[i] == 0 else strict).append(tuple(f))
-        g = [0] * dim
-        g[i] = g[n + i] = 1  # u_i + v_i
-        (eqs if w.u[i] + w.v[i] == 0 else strict).append(tuple(g))
     cone = RelOpenCone.make(dim, eqs, strict, witness=w.as_tuple())
     if cone is None:
         raise NotAdmissible("normal cone construction produced an empty cone")

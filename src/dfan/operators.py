@@ -120,14 +120,6 @@ class HOperator:
         return not self.terms
 
     @property
-    def hom_degree(self):
-        """Common grading degree of all terms, or None if inhomogeneous."""
-        levels = {e.level for e in self.terms}
-        if len(levels) == 1:
-            return levels.pop()
-        return None
-
-    @property
     def top_level(self):
         """Largest grading degree of a term (0 for the zero operator)."""
         if self.level_memo is None:
@@ -189,11 +181,6 @@ class HOperator:
         taint = self.tainted or len(t) != len(self.terms)
         return HOperator(self.n, self.field, t, cap=cap, tainted=taint)
 
-    def substitute_z_one(self):
-        """Project z -> 1, merging exponents (alpha, beta, k) -> (alpha, beta, 0)."""
-        return HOperator(self.n, self.field, _z_one(self.terms), cap=self.cap,
-                         tainted=self.tainted)
-
     def specialize(self, y0):
         """Coefficientwise evaluation at the parameter point y0."""
         out = {}
@@ -211,27 +198,6 @@ class HOperator:
             if v:
                 out[e] = v
         return HOperator(self.n, field, out, cap=self.cap, tainted=self.tainted)
-
-    def apply_to_poly(self, f):
-        """Action on a commutative polynomial in x (dict alpha -> Fraction),
-        with z = 1.  Only meaningful for Fraction coefficients."""
-        out = {}
-        for e, c in self.terms.items():
-            for g, cg in f.items():
-                if any(g[i] < e.beta[i] for i in range(self.n)):
-                    continue
-                mult = 1
-                for i in range(self.n):
-                    mult *= _falling(g[i], e.beta[i])
-                if not mult:
-                    continue
-                tgt = tuple(g[i] - e.beta[i] + e.alpha[i] for i in range(self.n))
-                s = out.get(tgt, Fraction(0)) + c * cg * mult
-                if s:
-                    out[tgt] = s
-                else:
-                    out.pop(tgt, None)
-        return out
 
     # -- display -------------------------------------------------------------
 

@@ -7,11 +7,13 @@ direction), then lexicographically on dx.  Weight vectors refine in front of
 the base; the homogenized variant compares |beta| + k before everything
 else.
 
-`OrderSpec.compare` states the order term by term.  The hot paths sort with
-`OrderSpec.key()` instead: a function, compiled once per order, that maps an
-exponent to a tuple of integers whose lexicographic order is the term order
-(each weight is scaled by the lcm of its denominators, which keeps its order
-and makes its values integers).  `leading_data` remembers each operator's
+The key is the order: `OrderSpec.key()` is a function, compiled once per
+order, that maps an exponent to a tuple of integers, and two exponents
+compare as their keys do lexicographically (each weight is scaled by the
+lcm of its denominators, which keeps its order and makes its values
+integers).  Completion, division and reduction all sort with it; the
+rule-by-rule statement of the same order lives in the tests, as the oracle
+the key is checked against.  `leading_data` remembers each operator's
 leading exponent for the last order it was asked about.
 """
 
@@ -24,7 +26,6 @@ from math import lcm
 from operator import mul
 
 from .errors import NotAdmissible, ZeroOperator
-from .operators import Exponent
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,6 @@ class Weight:
     def check_admissible(self):
         if not self.is_admissible():
             raise NotAdmissible(f"weight {self} is not admissible")
-
-    def dot(self, e: Exponent):
-        return (sum(a * p for a, p in zip(self.u, e.alpha))
-                + sum(b * p for b, p in zip(self.v, e.beta)))
 
     def as_tuple(self):
         return self.u + self.v
@@ -98,50 +95,13 @@ class OrderSpec:
         return OrderSpec(self.n, self.xprio, (w,) + tuple(self.weights),
                          self.homogenized)
 
-    def compare(self, a: Exponent, b: Exponent):
-        """-1, 0 or 1 for a < b, a = b, a > b."""
-        if a == b:
-            return 0
-        if self.homogenized:
-            la, lb = a.level, b.level
-            if la != lb:
-                return -1 if la < lb else 1
-        for w in self.weights:
-            wa, wb = w.dot(a), w.dot(b)
-            if wa != wb:
-                return -1 if wa < wb else 1
-        c = self._base_compare(a, b)
-        if c:
-            return c
-        # equal (alpha, beta): larger k first (inhomogeneous tie-break)
-        if a.k != b.k:
-            return -1 if a.k < b.k else 1
-        return 0
-
-    def _base_compare(self, a, b):
-        da, db = sum(a.beta), sum(b.beta)
-        if da != db:
-            return -1 if da < db else 1
-        xa, xb = sum(a.alpha), sum(b.alpha)
-        if xa != xb:
-            # antigraded: lower x-degree is greater
-            return -1 if xa > xb else 1
-        for i in self.xprio:
-            if a.alpha[i] != b.alpha[i]:
-                return -1 if a.alpha[i] < b.alpha[i] else 1
-        for i in self.xprio:
-            if a.beta[i] != b.beta[i]:
-                return -1 if a.beta[i] < b.beta[i] else 1
-        return 0
-
     def key(self):
         """Sort key for exponents, ascending in this order.
 
         The key of (alpha, beta, k) is the integer tuple
         (|beta| + k if homogenized, each weight's value with its
         denominators cleared, |beta|, -|alpha|, alpha and then beta in xprio
-        order, k); it orders exponents exactly as `compare` does and is
-        built once per OrderSpec.
+        order, k), built once per OrderSpec.
         """
         return self._key
 

@@ -99,24 +99,11 @@ def poly_primitive(f):
     return -f if f.LC < 0 else f
 
 
-def poly_gcd(a, b):
-    """The primitive gcd of a and b."""
-    return poly_primitive(a.gcd(b))
-
-
 def poly_divides(a, b):
     """True iff a divides b in Q[y] (a nonzero)."""
     if not a:
         return not b
     return not b.rem(a)
-
-
-def poly_exact_div(b, a):
-    """b / a assuming divisibility."""
-    q, r = b.div(a)
-    if r:
-        raise ValueError("not divisible")
-    return q
 
 
 def factor_squarefree(p):

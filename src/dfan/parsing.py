@@ -59,7 +59,7 @@ class _Env:
         if name in self.atoms:
             return HOperator.monomial(self.n, self.field, self.atoms[name])
         if name in self.params:
-            if not getattr(self.field, "is_param", False):
+            if not self.field.is_param:
                 raise UnknownName(f"parameter {name!r} in a parameter-free context "
                                   f"(line {ln}, column {col})")
             c = self.field.from_poly(self.field.ring.gens[self.params[name]])
@@ -220,12 +220,6 @@ class ProblemFile:
     @property
     def m(self):
         return len(self.params)
-
-    @property
-    def field(self):
-        if not self.params:
-            return QQ_FIELD
-        return ParamField(self.q_ideal.ring, self.q_ideal)
 
     def serialize(self):
         lines = []

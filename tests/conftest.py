@@ -1,4 +1,5 @@
-"""Shared helpers: compact operator builders used across the test modules."""
+"""Shared helpers: compact operator builders, and the reference order and
+division check that several test modules use."""
 
 import random
 from fractions import Fraction
@@ -32,6 +33,59 @@ def random_qop(rng, n, nterms, maxdeg=3, maxk=2):
         if c:
             terms[Exponent(a, b, k)] = c
     return HOperator(n, QQ_FIELD, terms)
+
+
+def _dot(w, e):
+    return (sum(a * p for a, p in zip(w.u, e.alpha))
+            + sum(b * p for b, p in zip(w.v, e.beta)))
+
+
+def _base_compare(order, a, b):
+    da, db = sum(a.beta), sum(b.beta)
+    if da != db:
+        return -1 if da < db else 1
+    xa, xb = sum(a.alpha), sum(b.alpha)
+    if xa != xb:
+        # antigraded: lower x-degree is greater
+        return -1 if xa > xb else 1
+    for i in order.xprio:
+        if a.alpha[i] != b.alpha[i]:
+            return -1 if a.alpha[i] < b.alpha[i] else 1
+    for i in order.xprio:
+        if a.beta[i] != b.beta[i]:
+            return -1 if a.beta[i] < b.beta[i] else 1
+    return 0
+
+
+def compare_by_rules(order, a, b):
+    """The order stated rule by rule, with Fraction weights: -1, 0 or 1 for
+    a < b, a = b, a > b.  The oracle `OrderSpec.key()` is checked against."""
+    if a == b:
+        return 0
+    if order.homogenized:
+        la, lb = a.level, b.level
+        if la != lb:
+            return -1 if la < lb else 1
+    for w in order.weights:
+        wa, wb = _dot(w, a), _dot(w, b)
+        if wa != wb:
+            return -1 if wa < wb else 1
+    c = _base_compare(order, a, b)
+    if c:
+        return c
+    # equal (alpha, beta): larger k first (inhomogeneous tie-break)
+    if a.k != b.k:
+        return -1 if a.k < b.k else 1
+    return 0
+
+
+def reconstruct_window(res, G, cap):
+    """sum q_j g_j + R of the division result res, truncated to the cap
+    window."""
+    acc = res.remainder.truncated(cap)
+    for q, g in zip(res.quotients, G):
+        acc = acc + (q * g).truncated(cap)
+    return acc
 
 
 @pytest.fixture

@@ -383,12 +383,44 @@ def test_lp_feasible_sweep_matches_fraction_simplex():
     assert 0.2 < sum(answers) / len(answers) < 0.8
 
 
+def fraction_rank(forms, dim):
+    """The Fraction Gauss elimination `form_rank` replaced, kept as its
+    oracle."""
+    rows = [list(map(Fraction, f)) for f in forms if any(f)]
+    rank = 0
+    for col in range(dim):
+        piv = next((r for r in rows[rank:] if r[col]), None)
+        if piv is None:
+            continue
+        i = rows.index(piv)
+        rows[rank], rows[i] = rows[i], rows[rank]
+        for r in rows[rank + 1:]:
+            if r[col]:
+                t = r[col] / piv[col]
+                for j in range(col, dim):
+                    r[j] -= t * piv[j]
+        rank += 1
+    return rank
+
+
 def test_clear_form_and_rank():
     assert clear_form((F(1, 2), F(-1, 3))) == (3, -2)
     assert clear_form((4, -6, 0)) == (2, -3, 0) and clear_form((0, 0)) == (0, 0)
-    assert form_rank([(1, 0), (0, 1), (1, 1)], 2) == 2
-    assert form_rank([(1, 1), (2, 2)], 2) == 1
-    assert form_rank([], 2) == 0
+    assert form_rank([(1, 0), (0, 1), (1, 1)]) == 2
+    assert form_rank([(1, 1), (2, 2)]) == 1
+    assert form_rank([]) == 0
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+             .map(tuple), max_size=6))))
+def test_form_rank_matches_fraction_rank(args):
+    """Small entries and up to six forms, so zero forms, repeats and
+    dependent sets are common."""
+    dim, forms = args
+    assert form_rank(forms) == fraction_rank(forms, dim)
 
 
 def test_rel_open_cone_membership():

@@ -6,11 +6,11 @@ as an oracle for plain division over Frac(C/Q)."""
 
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 
 import pytest
 
-from conftest import qop, random_qop
+from conftest import compare_by_rules, qop, random_qop, reconstruct_window
 from dfan.division import (GUARD_SLACK, denominator_certificate, divide,
                            partition)
 from dfan.errors import LeadingTermNotCancelled, ZeroDivisor
@@ -108,7 +108,7 @@ def test_division_contract_random_suite(rng):
             continue
         res = divide(P, G, order)
         # window reconstruction
-        assert res.reconstruct_window(G, 8) == P.truncated(8)
+        assert reconstruct_window(res, G, 8) == P.truncated(8)
         # Delta-support: each quotient term, shifted by its divisor's leading
         # exponent, classifies back to that divisor
         exps = [leading_data(g, order)[0] for g in G]
@@ -162,7 +162,7 @@ def test_divide_mod_q_routes_t_part(F1):
     gq, Pq = g.to_field(FQ), P.to_field(FQ)
     res = divide(Pq, [gq], order)
     assert T.to_field(FQ).is_zero() and res.remainder == R.to_field(FQ)
-    assert res.reconstruct_window([gq], 5) == Pq
+    assert reconstruct_window(res, [gq], 5) == Pq
     assert denominator_certificate(res, [gq], order)
 
 
@@ -219,7 +219,7 @@ def raise_caps(ops, cap):
 
 def divide_by_scan(P, G, ord_spec, mod_q=None):
     """Reference division: each step takes the largest working term by a
-    max() scan through compare.  With mod_q, the retired division modulo Q:
+    max() scan through compare_by_rules.  With mod_q, the retired division modulo Q:
     leading data is taken modulo Q, and a term whose coefficient numerator
     lies in Q goes to the T part unreduced.  Returns (quotients, R, T,
     denom_powers, tainted)."""
@@ -236,7 +236,7 @@ def divide_by_scan(P, G, ord_spec, mod_q=None):
     P_eff, *G_eff = raise_caps([P] + G, internal)
     tainted = P.tainted or any(g.tainted for g in G)
     working = dict(P_eff.terms)
-    key = cmp_to_key(ord_spec.compare)
+    key = cmp_to_key(partial(compare_by_rules, ord_spec))
     quotients = [dict() for _ in G]
     remainder, t_terms = {}, {}
     denom_powers = {j: 0 for j in range(len(G))}

@@ -76,7 +76,7 @@ def test_airy_fan_structure():
     fan = enumerate_fan([g], cap=8)
     dims = sorted(c.dim() for c in fan.cells)
     assert dims == [0, 1, 1, 2]
-    stairs = {tuple(c.staircase) for c in fan.full_dim_cells()}
+    stairs = {tuple(c.staircase) for c in fan.cells if not c.cone.equalities}
     assert stairs == {(exponent(1, beta=[2]),)}
     assert check_fan_against_grid(fan, [g], grid_weights(1), 8) == []
 
@@ -103,7 +103,7 @@ def test_fan_of_plain_operators_homogenizes_first():
     fan = fan_of_ideal([g], cap=8)
     assert fan.cells and all(c.basis for c in fan.cells)
     for w in grid_weights(1, denominators=(1, 2), span=2):
-        assert fan.cell_containing(w) is not None
+        assert any(c.contains(w) for c in fan.cells)
 
 
 def test_every_admissible_grid_weight_is_covered_once():
@@ -158,6 +158,17 @@ def test_traversal_tries_the_same_weights(gens, tried, built, monkeypatch):
                         lambda cell, w: calls.append(w) or contains(cell, w))
     fan = enumerate_fan(gens, cap=8)
     assert (len(calls), len(fan.cells)) == (tried, built)
+
+
+@pytest.mark.parametrize("gens", [AIRY, EULER, TWO_VARIABLE],
+                         ids=["airy", "euler", "two_variable"])
+def test_every_closure_facet_point_is_admissible(gens):
+    """The traversal queues each closure-facet point unchecked: every cell
+    cone carries all 2n W forms, so its closure lies in W."""
+    fan = enumerate_fan(gens, cap=8)
+    points = [pt for c in fan.cells for _, pt in c.cone.closure_facets()]
+    assert points
+    assert all(fan_module._as_weight(fan.n, pt).is_admissible() for pt in points)
 
 
 def test_grid_weights_admissible_and_exhaustive():

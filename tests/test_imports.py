@@ -178,20 +178,29 @@ def test_no_retired_cone_api_in_src():
     helper, the order's label-only base name, the seed-weight flag, the
     test-only strict certification with its error, and the second
     step-off loop of the fan traversal, nor the weight's Fraction pairing
-    with lattice points."""
+    with lattice points.  Nor may the order's rule-by-rule comparison
+    (its key is the order), or the helpers only tests read: the grading
+    degree, the z = 1 projection, the action on polynomials, the division
+    window check, the polynomial gcd and exact division, and the fan's
+    cell lookups."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
              "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
              "_collect_lc_factors", "dn_standard_basis",
              "homogenization_commutes", ".base", "BASE_ORDERS", "seed_weight",
              "--seed-weight", "_order_for", "strict=", "CapTooSmall",
-             "_cross_facet", "dot_vec")
+             "_cross_facet", "dot_vec", "_base_compare", "def compare",
+             "hom_degree", "substitute_z_one", "apply_to_poly",
+             "reconstruct_window", "poly_gcd", "poly_exact_div",
+             "cell_containing", "full_dim_cells")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"
                   for name in retired_names(path.read_text(), names)]
     assert not found, "retired names:\n" + "\n".join(found)
     assert "base" not in {f.name for f in dataclasses.fields(OrderSpec)}
+    orders = (Path(dfan.__file__).parent / "orders.py").read_text()
+    assert "from .operators" not in orders
 
 
 def names_in_function(source, func):

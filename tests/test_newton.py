@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import qop
+from dfan.cones import RelOpenCone
 from dfan.errors import ZeroOperator
-from dfan.fan import grid_weights
+from dfan.fan import enumerate_fan, grid_weights
 from dfan.newton import (NewtonPolyhedron, _conv_redundant, face_of, in_wstar,
                          minkowski_sum, minkowski_sum_by_hull, newton,
                          normal_cone, vertex_set, wstar_rays)
@@ -235,16 +236,18 @@ def test_vertex_set_runs_no_one_point_lp():
     assert calls and 1 not in calls
 
 
+CRITERION_4_IDEALS = [
+    (1, [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})]),
+    (1, [qop(1, {((1,), (1,), 0): 1})]),
+    (2, [qop(2, {((1, 0), (1, 0), 0): 1, ((0, 1), (0, 1), 0): 1}),
+         qop(2, {((0, 0), (1, 1), 0): 1, ((0, 0), (0, 0), 2): 1})]),
+]
+
+
 def _criterion_4_polyhedra():
     """(n, polyhedra): the Newton polyhedra of the criterion-4 generators
     and of their Minkowski sum."""
-    cases = [
-        (1, [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})]),
-        (1, [qop(1, {((1,), (1,), 0): 1})]),
-        (2, [qop(2, {((1, 0), (1, 0), 0): 1, ((0, 1), (0, 1), 0): 1}),
-             qop(2, {((0, 0), (1, 1), 0): 1, ((0, 0), (0, 0), 2): 1})]),
-    ]
-    for n, gens in cases:
+    for n, gens in CRITERION_4_IDEALS:
         polys = [newton(g) for g in gens]
         yield n, polys + [minkowski_sum(polys)]
 
@@ -263,3 +266,66 @@ def test_face_of_matches_fraction_argmax():
                 assert face_of(poly, w) == (verts, rays)
                 checked += 1
     assert checked > 20000
+
+
+def normal_cone_with_w_loop(poly, w):
+    """`normal_cone` as it was while a second loop added the W activity at w
+    after the rays of W* had added the same forms."""
+    n = poly.n
+    dim = 2 * n
+    verts, frays = face_of(poly, w)
+    p0 = verts[0]
+    eqs = [tuple(a - b for a, b in zip(p0[:dim], p)) for p in verts[1:]]
+    strict = [tuple(a - b for a, b in zip(p0[:dim], q))
+              for q in poly.vertices if q not in verts]
+    for r in wstar_rays(n):
+        if r in frays:
+            eqs.append(r[:dim])
+        else:
+            strict.append(tuple(-c for c in r[:dim]))
+    for i in range(n):
+        f = [0] * dim
+        f[i] = -1  # -u_i
+        (eqs if w.u[i] == 0 else strict).append(tuple(f))
+        g = [0] * dim
+        g[i] = g[n + i] = 1  # u_i + v_i
+        (eqs if w.u[i] + w.v[i] == 0 else strict).append(tuple(g))
+    return RelOpenCone.make(dim, eqs, strict, witness=w.as_tuple())
+
+
+def _assert_same_forms(poly, w):
+    got, ref = normal_cone(poly, w), normal_cone_with_w_loop(poly, w)
+    assert (got.equalities, got.strict, got.witness) == (
+        ref.equalities, ref.strict, ref.witness)
+
+
+def test_normal_cone_matches_w_loop_on_criterion_4_cells():
+    """Every cell of the three criterion-4 fans, at its witness."""
+    cells = 0
+    for _, gens in CRITERION_4_IDEALS:
+        for cell in enumerate_fan(gens, cap=8).cells:
+            _assert_same_forms(minkowski_sum([newton(g) for g in cell.basis]),
+                               cell.witness)
+            cells += 1
+    assert cells == 4 + 4 + 24
+
+
+@st.composite
+def _boundary_weight(draw, n):
+    """An admissible weight each of whose coordinates lies inside W, on
+    u_i = 0, on u_i + v_i = 0, or on both."""
+    den = draw(st.integers(1, 3))
+    u, v = [], []
+    for _ in range(n):
+        on_u, on_uv = draw(st.booleans()), draw(st.booleans())
+        a = 0 if on_u else Fraction(-draw(st.integers(1, 3)), den)
+        u.append(a)
+        v.append(-a if on_uv else -a + Fraction(draw(st.integers(1, 4)), den))
+    return Weight.make(u, v)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_normal_cone_matches_w_loop_on_the_boundary_of_w(data):
+    n, polys = data.draw(_summands())
+    _assert_same_forms(minkowski_sum(polys), data.draw(_boundary_weight(n)))

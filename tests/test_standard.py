@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import cache, cmp_to_key, partial
 
-from conftest import qop, random_qop
+from conftest import compare_by_rules, qop, random_qop
 import dfan.params as params_module
 import dfan.standard as st
 from dfan.division import divide
@@ -189,12 +189,12 @@ def test_h_is_factored_from_the_completion_on_first_read(monkeypatch):
 
 def completion_by_resort(gens, ord_spec, cap, mul=None):
     """Reference pair queue, without criteria: re-sort every pair by the
-    join of its leading exponents (stable, through compare) on every
+    join of its leading exponents (stable, through compare_by_rules) on every
     iteration and take the first.  Returns G, the taint flag, the pairs in
     the order taken and how often the first two pairs tied."""
     G = [g.truncated(cap) for g in gens]
     G = [g for g in G if not g.is_zero()]
-    key = cmp_to_key(ord_spec.compare)
+    key = cmp_to_key(partial(compare_by_rules, ord_spec))
 
     def lead(g):
         return max(g.terms, key=key)

@@ -3,7 +3,10 @@
 A cone constraint is a pair (form, rel) meaning form . x REL 0, with form a
 tuple of integers and rel in {"eq", "ge", "gt"}.  `solve` decides such
 homogeneous systems by Fourier-Motzkin elimination in integers, tracking
-strictness, so cone decisions are exact; `lp_feasible` is an exact,
+strictness, so cone decisions are exact.  The back-substitution stays in
+integers too: the partial point is integer numerators over one positive
+common denominator, bounds compare by cross-multiplying, and `solve` makes
+Fractions only of the point it returns.  `lp_feasible` is an exact,
 fraction-free simplex for the many-variable convex-hull redundancy test of
 `newton.vertex_set`.
 """
@@ -44,15 +47,23 @@ def _substitute(con, var, pivot):
 def solve(constraints, dim):
     """A point of Q^dim satisfying every constraint (strict ones strictly),
     or None.  Deterministic: midpoints/offsets of the FM bounds."""
-    return _solve([(_normalize(tuple(f)), rel) for f, rel in constraints], dim)
+    sol = _solve([(_normalize(tuple(f)), rel) for f, rel in constraints], dim)
+    if sol is None:
+        return None
+    nums, den = sol
+    return tuple(Fraction(a, den) for a in nums)
 
 
 def _solve(cons, dim):
+    """`solve` on normalized integer forms, in integers throughout: None, or
+    (nums, den), the point nums / den with den > 0 and gcd(den, *nums) = 1.
+    Each bound on the last coordinate is a / (b * den) with b > 0, kept as
+    the pair (a, b); bounds compare by cross-multiplying."""
     cons = list(dict.fromkeys(cons))
     if any(rel == "gt" and not any(f) for f, rel in cons):
         return None
     if dim == 0:
-        return ()
+        return (), 1
     var = dim - 1
     with_var = [c for c in cons if c[0][var]]
     without = [c for c in cons if not c[0][var]]
@@ -63,39 +74,56 @@ def _solve(cons, dim):
         sol = _solve_lower(reduced, dim)
         if sol is None:
             return None
-        return sol + (Fraction(-sum(a * s for a, s in zip(pf, sol)), pf[var]),)
+        a, c = -sum(map(mul, pf, sol[0])), pf[var]
+        return _extend(sol, a, c) if c > 0 else _extend(sol, -a, -c)
     pos = [c for c in with_var if c[0][var] > 0]
     neg = [c for c in with_var if c[0][var] < 0]
     reduced = without + [_combine(p, q, var) for p in pos for q in neg]
     sol = _solve_lower(reduced, dim)
     if sol is None:
         return None
+    nums, den = sol
     lo = hi = None
     lo_strict = hi_strict = False
     for form, rel in with_var:
-        c = form[var]
-        bound = Fraction(-sum(a * s for a, s in zip(form, sol)), c)
-        if c > 0:  # lower bound on x_var
-            if lo is None or bound > lo:
-                lo, lo_strict = bound, rel == "gt"
-            elif bound == lo and rel == "gt":
+        a, c = -sum(map(mul, form, nums)), form[var]
+        if c > 0:  # lower bound a / (c * den) on x_var
+            d = 1 if lo is None else a * lo[1] - lo[0] * c
+            if d > 0:
+                lo, lo_strict = (a, c), rel == "gt"
+            elif d == 0 and rel == "gt":
                 lo_strict = True
-        else:      # upper bound
-            if hi is None or bound < hi:
-                hi, hi_strict = bound, rel == "gt"
-            elif bound == hi and rel == "gt":
+        else:      # upper bound (-a) / (-c * den)
+            a, c = -a, -c
+            d = -1 if hi is None else a * hi[1] - hi[0] * c
+            if d < 0:
+                hi, hi_strict = (a, c), rel == "gt"
+            elif d == 0 and rel == "gt":
                 hi_strict = True
     if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+        d = lo[0] * hi[1] - hi[0] * lo[1]
+        if d > 0 or (d == 0 and (lo_strict or hi_strict)):
             return None
-        val = lo if lo == hi else (lo + hi) / 2
+        # lo itself when the bounds meet, else their midpoint
+        a, b = lo if d == 0 else (lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
     elif lo is not None:
-        val = lo + 1  # push off the bound, interior when possible
+        a, b = lo[0] + lo[1] * den, lo[1]  # push off the bound, interior when possible
     elif hi is not None:
-        val = hi - 1
+        a, b = hi[0] - hi[1] * den, hi[1]
     else:
-        val = Fraction(0)
-    return sol + (val,)
+        a, b = 0, 1
+    return _extend(sol, a, b)
+
+
+def _extend(sol, a, b):
+    """The point (nums, den) with the coordinate a / (b * den) appended,
+    b > 0, over the least common denominator."""
+    nums, den = sol
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if b > 1:
+        nums = tuple(x * b for x in nums)
+    return nums + (a,), den * b
 
 
 def _solve_lower(cons, dim):

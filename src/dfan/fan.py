@@ -6,7 +6,11 @@ Newton polyhedra of that basis at its w-face.  The W constraints come with
 the rays of W*, the recession cone of every such polyhedron: the cone holds
 all 2n of them (-u_i, u_i + v_i), each an equality where it is active at w,
 so every point of a cell's closure is admissible.  The fan is enumerated by
-crossing closure facets from seed weights covering every activity stratum.
+crossing closure facets from seed weights covering every activity stratum
+(as in Fukuda-Jensen-Thomas, Computing Groebner fans, Math. Comp. 2007).
+Many cells share one reduced basis, so a traversal keeps a dict from each
+tuple of basis polyhedra to its Minkowski sum, made and dropped inside one
+`enumerate_fan` call, and sums each distinct tuple once.
 
 Inputs that do not involve z are first completed with respect to the
 dx-degree weight order in the z = 1 quotient (`standard.standard_basis` run
@@ -92,11 +96,18 @@ def _basis_at(gens, w, cap):
     return sb
 
 
-def cell_at(gens, w, cap):
+def cell_at(gens, w, cap, sums=None):
     """The fan cell of the admissible weight w, for the homogenized ideal
-    generated by gens (already z-graded)."""
+    generated by gens (already z-graded).  sums, when given, maps a tuple of
+    basis polyhedra to their Minkowski sum: `enumerate_fan` passes one dict
+    per traversal, so each distinct basis is summed once."""
     sb = _basis_at(gens, w, cap)
-    P = minkowski_sum([newton(g) for g in sb.basis])
+    polys = tuple(newton(g) for g in sb.basis)
+    if sums is None:
+        sums = {}
+    if polys not in sums:
+        sums[polys] = minkowski_sum(polys)
+    P = sums[polys]
     verts, _ = face_of(P, w)
     cone = normal_cone(P, w)
     return FanCell(cone, w, verts, sb.basis, sb.staircase, sb.h, sb.h_factors,
@@ -159,6 +170,7 @@ def enumerate_fan(gens, cap, max_cells=4096):
         raise ZeroOperator("fan of the empty generating set")
     n = gens[0].n
     cells = []
+    sums = {}
     queue = list(_seed_weights(n))
     while queue:
         w = queue.pop(0)
@@ -167,7 +179,7 @@ def enumerate_fan(gens, cap, max_cells=4096):
         if len(cells) >= max_cells:
             raise NonConvergentTraversal(
                 f"fan traversal found more than {max_cells} cells")
-        cell = cell_at(gens, w, cap)
+        cell = cell_at(gens, w, cap, sums)
         cells.append(cell)
         # descend / move sideways: cross every closure facet, stepping
         # from the facet point away from the witness; the facet points lie

@@ -13,8 +13,9 @@ of the normal fans of A and B (Ziegler, Lectures on Polytopes, Prop. 7.12),
 so a + b is a vertex of A + B exactly when the open normal cones of the
 vertices a and b meet.  `minkowski_sum` folds the summands that way, testing
 each meet with a known interior point first and an exact cone solve only
-when neither point lies in both cones.  `minkowski_sum_by_hull` is the
-definition itself, kept as an independent reference.
+when neither point lies in both cones; a single summand is returned as it
+is.  `minkowski_sum_by_hull` is the definition itself, kept as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -153,9 +154,12 @@ def minkowski_sum(polys):
 
     Folds the summands left to right.  Each vertex of the partial sum carries
     its open normal cone (the union of its summand vertices' forms) and a
-    point inside it; a + b survives when the cones of a and b meet."""
+    point inside it; a + b survives when the cones of a and b meet.  One
+    summand is its own sum: its vertices are already irredundant."""
     if not polys:
         raise ValueError("empty Minkowski sum")
+    if len(polys) == 1:
+        return polys[0]
     n = polys[0].n
     dim = 2 * n + 1
     acc = _vertex_cones(polys[0])

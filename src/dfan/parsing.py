@@ -19,7 +19,8 @@ from .params import (ParamField, ParamIdeal, QQ_FIELD, factor_squarefree, param_
                      poly_str)
 from .orders import OrderSpec, Weight
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[-+*/^()]|\S")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(_NAME + r"|\d+|[-+*/^()]|\S")
 
 
 def tokenize(text, line=1, col=1):
@@ -281,25 +282,28 @@ def _parse_weight_line(value, n, ln):
 
 
 def _parse_names(value_raw, ln, col, other):
-    """The names of a `params:` or `vars:` line, each at most once, none of
-    them 'z' or one of `other` (the names of the other line); col is the
-    column of value_raw in the line."""
-    names = []
+    """The names of a `params:` or `vars:` line, mapped to their columns:
+    identifiers a token can spell, each at most once, none of them 'z' or
+    one of `other` (the names of the other line); col is the column of
+    value_raw in the line."""
+    names = {}
     for mt in re.finditer(r"\S+", value_raw):
-        if mt.group(0) in names:
-            raise OperatorSyntaxError(f"duplicate name {mt.group(0)!r}", ln,
-                                      col + mt.start())
-        if mt.group(0) == "z" or mt.group(0) in other:
+        name, at = mt.group(0), col + mt.start()
+        if not re.fullmatch(_NAME, name):
+            raise OperatorSyntaxError(f"{name!r} is not a name", ln, at)
+        if name in names:
+            raise OperatorSyntaxError(f"duplicate name {name!r}", ln, at)
+        if name == "z" or name in other:
             raise OperatorSyntaxError("names must be disjoint and avoid 'z'",
-                                      ln, col + mt.start())
-        names.append(mt.group(0))
+                                      ln, at)
+        names[name] = at
     return names
 
 
 def parse_problem(text):
     """Parse a problem file (line-based `key: value` records)."""
-    params = []
-    var_names = None
+    params, params_ln = {}, 1
+    var_names, vars_ln = None, 1
     order_desc, order_ln = "antigraded_lex", 1
     cap = None
     q_texts = []
@@ -329,8 +333,10 @@ def parse_problem(text):
 
         if key == "params":
             params = _parse_names(value_raw, ln, vstart, var_names or ())
+            params_ln = ln
         elif key == "vars":
             var_names = _parse_names(value_raw, ln, vstart, params)
+            vars_ln = ln
         elif key == "order":
             order_desc, order_ln = value, ln
         elif key == "weight":
@@ -352,6 +358,14 @@ def parse_problem(text):
             raise OperatorSyntaxError(f"unknown key {key!r}", ln, 1)
     if var_names is None:
         raise OperatorSyntaxError("missing 'vars:' line", 1, 1)
+    # d + a variable names that variable's dx-partner
+    for names, names_ln in ((params, params_ln), (var_names, vars_ln)):
+        for name, at in names.items():
+            if name[0] == "d" and name[1:] in var_names:
+                raise OperatorSyntaxError(
+                    f"{name!r} is the dx-partner of variable {name[1:]!r}",
+                    names_ln, at)
+    params, var_names = list(params), list(var_names)
     if cap is None:
         cap = 8
     xprio = _parse_order_line(order_desc, var_names, order_ln)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dfan.operators import Exponent, HOperator, exponent
+from dfan.operators import Exponent, HOperator
 from dfan.params import QQ_FIELD, ParamField, ParamIdeal
 from dfan.parsing import parse_operator
 

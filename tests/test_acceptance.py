@@ -7,8 +7,6 @@ with `pytest -v` as the test verdict) and enforces its own time budget.
 import time
 from fractions import Fraction
 
-import pytest
-
 from conftest import qop, random_qop, reconstruct_window
 from dfan.division import denominator_certificate, divide, partition
 from dfan.errors import DenominatorVanishes

@@ -4,8 +4,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 SERIES = """params: y
 vars: x1 x2
 order: antigraded_lex x2 > x1
@@ -192,3 +190,11 @@ def test_duplicate_names_are_usage_errors():
                  "duplicate name 'x1'", "line 1, column 10")
     _usage_error(run_cli(["reduce"], "params: y y\nvars: x1\nideal: y*x1\n"),
                  "duplicate name 'y'", "line 1, column 11")
+
+
+def test_bad_names_are_usage_errors():
+    # dx1 declared as a variable used to overwrite x1's dx-partner
+    _usage_error(run_cli(["reduce"], "vars: x1 dx1\nideal: dx1*x1 - 1\n"),
+                 "'dx1' is the dx-partner of variable 'x1'", "line 1, column 10")
+    _usage_error(run_cli(["reduce"], "params: y.\nvars: x1\nideal: x1\n"),
+                 "'y.' is not a name", "line 1, column 9")

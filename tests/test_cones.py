@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dfan.cones as cones
@@ -210,6 +211,30 @@ def test_integer_elimination_matches_fraction_oracle(system):
     assert pt == solve_by_fractions([(f, 0, rel) for f, rel in cons], dim)
     if pt is not None:
         assert _satisfied(pt, cons)
+
+
+# x0 = 1 and 1/2 < x1 < 2/3 put x1 at 7/12: a common denominator of 12 for
+# whatever x2 is bounded by
+_TWELFTHS = [((1, 0, 0), "gt"), ((-1, 2, 0), "gt"), ((2, -3, 0), "gt")]
+
+
+@pytest.mark.parametrize("top, x2", [
+    ([((0, -1, 1), "gt")], F(19, 12)),                      # lo + 1
+    ([((0, 1, -1), "gt")], F(-5, 12)),                      # hi - 1
+    ([((0, -1, 1), "gt"), ((0, 2, -1), "gt")], F(7, 8)),    # midpoint
+    ([((0, -1, 1), "ge"), ((0, 1, -1), "ge")], F(7, 12)),   # lo == hi
+    ([((0, 1, -2), "eq")], F(7, 24)),                       # equality pivot
+    ([((0, -1, 3), "gt"), ((0, 1, -1), "gt")], F(7, 18)),   # midpoint, reduced
+    ([((0, -1, 1), "gt"), ((0, 3, -1), "gt")], F(7, 6)),    # midpoint in twelfths
+], ids=["lo", "hi", "mid", "meet", "pivot", "mid_reduced", "mid_whole"])
+def test_back_substitution_over_a_common_denominator(top, x2):
+    """Each way of fixing the last coordinate, once the earlier ones share a
+    denominator above 1, gives the Fraction oracle's point."""
+    cons = _TWELFTHS + top
+    pt = solve(cons, 3)
+    assert pt == (1, F(7, 12), x2)
+    assert pt == solve_by_fractions([(f, 0, rel) for f, rel in cons], 3)
+    assert all(type(x) is F for x in pt)
 
 
 def test_cone_queries_match_fraction_oracle():

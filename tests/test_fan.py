@@ -13,8 +13,8 @@ from dfan.errors import NonConvergentTraversal
 from dfan.fan import (cell_at, check_fan_against_grid, enumerate_fan,
                       fan_of_ideal, grid_weights, homogenized_generators,
                       oracle_classify, t_order)
-from dfan.operators import HOperator, exponent, homogenize, term_product
-from dfan.orders import OrderSpec, Weight, leading_data
+from dfan.operators import HOperator, exponent, term_product
+from dfan.orders import Weight
 from dfan.params import ParamField, ParamIdeal
 from dfan.standard import standard_basis
 
@@ -158,6 +158,33 @@ def test_traversal_tries_the_same_weights(gens, tried, built, monkeypatch):
                         lambda cell, w: calls.append(w) or contains(cell, w))
     fan = enumerate_fan(gens, cap=8)
     assert (len(calls), len(fan.cells)) == (tried, built)
+
+
+@pytest.mark.parametrize("gens, distinct", [(AIRY, 1), (EULER, 1),
+                                             (TWO_VARIABLE, 2)],
+                         ids=["airy", "euler", "two_variable"])
+def test_traversal_sums_each_basis_once(gens, distinct, monkeypatch):
+    """One traversal runs `minkowski_sum` once per distinct tuple of basis
+    polyhedra and builds each cell through the module's `cell_at`; every
+    cell equals the one a bare `cell_at` builds at its witness, which sums
+    afresh."""
+    sums, built = [], []
+    minkowski_sum, raw_cell_at = fan_module.minkowski_sum, fan_module.cell_at
+    monkeypatch.setattr(fan_module, "minkowski_sum",
+                        lambda polys: sums.append(polys) or minkowski_sum(polys))
+    monkeypatch.setattr(fan_module, "cell_at",
+                        lambda *args: built.append(args) or raw_cell_at(*args))
+    fan = enumerate_fan(gens, cap=8)
+    assert len(sums) == len(set(sums)) == distinct
+    assert len(built) == len(fan.cells)
+    del sums[:]
+    for cell in fan.cells:
+        ref = cell_at(gens, cell.witness, 8)
+        assert (cell.cone.equalities, cell.cone.strict, cell.cone.witness) == (
+            ref.cone.equalities, ref.cone.strict, ref.cone.witness)
+        assert cell.face_vertices == ref.face_vertices
+        assert cell.staircase == ref.staircase
+    assert len(sums) == len(fan.cells)
 
 
 @pytest.mark.parametrize("gens", [AIRY, EULER, TWO_VARIABLE],

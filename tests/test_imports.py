@@ -1,7 +1,7 @@
-"""Lint: every name a dfan module imports is used in that module, no module
+"""Lint: every name a dfan module or a test imports is used there, no module
 keeps mutable state at its top level, every error class is raised, the
-retired mod-Q route and cone API stay gone, the hot LP stays fraction-free,
-and each submodule is reachable under its own name."""
+retired mod-Q route and cone API stay gone, the hot LP and the elimination
+stay fraction-free, and each submodule is reachable under its own name."""
 
 import ast
 import dataclasses
@@ -43,6 +43,14 @@ def test_no_unused_imports_in_src():
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue
+        found += [f"{path.name}:{line}: {name}"
+                  for line, name in unused_imports(path.read_text())]
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_no_unused_imports_in_tests():
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
         found += [f"{path.name}:{line}: {name}"
                   for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
@@ -221,11 +229,14 @@ def test_names_in_function_detects_and_ignores():
 
 
 def test_hot_lp_is_fraction_free():
-    """The simplex and the rows `vertex_set` hands it stay in integers: a
-    rational tableau must not come back into either body."""
+    """The simplex, the rows `vertex_set` hands it, and the elimination with
+    its back-substitution stay in integers: a rational tableau or point must
+    not come back into any of these bodies.  `solve` converts its point to
+    Fraction once, at its return."""
     root = Path(dfan.__file__).parent
     for module, func in (("cones.py", "lp_feasible"),
-                         ("newton.py", "_conv_redundant")):
+                         ("newton.py", "_conv_redundant"),
+                         ("cones.py", "_solve"), ("cones.py", "_extend")):
         names = names_in_function((root / module).read_text(), func)
         assert "Fraction" not in names, f"{module}: {func} names Fraction"
 

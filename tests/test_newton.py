@@ -11,10 +11,9 @@ from conftest import qop
 from dfan.cones import RelOpenCone
 from dfan.errors import ZeroOperator
 from dfan.fan import enumerate_fan, grid_weights
-from dfan.newton import (NewtonPolyhedron, _conv_redundant, face_of, in_wstar,
-                         minkowski_sum, minkowski_sum_by_hull, newton,
-                         normal_cone, vertex_set, wstar_rays)
-from dfan.operators import exponent
+from dfan.newton import (_conv_redundant, face_of, in_wstar, minkowski_sum,
+                         minkowski_sum_by_hull, newton, normal_cone,
+                         vertex_set, wstar_rays)
 from dfan.orders import Weight
 
 newton_module = importlib.import_module("dfan.newton")
@@ -179,6 +178,17 @@ def test_minkowski_sum_matches_hull_definition(data):
     w = data.draw(_admissible_weight(n))
     assert face_of(fast, w) == face_of(ref, w)
     assert normal_cone(fast, w).to_doc() == normal_cone(ref, w).to_doc()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_summands())
+def test_minkowski_sum_of_one_summand_is_that_summand(summands):
+    """One summand is returned as it is, with no cone solve."""
+    _, polys = summands
+    with mock.patch.object(newton_module, "solve") as solve:
+        got = minkowski_sum(polys[:1])
+    assert not solve.called
+    assert got == polys[0] == minkowski_sum_by_hull(polys[:1])
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

@@ -1,6 +1,5 @@
 """The homogenized operator ring: normal ordering, grading, caps, taint."""
 
-import random
 from fractions import Fraction
 from itertools import product
 from math import comb, perm, prod

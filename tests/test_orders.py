@@ -1,6 +1,5 @@
 """Admissible weights and term orders: axioms and leading data."""
 
-import random
 from fractions import Fraction
 from functools import cmp_to_key, partial
 

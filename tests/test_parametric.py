@@ -9,12 +9,11 @@ import dfan.newton as newton_module
 from dfan.errors import DenominatorVanishes, ZeroOperator
 from dfan.fan import enumerate_fan, grid_weights
 from dfan.operators import HOperator, exponent
-from dfan.orders import OrderSpec, Weight
+from dfan.orders import OrderSpec
 from dfan.params import ParamField, ParamIdeal, ParamPoly, poly_eval
-from dfan.parametric import (ComprehensiveFan, common_refinement,
-                             comprehensive_fan, constant_fan_certificate,
-                             newton_stability_multiplier, rationals_by_height,
-                             sample_points, specialize_ideal)
+from dfan.parametric import (common_refinement, comprehensive_fan,
+                             constant_fan_certificate, newton_stability_multiplier,
+                             rationals_by_height, sample_points, specialize_ideal)
 
 
 def _param_airy(F1, y):

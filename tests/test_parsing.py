@@ -134,6 +134,29 @@ def test_names_and_order_are_checked_where_written():
     assert "unknown base order 'lex'" in str(exc.value) and exc.value.line == 3
 
 
+def test_names_must_be_tokens_and_not_dx_partners():
+    """A declared name is an identifier a token can spell, and never `d` +
+    a declared variable, which names that variable's dx-partner."""
+    for text, where in (("vars: x1 dx1\nideal: dx1*x1 - 1\n", (1, 10)),
+                        ("vars: dx1 x1\n", (1, 7)),
+                        ("params: dx1\nvars: x1\n", (1, 9)),
+                        ("vars: x1\nparams: dx1\n", (2, 9))):
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_problem(text)
+        assert "'dx1' is the dx-partner of variable 'x1'" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == where
+    for text, bad, where in (("params: y.\nvars: x1\n", "y.", (1, 9)),
+                             ("vars: x1 1x\n", "1x", (1, 10)),
+                             ("vars: x-y\n", "x-y", (1, 7))):
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_problem(text)
+        assert f"{bad!r} is not a name" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == where
+    # d alone, or d + a name that is not a variable, is an ordinary name
+    prob = parse_problem("params: dy\nvars: d x\nideal: dy*dd + dx\n")
+    assert prob.params == ["dy"] and prob.var_names == ["d", "x"]
+
+
 def test_weight_line_errors():
     with pytest.raises(OperatorSyntaxError):
         parse_problem("vars: x1\nweight: u -1\n")

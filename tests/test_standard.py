@@ -9,8 +9,8 @@ import dfan.params as params_module
 import dfan.standard as st
 from dfan.division import divide
 from dfan.fan import t_order
-from dfan.operators import HOperator, exponent, homogenize, term_product
-from dfan.orders import OrderSpec, Weight, leading_data
+from dfan.operators import HOperator, exponent, term_product
+from dfan.orders import OrderSpec, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
 from dfan.standard import (_join, certified_standard_basis, completion,
                            reduce_basis, spair, standard_basis, uniqueness_check)

@@ -8,9 +8,31 @@ all 2n of them (-u_i, u_i + v_i), each an equality where it is active at w,
 so every point of a cell's closure is admissible.  The fan is enumerated by
 crossing closure facets from seed weights covering every activity stratum
 (as in Fukuda-Jensen-Thomas, Computing Groebner fans, Math. Comp. 2007).
-Many cells share one reduced basis, so a traversal keeps a dict from each
-tuple of basis polyhedra to its Minkowski sum, made and dropped inside one
-`enumerate_fan` call, and sums each distinct tuple once.
+
+A traversal meets few distinct reduced bases, so it completes each one once.
+For one `enumerate_fan` call it keeps every reduced basis found so far, with
+its leading exponents and the Minkowski sum of its polyhedra.  At a new
+witness w, a kept basis G whose every element keeps its leading exponent
+under the order refined by w is the reduced basis at w, and the cell is
+built from G, sorted by the order of w, with no completion.  This is exact
+for z-graded generators (every term of each at one level |beta| + k): G is
+then a standard basis at w with the same leading exponents (Fukuda-Jensen-
+Thomas; for the Weyl algebra, Assi-Castro-Jimenez-Granger, The Groebner fan
+of an A_n-module, JPAA 2000), still monic with its tails off the staircase,
+and a reduced basis is fixed by its leading exponents.  Other generators
+complete at every witness: the argument needs the grading, and without it a
+kept basis that keeps its leading exponents can differ from the basis
+completed at w, where the cap cuts a series.
+
+A reused cell carries the multiplier h and the taint of the completion that
+found G.  A completion at w itself runs other S-pairs and can divide by
+other leading coefficients, so its h may differ; the kept h certifies the
+cell at w all the same.  Where h(y0) != 0 the kept completion specializes
+verbatim, so G(y0) is the reduced basis of the specialized ideal at the
+witness that found G.  Each element of G(y0) is monic, with its terms
+among those of the element of G it specializes, so it keeps its leading
+exponent at w, and the argument above makes G(y0) the reduced basis at w.  An untainted G is exact, and so is the
+reused cell; a tainted G taints it.
 
 Inputs that do not involve z are first completed with respect to the
 dx-degree weight order in the z = 1 quotient (`standard.standard_basis` run
@@ -19,9 +41,9 @@ homogenized ideal, which is what the fan is attached to.
 `homogenized_generators` is the one place that makes this choice.
 
 Over a parameter field Frac(C/Q) each cell holds the generic standard basis
-and its multiplier h, both from one `standard.standard_basis`; the
-generators' coefficient field carries Q, so no function here takes Q
-separately.
+and its multiplier h, both from the one `standard.standard_basis` that found
+the basis; the generators' coefficient field carries Q, so no function here
+takes Q separately.
 """
 
 from __future__ import annotations
@@ -35,7 +57,7 @@ from .cones import form_rank
 from .errors import NonConvergentTraversal, ZeroOperator
 from .newton import face_of, minkowski_sum, minkowski_sum_by_hull, newton, normal_cone
 from .operators import homogenize, term_product
-from .orders import OrderSpec, Weight
+from .orders import OrderSpec, Weight, leading_data
 from .standard import standard_basis
 
 
@@ -96,21 +118,62 @@ def _basis_at(gens, w, cap):
     return sb
 
 
-def cell_at(gens, w, cap, sums=None):
-    """The fan cell of the admissible weight w, for the homogenized ideal
-    generated by gens (already z-graded).  sums, when given, maps a tuple of
-    basis polyhedra to their Minkowski sum: `enumerate_fan` passes one dict
-    per traversal, so each distinct basis is summed once."""
-    sb = _basis_at(gens, w, cap)
-    polys = tuple(newton(g) for g in sb.basis)
-    if sums is None:
-        sums = {}
-    if polys not in sums:
-        sums[polys] = minkowski_sum(polys)
-    P = sums[polys]
+def _graded(gens):
+    """Is every term of each generator at one level |beta| + k?"""
+    return all(len({e.level for e in g.terms}) == 1 for g in gens)
+
+
+def _kept_basis_at(w, kept):
+    """(standard basis, its elements sorted by the order of w, their
+    leading exponents, Minkowski sum) of the first kept basis whose elements
+    all keep their leading exponents under the order refined by w, or None."""
+    order = base_fan_order(w.n).with_weight(w)
+    key = order.key()
+    for P, bases in kept.values():
+        for sb, leads in bases:
+            if all(leading_data(g, order)[0] == e
+                   for g, e in zip(sb.basis, leads)):
+                basis = sorted(sb.basis,
+                               key=lambda g: key(leading_data(g, order)[0]))
+                return sb, basis, leads, P
+    return None
+
+
+def cell_at(gens, w, cap, kept=None):
+    """The fan cell of the admissible weight w, for the ideal generated by
+    gens (already homogenized, see `homogenized_generators`).
+
+    kept, when given, is one traversal's memo: `enumerate_fan` passes one
+    dict per traversal.  It maps each tuple of basis polyhedra met so far
+    to their Minkowski sum, so each tuple is summed once, and, for graded
+    generators, to the reduced bases with those polyhedra, each with its
+    leading exponents.  A kept basis that keeps all its leading exponents
+    at w is the reduced basis at w (see the module docstring): the cell is
+    built from it, sorted by the order of w, with its operators, polyhedra
+    and sum, and with the h, h_factors and taint of the completion that
+    found it; nothing is completed.  That h certifies the cell at w, though
+    a completion at w may give another (see the module docstring).  A bare
+    call keeps nothing and completes from scratch."""
+    w.check_admissible()
+    if kept is None:
+        kept = {}
+    graded = _graded(gens)
+    hit = _kept_basis_at(w, kept) if graded else None
+    if hit is None:
+        sb = _basis_at(gens, w, cap)
+        basis = sb.basis
+        leads = [leading_data(g, sb.ord_spec)[0] for g in basis]
+        polys = tuple(newton(g) for g in basis)
+        if polys not in kept:
+            kept[polys] = (minkowski_sum(polys), [])
+        P, bases = kept[polys]
+        if graded:
+            bases.append((sb, leads))
+    else:
+        sb, basis, leads, P = hit
     verts, _ = face_of(P, w)
     cone = normal_cone(P, w)
-    return FanCell(cone, w, verts, sb.basis, sb.staircase, sb.h, sb.h_factors,
+    return FanCell(cone, w, verts, basis, sorted(leads), sb.h, sb.h_factors,
                    sb.tainted)
 
 
@@ -165,12 +228,17 @@ def _step_off(pt, d, cone, eps, tries):
 def enumerate_fan(gens, cap, max_cells=4096):
     """All cells of the Groebner fan by facet traversal from stratum seeds;
     more than max_cells cells raise NonConvergentTraversal.  Weights are
-    queued only when a cell is added, so the cell bound bounds the loop."""
+    queued only when a cell is added, so the cell bound bounds the loop.
+    Every cell comes from `cell_at` with one memo for the whole traversal:
+    each distinct tuple of basis polyhedra is summed once, and on z-graded
+    gens each distinct reduced basis is completed once, at the first
+    witness where no kept basis keeps its leading exponents; the cells that
+    reuse it carry the h and taint of that completion."""
     if not gens:
         raise ZeroOperator("fan of the empty generating set")
     n = gens[0].n
     cells = []
-    sums = {}
+    kept = {}
     queue = list(_seed_weights(n))
     while queue:
         w = queue.pop(0)
@@ -179,7 +247,7 @@ def enumerate_fan(gens, cap, max_cells=4096):
         if len(cells) >= max_cells:
             raise NonConvergentTraversal(
                 f"fan traversal found more than {max_cells} cells")
-        cell = cell_at(gens, w, cap, sums)
+        cell = cell_at(gens, w, cap, kept)
         cells.append(cell)
         # descend / move sideways: cross every closure facet, stepping
         # from the facet point away from the witness; the facet points lie

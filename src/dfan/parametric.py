@@ -70,10 +70,13 @@ def constant_fan_certificate(gens, Q, cap):
     factors = list(hom_factors)
     fan = enumerate_fan(hom, cap)
     tainted = any(c.tainted for c in fan.cells)
+    seen = []  # many cells hold equal operators
     for cell in fan.cells:
         factors += cell.h_factors
         for g in cell.basis:
-            factors += newton_stability_multiplier(g)
+            if g not in seen:
+                seen.append(g)
+                factors += newton_stability_multiplier(g)
     h, h_factors = multiplier(Q.ring, factors)
     return ConstancyCertificate(Q, h, h_factors, fan, hom, tainted)
 

@@ -171,10 +171,19 @@ def _invert_scalar(w, ln, col):
 
 
 def parse_operator(text, var_names, param_names=(), field=None, line=1, col=1):
-    """Parse one operator expression over the declared names."""
+    """Parse one operator expression over the declared names, which obey
+    the rules of the `vars:` and `params:` lines; a broken rule raises
+    OperatorSyntaxError at line, col."""
+    var_names, param_names = list(var_names), list(param_names)
+    for names, other in ((var_names, param_names), (param_names, var_names)):
+        for i, name in enumerate(names):
+            fault = (_name_fault(name, names[:i], other)
+                     or _partner_fault(name, var_names))
+            if fault:
+                raise OperatorSyntaxError(fault, line, col)
     if field is None:
         field = QQ_FIELD if not param_names else ParamField(param_names)
-    env = _Env(list(var_names), list(param_names), field)
+    env = _Env(var_names, param_names, field)
     toks = tokenize(text, line=line, col=col)
     if not toks:
         raise OperatorSyntaxError("empty expression", line, col)
@@ -281,21 +290,38 @@ def _parse_weight_line(value, n, ln):
     return Weight.make(u, v)
 
 
+def _name_fault(name, same, other):
+    """Why name cannot be declared after the names `same` of its own list
+    and next to the names `other` of the other list (variables or
+    parameters), or None: it must be an identifier a token can spell, new,
+    and not 'z'."""
+    if not re.fullmatch(_NAME, name):
+        return f"{name!r} is not a name"
+    if name in same:
+        return f"duplicate name {name!r}"
+    if name == "z" or name in other:
+        return "names must be disjoint and avoid 'z'"
+    return None
+
+
+def _partner_fault(name, var_names):
+    """Why name cannot be declared next to the variables var_names, or
+    None: d + a variable names that variable's dx-partner."""
+    if name[0] == "d" and name[1:] in var_names:
+        return f"{name!r} is the dx-partner of variable {name[1:]!r}"
+    return None
+
+
 def _parse_names(value_raw, ln, col, other):
-    """The names of a `params:` or `vars:` line, mapped to their columns:
-    identifiers a token can spell, each at most once, none of them 'z' or
-    one of `other` (the names of the other line); col is the column of
-    value_raw in the line."""
+    """The names of a `params:` or `vars:` line, mapped to their columns,
+    each checked by `_name_fault` against the names of the other line;
+    col is the column of value_raw in the line."""
     names = {}
     for mt in re.finditer(r"\S+", value_raw):
         name, at = mt.group(0), col + mt.start()
-        if not re.fullmatch(_NAME, name):
-            raise OperatorSyntaxError(f"{name!r} is not a name", ln, at)
-        if name in names:
-            raise OperatorSyntaxError(f"duplicate name {name!r}", ln, at)
-        if name == "z" or name in other:
-            raise OperatorSyntaxError("names must be disjoint and avoid 'z'",
-                                      ln, at)
+        fault = _name_fault(name, names, other)
+        if fault:
+            raise OperatorSyntaxError(fault, ln, at)
         names[name] = at
     return names
 
@@ -358,13 +384,11 @@ def parse_problem(text):
             raise OperatorSyntaxError(f"unknown key {key!r}", ln, 1)
     if var_names is None:
         raise OperatorSyntaxError("missing 'vars:' line", 1, 1)
-    # d + a variable names that variable's dx-partner
     for names, names_ln in ((params, params_ln), (var_names, vars_ln)):
         for name, at in names.items():
-            if name[0] == "d" and name[1:] in var_names:
-                raise OperatorSyntaxError(
-                    f"{name!r} is the dx-partner of variable {name[1:]!r}",
-                    names_ln, at)
+            fault = _partner_fault(name, var_names)
+            if fault:
+                raise OperatorSyntaxError(fault, names_ln, at)
     params, var_names = list(params), list(var_names)
     if cap is None:
         cap = 8

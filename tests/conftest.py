@@ -35,6 +35,15 @@ def random_qop(rng, n, nterms, maxdeg=3, maxk=2):
     return HOperator(n, QQ_FIELD, terms)
 
 
+def random_ideal(rng, n, maxk=1, most=2):
+    """Generators drawn as the criterion-3 pool draws them."""
+    maxdeg = 2 if n == 1 else 1
+    gens = [random_qop(rng, n, rng.randint(1, 3) if n == 1 else 2,
+                       maxdeg=maxdeg, maxk=maxk)
+            for _ in range(rng.randint(1, most))]
+    return [g for g in gens if not g.is_zero()]
+
+
 def _dot(w, e):
     return (sum(a * p for a, p in zip(w.u, e.alpha))
             + sum(b * p for b, p in zip(w.v, e.beta)))

@@ -1,21 +1,25 @@
 """Fan enumeration, the z = 1 completion, and the independent grid oracle."""
 
 import json
+import random
 from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import qop
+from conftest import op, qop, random_ideal
 import dfan.fan as fan_module
 from dfan.errors import NonConvergentTraversal
 from dfan.fan import (cell_at, check_fan_against_grid, enumerate_fan,
                       fan_of_ideal, grid_weights, homogenized_generators,
                       oracle_classify, t_order)
-from dfan.operators import HOperator, exponent, term_product
+from dfan.operators import HOperator, exponent, homogenize, term_product
 from dfan.orders import Weight
-from dfan.params import ParamField, ParamIdeal
+from dfan.parametric import (constant_fan_certificate, sample_points,
+                             specialize_ideal)
+from dfan.params import ParamField, ParamIdeal, poly_str
+from dfan.parsing import parse_problem
 from dfan.standard import standard_basis
 
 
@@ -160,31 +164,186 @@ def test_traversal_tries_the_same_weights(gens, tried, built, monkeypatch):
     assert (len(calls), len(fan.cells)) == (tried, built)
 
 
+def assert_cells_match_fresh(fan, gens, cap):
+    """Every traversal cell equals the cell a bare `cell_at`, which
+    completes from scratch, builds at its witness: the basis in its order,
+    the staircase, the face and the cone.  Its h factors and taint are
+    those of the completion that found its basis: on graded gens the fresh
+    cell's at the first witness with that basis and staircase, otherwise
+    the fresh cell's at its own witness."""
+    graded = fan_module._graded(gens)
+    found = {}
+    for cell in fan.cells:
+        ref = cell_at(gens, cell.witness, cap)
+        where = str(cell.witness)
+        assert cell.basis == ref.basis, where
+        assert cell.staircase == ref.staircase, where
+        assert cell.face_vertices == ref.face_vertices, where
+        assert (cell.cone.equalities, cell.cone.strict, cell.cone.witness) == (
+            ref.cone.equalities, ref.cone.strict, ref.cone.witness), where
+        key = (frozenset(map(str, cell.basis)), tuple(cell.staircase))
+        first = found.setdefault(key, ref) if graded else ref
+        assert (cell.h_factors, cell.tainted) == (
+            first.h_factors, first.tainted), where
+
+
+def counted_completions(monkeypatch):
+    """The weights `fan._basis_at` completes at, as a list it fills."""
+    weights = []
+    basis_at = fan_module._basis_at
+    monkeypatch.setattr(fan_module, "_basis_at", lambda gens, w, cap:
+                        weights.append(w) or basis_at(gens, w, cap))
+    return weights
+
+
 @pytest.mark.parametrize("gens, distinct", [(AIRY, 1), (EULER, 1),
                                              (TWO_VARIABLE, 2)],
                          ids=["airy", "euler", "two_variable"])
 def test_traversal_sums_each_basis_once(gens, distinct, monkeypatch):
-    """One traversal runs `minkowski_sum` once per distinct tuple of basis
-    polyhedra and builds each cell through the module's `cell_at`; every
-    cell equals the one a bare `cell_at` builds at its witness, which sums
-    afresh."""
+    """On these graded generators one traversal completes, and runs
+    `minkowski_sum`, once per distinct reduced basis, and builds each cell
+    through the module's `cell_at`; every other cell reuses a basis that
+    keeps its leading exponents at the cell's witness.  Every cell equals
+    the one a bare `cell_at` builds at its witness, which completes and
+    sums afresh."""
     sums, built = [], []
     minkowski_sum, raw_cell_at = fan_module.minkowski_sum, fan_module.cell_at
     monkeypatch.setattr(fan_module, "minkowski_sum",
                         lambda polys: sums.append(polys) or minkowski_sum(polys))
     monkeypatch.setattr(fan_module, "cell_at",
                         lambda *args: built.append(args) or raw_cell_at(*args))
+    weights = counted_completions(monkeypatch)
     fan = enumerate_fan(gens, cap=8)
-    assert len(sums) == len(set(sums)) == distinct
-    assert len(built) == len(fan.cells)
-    del sums[:]
-    for cell in fan.cells:
-        ref = cell_at(gens, cell.witness, 8)
-        assert (cell.cone.equalities, cell.cone.strict, cell.cone.witness) == (
-            ref.cone.equalities, ref.cone.strict, ref.cone.witness)
-        assert cell.face_vertices == ref.face_vertices
-        assert cell.staircase == ref.staircase
-    assert len(sums) == len(fan.cells)
+    assert len(weights) == len(sums) == len(set(sums)) == distinct
+    assert len(built) == len(fan.cells) > distinct
+    del sums[:], weights[:]
+    assert_cells_match_fresh(fan, gens, 8)
+    assert len(sums) == len(weights) == len(fan.cells)
+
+
+# parametric problems in the style of the bench templates
+SERIES_Q0 = ("params: y\nvars: x1 x2\norder: antigraded_lex x2 > x1\ncap: 5\n"
+             "ideal: 2*y*x2 - x1*x2 + x1\n")
+SERIES_I = ("params: y\nvars: x1 x2\ncap: 3\nqideal: y^2 + 1\n"
+            "ideal: 3*y*x2 - x1*x2 - x1\n")
+AIRY_Q0 = "params: y\nvars: x1\ncap: 8\nideal: dx1^2 - 2*y*x1*z^2\n"
+AIRY_CUBIC = ("params: y\nvars: x1\ncap: 6\nqideal: y^3 - y - 1\n"
+              "ideal: dx1^2 - y*x1*z^2 + 2*y^2*z^2\n")
+AIRY_SQRT2 = ("params: y\nvars: x1\ncap: 6\nqideal: y^2 - 2\n"
+              "ideal: dx1^2 - 3*y*x1*z^2 - x1*z\n")
+AIRY_AB = ("params: a b\nvars: x1\ncap: 6\n"
+           "ideal: a*dx1^2 - 2*b*x1*z^2 + x1*z\n")
+
+
+def certificate_of(text):
+    prob = parse_problem(text)
+    return constant_fan_certificate(prob.generators, prob.q_ideal, prob.cap)
+
+
+@pytest.mark.parametrize("text", [SERIES_Q0, SERIES_I, AIRY_Q0, AIRY_CUBIC,
+                                  AIRY_SQRT2, AIRY_AB],
+                         ids=["series_q0", "series_i", "airy_q0", "airy_cubic",
+                              "airy_sqrt2", "airy_ab"])
+def test_parametric_traversal_cells_match_fresh(text):
+    cert = certificate_of(text)
+    assert_cells_match_fresh(cert.fan, cert.hom_gens, cert.fan.cap)
+
+
+# graded but not z-free, so taken as given
+TWO_ORDERS = ("params: a b\nvars: x1 x2\n"
+              "ideal: z*dx1 + a*z*dx2; z*dx1 + b*z*dx2\n")
+
+
+def test_reused_cells_carry_the_multiplier_that_found_their_basis():
+    """All 16 cells share the reduced basis {z*dx1, z*dx2}.  Completed
+    under dx1 > dx2, as at the first witness, it divides by a - b only;
+    under dx2 > dx1 by a and b as well.  Every cell carries the first h,
+    and that h certifies the whole fan: off V(a - b), a*b = 0 included,
+    the fan of the specialized ideal is the generic one."""
+    prob = parse_problem(TWO_ORDERS)
+    cert = constant_fan_certificate(prob.generators, prob.q_ideal, prob.cap)
+    cells = cert.fan.cells
+    assert fan_module._graded(cert.hom_gens) and len(cells) == 16
+    fresh = {cell_at(cert.hom_gens, c.witness, prob.cap).h_factors
+             for c in cells}
+    assert {c.h_factors for c in cells} == {cert.h_factors} < fresh
+    assert len(fresh) == 2 and poly_str(cert.h) == "a - b"
+    assert_cells_match_fresh(cert.fan, cert.hom_gens, prob.cap)
+    points = sample_points(2, avoid=cert.h, num=6)
+    assert any(a * b == 0 for a, b in points)
+    for y0 in points:
+        spec = fan_of_ideal(specialize_ideal(prob.generators, y0), prob.cap)
+        assert len(spec.cells) == len(cells)
+        for c in cells:
+            match = [d for d in spec.cells if d.cone.same_cone(c.cone)]
+            assert len(match) == 1, y0
+            assert [b.specialize(y0) for b in c.basis] == match[0].basis, y0
+
+
+def test_certificate_completes_each_graded_basis_once(monkeypatch):
+    """The 24-cell series certificate meets two reduced bases (one the
+    other scaled by 2y, so they share their polyhedra) and completes each
+    once; the non-graded airy_sqrt2 generator completes at every cell."""
+    weights = counted_completions(monkeypatch)
+    cert = certificate_of(SERIES_Q0)
+    assert len(cert.fan.cells) == 24 and len(weights) <= 2
+    del weights[:]
+    cert = certificate_of(AIRY_SQRT2)
+    assert not fan_module._graded(cert.hom_gens)
+    assert len(weights) == len(cert.fan.cells) == 4
+
+
+def test_reused_basis_is_sorted_by_the_witness_order():
+    """A kept basis is listed in the order of the new witness, as
+    `reduce_basis` lists a fresh one; on this ideal the order of the
+    elements changes between cells that share the basis."""
+    gens = [op("-1/2*dx1 + 3*x2*dx2", ["x1", "x2"]),
+            op("-3/2*dx2 - x2*dx1*dx2", ["x1", "x2"])]
+    hom = homogenized_generators(gens, 4)[0]
+    fan = enumerate_fan(hom, 4)
+    orders = {tuple(map(str, c.basis)) for c in fan.cells}
+    assert len(orders) > len({frozenset(o) for o in orders})
+    assert_cells_match_fresh(fan, hom, 4)
+
+
+def test_non_graded_generators_complete_at_every_witness(monkeypatch):
+    """With terms at two levels a kept basis can keep its leading exponents
+    at w and still differ from the basis at w: here at u = (-1, 0),
+    v = (2, 0), where the fresh basis is tainted."""
+    gens = [op("-5/2*x2 - 5/3*x1*dx1*dx2*z", ["x1", "x2"]),
+            op("-1/2*x2*dx1*z + 5/2*x1*dx1*dx2", ["x1", "x2"])]
+    assert not fan_module._graded(gens)
+    weights = counted_completions(monkeypatch)
+    fan = enumerate_fan(gens, 4)
+    completions = len(weights)
+    assert_cells_match_fresh(fan, gens, 4)
+    assert completions == len(fan.cells)
+    w = Weight.make((-1, 0), (2, 0))
+    assert any(c.witness == w and c.tainted for c in fan.cells)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=2), st.booleans())
+def test_traversal_cells_match_fresh_on_random_graded_ideals(seed, n, whole):
+    """Criterion-3-style z-free ideals at cap 4, made graded either through
+    the z = 1 completion (`homogenized_generators`) or elementwise."""
+    gens = random_ideal(random.Random(seed), n, maxk=0)
+    assume(gens)
+    hom = (homogenized_generators(gens, 4)[0] if whole
+           else [homogenize(g) for g in gens])
+    assert fan_module._graded(hom)
+    assert_cells_match_fresh(enumerate_fan(hom, 4), hom, 4)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=2))
+def test_traversal_cells_match_fresh_on_random_non_graded_ideals(seed, n):
+    gens = random_ideal(random.Random(seed), n)
+    assume(gens and not fan_module._graded(gens)
+           and not all(g.z_free() for g in gens))
+    assert_cells_match_fresh(enumerate_fan(gens, 4), gens, 4)
 
 
 @pytest.mark.parametrize("gens", [AIRY, EULER, TWO_VARIABLE],

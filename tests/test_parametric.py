@@ -6,14 +6,16 @@ import pytest
 
 from conftest import qop
 import dfan.newton as newton_module
+import dfan.parametric as parametric_module
 from dfan.errors import DenominatorVanishes, ZeroOperator
 from dfan.fan import enumerate_fan, grid_weights
 from dfan.operators import HOperator, exponent
 from dfan.orders import OrderSpec
-from dfan.params import ParamField, ParamIdeal, ParamPoly, poly_eval
+from dfan.params import ParamField, ParamIdeal, ParamPoly, multiplier, poly_eval
 from dfan.parametric import (common_refinement, comprehensive_fan,
                              constant_fan_certificate, newton_stability_multiplier,
                              rationals_by_height, sample_points, specialize_ideal)
+from dfan.parsing import parse_problem
 
 
 def _param_airy(F1, y):
@@ -50,16 +52,46 @@ def test_certificate_for_parametric_airy(F1):
 
 def test_certificate_builds_each_basis_polyhedron_once(F1, monkeypatch):
     """cell_at and the Newton stability factors share one polyhedron per
-    basis operator."""
+    basis operator, and cells that share a basis share its operators."""
     built = []
     vertex_set = newton_module.vertex_set
     monkeypatch.setattr(newton_module, "vertex_set",
                         lambda n, pts: built.append(n) or vertex_set(n, pts))
     g = _param_airy(F1, ParamPoly.var(1, 0))
     cert = constant_fan_certificate([g], ParamIdeal(1, []), cap=8)
-    assert len(built) == sum(len(c.basis) for c in cert.fan.cells) > 0
+    operators = {id(b) for c in cert.fan.cells for b in c.basis}
+    assert len(built) == len(operators) > 0
     b = cert.fan.cells[0].basis[0]
     assert newton_module.newton(b) is newton_module.newton(b)
+
+
+@pytest.mark.parametrize("text, cells, operators", [
+    ("params: y\nvars: x1\ncap: 8\nideal: dx1^2 - y*x1*z^2\n", 4, 1),
+    ("params: y\nvars: x1 x2\ncap: 5\nideal: 2*y*x2 - x1*x2 + x1\n", 24, 2),
+    ("params: y\nvars: x1\ncap: 6\nqideal: y^2 - 2\n"
+     "ideal: dx1^2 - 3*y*x1*z^2 - x1*z\n", 4, 1),
+], ids=["airy", "series", "airy_sqrt2"])
+def test_certificate_reads_each_basis_operator_once(text, cells, operators,
+                                                    monkeypatch):
+    """The certificate factors the vertex coefficients of each distinct
+    operator once, whether cells share one basis (airy, series) or complete
+    equal operators apart (the non-graded airy_sqrt2); h is the one a walk
+    over every cell's basis gives."""
+    calls = []
+    stability = parametric_module.newton_stability_multiplier
+    monkeypatch.setattr(parametric_module, "newton_stability_multiplier",
+                        lambda g: calls.append(g) or stability(g))
+    prob = parse_problem(text)
+    cert = constant_fan_certificate(prob.generators, prob.q_ideal, prob.cap)
+    assert len(cert.fan.cells) == cells
+    assert len(calls) == operators
+    assert all(g != h for i, g in enumerate(calls) for h in calls[:i])
+    factors = []
+    for cell in cert.fan.cells:
+        factors += cell.h_factors
+        for g in cell.basis:
+            factors += stability(g)
+    assert (cert.h, cert.h_factors) == multiplier(prob.q_ideal.ring, factors)
 
 
 def test_certificate_rejects_unit_q():

@@ -157,6 +157,26 @@ def test_names_must_be_tokens_and_not_dx_partners():
     assert prob.params == ["dy"] and prob.var_names == ["d", "x"]
 
 
+def test_parse_operator_checks_the_names_it_is_given():
+    """The library entry point applies the name rules of a problem file:
+    `dx1` declared as a variable used to overwrite x1's dx-partner."""
+    for var_names, param_names, message in (
+            (["x1", "dx1"], (), "'dx1' is the dx-partner of variable 'x1'"),
+            (["x1"], ["dx1"], "'dx1' is the dx-partner of variable 'x1'"),
+            (["x1", "1x"], (), "'1x' is not a name"),
+            (["x1"], ["y."], "'y.' is not a name"),
+            (["x1", "x1"], (), "duplicate name 'x1'"),
+            (["x1"], ["y", "y"], "duplicate name 'y'"),
+            (["x1", "z"], (), "names must be disjoint and avoid 'z'"),
+            (["x1"], ["x1"], "names must be disjoint and avoid 'z'")):
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_operator("dx1*x1 - 1", var_names, param_names, line=3, col=8)
+        assert message in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (3, 8)
+    # d alone, or d + a name that is not a variable, is an ordinary name
+    assert str(parse_operator("dy*dd + dx", ["d", "x"], ["dy"])) == "dx2 + dy*dx1"
+
+
 def test_weight_line_errors():
     with pytest.raises(OperatorSyntaxError):
         parse_problem("vars: x1\nweight: u -1\n")

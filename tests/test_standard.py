@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import cache, cmp_to_key, partial
 
-from conftest import compare_by_rules, qop, random_qop
+from conftest import compare_by_rules, qop, random_ideal
 import dfan.params as params_module
 import dfan.standard as st
 from dfan.division import divide
@@ -224,15 +224,6 @@ def completion_by_resort(gens, ord_spec, cap, mul=None):
         G.append(r)
         pairs.extend((t, len(G) - 1) for t in range(len(G) - 1))
     return G, tainted, taken, ties
-
-
-def random_ideal(rng, n, maxk=1, most=2):
-    """Generators drawn as the criterion-3 pool draws them."""
-    maxdeg = 2 if n == 1 else 1
-    gens = [random_qop(rng, n, rng.randint(1, 3) if n == 1 else 2,
-                       maxdeg=maxdeg, maxk=maxk)
-            for _ in range(rng.randint(1, most))]
-    return [g for g in gens if not g.is_zero()]
 
 
 def criterion_3_pool():

@@ -10,7 +10,7 @@ from .params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
 from .operators import Exponent, HOperator, exponent, homogenize
 from .orders import OrderSpec, Weight, leading_data
 from .cones import RelOpenCone, clear_form, feasible, solve
-from .newton import (NewtonPolyhedron, face_of, in_wstar, minkowski_sum,
+from .newton import (NewtonPolyhedron, face_of, face_of_sum, in_wstar,
                      normal_cone, vertex_set, wstar_rays)
 from .division import DivisionResult, denominator_certificate, divide, partition
 from .standard import (StandardBasis, certified_standard_basis, reduce_basis,

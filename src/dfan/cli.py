@@ -76,6 +76,12 @@ def run_command(verb, problem, args):
     cap = args.cap if args.cap is not None else problem.cap
     if cap < 1:
         raise OperatorSyntaxError("cap must be at least 1")
+    if args.max_cells < 1:
+        raise OperatorSyntaxError("--max-cells must be at least 1")
+    if args.max_depth < 0:
+        raise OperatorSyntaxError("--max-depth must be at least 0")
+    if args.samples < 0:
+        raise OperatorSyntaxError("--samples must be at least 0")
     order = problem.order
 
     if verb == "div":

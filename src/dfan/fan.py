@@ -2,7 +2,10 @@
 
 Two weights are equivalent when they pick the same reduced standard basis;
 the class of w is the relatively open normal cone of the Minkowski sum of the
-Newton polyhedra of that basis at its w-face.  The W constraints come with
+Newton polyhedra of that basis at its w-face.  The sum is never built: its
+normal fan is the common refinement of the summands' normal fans, so the
+cone is the intersection of the summands' normal cones at w and the face is
+the sum of their w-faces (see `newton`).  The W constraints come with
 the rays of W*, the recession cone of every such polyhedron: the cone holds
 all 2n of them (-u_i, u_i + v_i), each an equality where it is active at w,
 so every point of a cell's closure is admissible.  The fan is enumerated by
@@ -11,10 +14,10 @@ crossing closure facets from seed weights covering every activity stratum
 
 A traversal meets few distinct reduced bases, so it completes each one once.
 For one `enumerate_fan` call it keeps every reduced basis found so far, with
-its leading exponents and the Minkowski sum of its polyhedra.  At a new
-witness w, a kept basis G whose every element keeps its leading exponent
-under the order refined by w is the reduced basis at w, and the cell is
-built from G, sorted by the order of w, with no completion.  This is exact
+its leading exponents.  At a new witness w, a kept basis G whose every
+element keeps its leading exponent under the order refined by w is the
+reduced basis at w, and the cell is built from G, sorted by the order of
+w, with no completion.  This is exact
 for z-graded generators (every term of each at one level |beta| + k): G is
 then a standard basis at w with the same leading exponents (Fukuda-Jensen-
 Thomas; for the Weyl algebra, Assi-Castro-Jimenez-Granger, The Groebner fan
@@ -55,7 +58,7 @@ from itertools import product as iproduct
 
 from .cones import form_rank
 from .errors import NonConvergentTraversal, ZeroOperator
-from .newton import face_of, minkowski_sum, minkowski_sum_by_hull, newton, normal_cone
+from .newton import face_of, face_of_sum, minkowski_sum_by_hull, newton, normal_cone
 from .operators import homogenize, term_product
 from .orders import OrderSpec, Weight, leading_data
 from .standard import standard_basis
@@ -125,56 +128,48 @@ def _graded(gens):
 
 def _kept_basis_at(w, kept):
     """(standard basis, its elements sorted by the order of w, their
-    leading exponents, Minkowski sum) of the first kept basis whose elements
-    all keep their leading exponents under the order refined by w, or None."""
+    leading exponents) of the first kept basis whose elements all keep
+    their leading exponents under the order refined by w, or None."""
     order = base_fan_order(w.n).with_weight(w)
     key = order.key()
-    for P, bases in kept.values():
-        for sb, leads in bases:
-            if all(leading_data(g, order)[0] == e
-                   for g, e in zip(sb.basis, leads)):
-                basis = sorted(sb.basis,
-                               key=lambda g: key(leading_data(g, order)[0]))
-                return sb, basis, leads, P
+    for sb, leads in kept:
+        if all(leading_data(g, order)[0] == e for g, e in zip(sb.basis, leads)):
+            basis = sorted(sb.basis, key=lambda g: key(leading_data(g, order)[0]))
+            return sb, basis, leads
     return None
 
 
 def cell_at(gens, w, cap, kept=None):
     """The fan cell of the admissible weight w, for the ideal generated by
-    gens (already homogenized, see `homogenized_generators`).
+    gens (already homogenized, see `homogenized_generators`).  Its face and
+    cone come from the basis polyhedra one by one (`newton.face_of_sum`,
+    `newton.normal_cone`); their Minkowski sum is never built.
 
     kept, when given, is one traversal's memo: `enumerate_fan` passes one
-    dict per traversal.  It maps each tuple of basis polyhedra met so far
-    to their Minkowski sum, so each tuple is summed once, and, for graded
-    generators, to the reduced bases with those polyhedra, each with its
-    leading exponents.  A kept basis that keeps all its leading exponents
-    at w is the reduced basis at w (see the module docstring): the cell is
-    built from it, sorted by the order of w, with its operators, polyhedra
-    and sum, and with the h, h_factors and taint of the completion that
-    found it; nothing is completed.  That h certifies the cell at w, though
-    a completion at w may give another (see the module docstring).  A bare
-    call keeps nothing and completes from scratch."""
+    list per traversal.  For graded generators it holds each reduced basis
+    completed so far, with its leading exponents.  A kept basis that keeps
+    all its leading exponents at w is the reduced basis at w (see the
+    module docstring): the cell is built from it, sorted by the order of w,
+    with its operators and with the h, h_factors and taint of the
+    completion that found it; nothing is completed.  That h certifies the
+    cell at w, though a completion at w may give another (see the module
+    docstring).  A bare call keeps nothing and completes from scratch."""
     w.check_admissible()
     if kept is None:
-        kept = {}
+        kept = []
     graded = _graded(gens)
     hit = _kept_basis_at(w, kept) if graded else None
     if hit is None:
         sb = _basis_at(gens, w, cap)
         basis = sb.basis
         leads = [leading_data(g, sb.ord_spec)[0] for g in basis]
-        polys = tuple(newton(g) for g in basis)
-        if polys not in kept:
-            kept[polys] = (minkowski_sum(polys), [])
-        P, bases = kept[polys]
         if graded:
-            bases.append((sb, leads))
+            kept.append((sb, leads))
     else:
-        sb, basis, leads, P = hit
-    verts, _ = face_of(P, w)
-    cone = normal_cone(P, w)
-    return FanCell(cone, w, verts, basis, sorted(leads), sb.h, sb.h_factors,
-                   sb.tainted)
+        sb, basis, leads = hit
+    polys = [newton(g) for g in basis]
+    return FanCell(normal_cone(polys, w), w, face_of_sum(polys, w), basis,
+                   sorted(leads), sb.h, sb.h_factors, sb.tainted)
 
 
 @dataclass
@@ -230,15 +225,14 @@ def enumerate_fan(gens, cap, max_cells=4096):
     more than max_cells cells raise NonConvergentTraversal.  Weights are
     queued only when a cell is added, so the cell bound bounds the loop.
     Every cell comes from `cell_at` with one memo for the whole traversal:
-    each distinct tuple of basis polyhedra is summed once, and on z-graded
-    gens each distinct reduced basis is completed once, at the first
-    witness where no kept basis keeps its leading exponents; the cells that
-    reuse it carry the h and taint of that completion."""
+    on z-graded gens each distinct reduced basis is completed once, at the
+    first witness where no kept basis keeps its leading exponents; the
+    cells that reuse it carry the h and taint of that completion."""
     if not gens:
         raise ZeroOperator("fan of the empty generating set")
     n = gens[0].n
     cells = []
-    kept = {}
+    kept = []
     queue = list(_seed_weights(n))
     while queue:
         w = queue.pop(0)
@@ -296,9 +290,10 @@ def grid_weights(n, denominators=(1, 2, 3), span=3):
 def oracle_classify(gens, w, cap):
     """Cell data computed directly at w, with no traversal: the staircase of
     the reduced basis, the w-face of the Minkowski polyhedron, and the active
-    weight constraints.  The polyhedron comes from the defining hull of all
-    vertex sums, not from the normal-fan refinement `cell_at` uses, so the
-    grid check shares no polyhedral code with the traversal."""
+    weight constraints.  The face is taken on the Minkowski sum built from
+    the defining hull of all vertex sums, not summed from the summands'
+    faces as `cell_at` takes it (`face_of_sum`), so the grid check does not
+    rest on the traversal's face route."""
     sb = _basis_at(gens, w, cap)
     face, _ = face_of(minkowski_sum_by_hull([newton(g) for g in sb.basis]), w)
     return (tuple(sb.staircase), face, w.activity())

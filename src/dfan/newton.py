@@ -8,14 +8,16 @@ The vertex set of one polyhedron comes from its support points by pairwise
 W*-absorption and then an exact LP redundancy test (`vertex_set`), which
 runs only for a point with two or more other candidates left: against one,
 absorption has already decided.  That is the only place an LP runs.
-Minkowski sums need none: the normal fan of A + B is the common refinement
-of the normal fans of A and B (Ziegler, Lectures on Polytopes, Prop. 7.12),
-so a + b is a vertex of A + B exactly when the open normal cones of the
-vertices a and b meet.  `minkowski_sum` folds the summands that way, testing
-each meet with a known interior point first and an exact cone solve only
-when neither point lies in both cones; a single summand is returned as it
-is.  `minkowski_sum_by_hull` is the definition itself, kept as an
-independent reference.
+
+A fan cell needs the w-face and the normal cone of a Minkowski sum
+New(g1) + ... + New(gk), never the sum itself.  The normal fan of a sum is
+the common refinement of the summands' normal fans (Ziegler, Lectures on
+Polytopes, Prop. 7.12), so the w-face of the sum is the sum of the
+summands' w-faces (`face_of_sum`), and the class of w is the intersection
+of the summands' normal cones at w (`normal_cone`).  At a generic w each
+summand's face is one vertex, so the face is one sum and no LP runs.
+`minkowski_sum_by_hull` is the definition of the sum, kept as the grid
+oracle's independent reference.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from itertools import product
 from operator import mul
 
-from .cones import RelOpenCone, _clear_denominators, lp_feasible, solve
+from .cones import RelOpenCone, lp_feasible
 from .errors import ZeroOperator, NotAdmissible
 
 
@@ -127,72 +129,20 @@ def newton(g):
     return g.newton_memo
 
 
-def _satisfies(point, forms):
-    p = _clear_denominators(point)  # a positive scale keeps every sign
-    return all(sum(map(mul, f, p)) > 0 for f in forms)
-
-
-def _vertex_cones(poly):
-    """(vertex, forms, point) per vertex of poly: the strict forms of the
-    vertex's open normal cone in Q^{2n+1} (w . (v - q) > 0 for the other
-    vertices q, w . r < 0 for the rays r of W*) and one point inside it.
-    A listed point whose cone is empty is not a vertex and is left out."""
-    ray_forms = [tuple(-c for c in r) for r in wstar_rays(poly.n)]
-    dim = 2 * poly.n + 1
-    out = []
-    for v in poly.vertices:
-        forms = [tuple(a - b for a, b in zip(v, q))
-                 for q in poly.vertices if q != v] + ray_forms
-        point = solve([(f, "gt") for f in forms], dim)
-        if point is not None:
-            out.append((v, forms, point))
-    return out
-
-
-def minkowski_sum(polys):
-    """Minkowski sum by normal-fan refinement; recession cone stays W*.
-
-    Folds the summands left to right.  Each vertex of the partial sum carries
-    its open normal cone (the union of its summand vertices' forms) and a
-    point inside it; a + b survives when the cones of a and b meet.  One
-    summand is its own sum: its vertices are already irredundant."""
-    if not polys:
-        raise ValueError("empty Minkowski sum")
-    if len(polys) == 1:
-        return polys[0]
-    n = polys[0].n
-    dim = 2 * n + 1
-    acc = _vertex_cones(polys[0])
-    for poly in polys[1:]:
-        summand = _vertex_cones(poly)
-        nxt = []
-        for a, a_forms, a_point in acc:
-            for b, b_forms, b_point in summand:
-                forms = list(dict.fromkeys(a_forms + b_forms))
-                if _satisfies(a_point, b_forms):
-                    point = a_point
-                elif _satisfies(b_point, a_forms):
-                    point = b_point
-                else:
-                    point = solve([(f, "gt") for f in forms], dim)
-                    if point is None:
-                        continue
-                nxt.append((tuple(x + y for x, y in zip(a, b)), forms, point))
-        acc = nxt
-    return NewtonPolyhedron(n, [v for v, _, _ in acc])
+def _vertex_sums(n, point_lists):
+    """The vertex set of every sum of one point per list."""
+    return vertex_set(n, [tuple(map(sum, zip(*pick)))
+                          for pick in product(*point_lists)])
 
 
 def minkowski_sum_by_hull(polys):
     """Minkowski sum from the definition: the vertex set of every sum of one
     vertex per summand.  Exponential in the number of summands; kept as the
-    reference that `minkowski_sum` and the fan's grid oracle are checked
-    against."""
+    reference the fan's grid oracle is checked against."""
     if not polys:
         raise ValueError("empty Minkowski sum")
     n = polys[0].n
-    sums = [tuple(map(sum, zip(*pick)))
-            for pick in product(*(p.vertices for p in polys))]
-    return NewtonPolyhedron(n, vertex_set(n, sums))
+    return NewtonPolyhedron(n, _vertex_sums(n, [p.vertices for p in polys]))
 
 
 def face_of(poly, w):
@@ -207,21 +157,32 @@ def face_of(poly, w):
     return verts, rays
 
 
-def normal_cone(poly, w):
-    """The equivalence class of w: weights in W with the same face of the
-    polyhedron and the same active W constraints, as a relatively open cone
-    in Q^{2n}."""
+def face_of_sum(polys, w):
+    """The face vertices of the Minkowski sum of polys with respect to w in
+    W: the vertices among the sums of the summands' face vertices."""
+    return tuple(_vertex_sums(polys[0].n, [face_of(p, w)[0] for p in polys]))
+
+
+def normal_cone(polys, w):
+    """The equivalence class of w for the Minkowski sum of polys (one or
+    more polyhedra): weights in W with the same face of every summand and
+    the same active W constraints, as a relatively open cone in Q^{2n}.
+    Each summand gives its own equalities and strict forms; the W
+    constraints are added once."""
     w.check_admissible()
-    n = poly.n
+    n = polys[0].n
     dim = 2 * n
-    verts, frays = face_of(poly, w)
-    p0 = verts[0]
-    eqs = [tuple(a - b for a, b in zip(p0[:dim], p)) for p in verts[1:]]
-    strict = [tuple(a - b for a, b in zip(p0[:dim], q))
-              for q in poly.vertices if q not in verts]
+    eqs, strict = [], []
+    for poly in polys:
+        verts, frays = face_of(poly, w)
+        p0 = verts[0]
+        eqs += [tuple(a - b for a, b in zip(p0[:dim], p)) for p in verts[1:]]
+        strict += [tuple(a - b for a, b in zip(p0[:dim], q))
+                   for q in poly.vertices if q not in verts]
     # The rays of W* carry the W constraints: e_i gives the form -u_i and
     # -e_i - e'_i gives u_i + v_i, each an equality exactly when w . r = 0,
-    # that is when the W constraint is active at w.
+    # that is when the W constraint is active at w.  Every summand has the
+    # same face rays.
     fray_set = set(frays)
     for r in wstar_rays(n):
         if r in fray_set:

@@ -109,6 +109,25 @@ def test_cap_override_below_one_is_a_usage_error():
         assert "cap must be at least 1" in proc.stderr and not proc.stdout
 
 
+def test_budget_flags_out_of_range_are_usage_errors():
+    # a budget out of range is a usage error, not a traversal that gives
+    # up (exit 1) or, for --samples, the whole grid
+    compfan = "params: y\nvars: x1\ncap: 8\nideal: dx1^2 - y*x1*z^2\n"
+    for verb, text, flag, value, floor in (
+            ("fan", AIRY, "--max-cells", "0", 1),
+            ("fan", AIRY, "--max-cells", "-3", 1),
+            ("compfan", compfan, "--max-depth", "-1", 0),
+            ("oracle-fan", AIRY, "--samples", "-5", 0)):
+        _usage_error(run_cli([verb, flag, value], text),
+                     f"{flag} must be at least {floor}")
+    # values in range still run; a budget too small is still exit 1
+    assert run_cli(["fan", "--max-cells", "4"], AIRY).returncode == 0
+    assert run_cli(["compfan", "--max-depth", "1"], compfan).returncode == 0
+    too_shallow = run_cli(["compfan", "--max-depth", "0"], compfan)
+    assert too_shallow.returncode == 1 and "DepthExceeded" in too_shallow.stderr
+    assert run_cli(["oracle-fan", "--samples", "0"], AIRY).returncode == 0
+
+
 def test_sb_at_cap_one_is_not_certified_against_itself():
     # sb compares the caps max(1, cap - 2) and cap, which coincide at cap 1;
     # this ideal's staircase grows between caps 1 and 3

@@ -120,10 +120,10 @@ def test_every_admissible_grid_weight_is_covered_once():
 def test_oracle_matches_cells_pointwise(monkeypatch):
     g = qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})
     fan = enumerate_fan([g], cap=8)
-    # the oracle must get its faces without the traversal's Minkowski sum
-    def forbidden(polys):
-        raise AssertionError("oracle used the traversal's minkowski_sum")
-    monkeypatch.setattr(fan_module, "minkowski_sum", forbidden)
+    # the oracle must get its faces without the traversal's face route
+    def forbidden(polys, w):
+        raise AssertionError("oracle used the traversal's face_of_sum")
+    monkeypatch.setattr(fan_module, "face_of_sum", forbidden)
     for c in fan.cells:
         stair, face, act = oracle_classify([g], c.witness, 8)
         assert tuple(c.staircase) == stair and c.face_vertices == face
@@ -200,25 +200,22 @@ def counted_completions(monkeypatch):
                                              (TWO_VARIABLE, 2)],
                          ids=["airy", "euler", "two_variable"])
 def test_traversal_sums_each_basis_once(gens, distinct, monkeypatch):
-    """On these graded generators one traversal completes, and runs
-    `minkowski_sum`, once per distinct reduced basis, and builds each cell
-    through the module's `cell_at`; every other cell reuses a basis that
-    keeps its leading exponents at the cell's witness.  Every cell equals
-    the one a bare `cell_at` builds at its witness, which completes and
-    sums afresh."""
-    sums, built = [], []
-    minkowski_sum, raw_cell_at = fan_module.minkowski_sum, fan_module.cell_at
-    monkeypatch.setattr(fan_module, "minkowski_sum",
-                        lambda polys: sums.append(polys) or minkowski_sum(polys))
+    """On these graded generators one traversal completes once per
+    distinct reduced basis and builds each cell through the module's
+    `cell_at`; every other cell reuses a basis that keeps its leading
+    exponents at the cell's witness.  Every cell equals the one a bare
+    `cell_at` builds at its witness, which completes afresh."""
+    built = []
+    raw_cell_at = fan_module.cell_at
     monkeypatch.setattr(fan_module, "cell_at",
                         lambda *args: built.append(args) or raw_cell_at(*args))
     weights = counted_completions(monkeypatch)
     fan = enumerate_fan(gens, cap=8)
-    assert len(weights) == len(sums) == len(set(sums)) == distinct
+    assert len(weights) == distinct
     assert len(built) == len(fan.cells) > distinct
-    del sums[:], weights[:]
+    del weights[:]
     assert_cells_match_fresh(fan, gens, 8)
-    assert len(sums) == len(weights) == len(fan.cells)
+    assert len(weights) == len(fan.cells)
 
 
 # parametric problems in the style of the bench templates

@@ -190,7 +190,9 @@ def test_no_retired_cone_api_in_src():
     (its key is the order), or the helpers only tests read: the grading
     degree, the z = 1 projection, the action on polynomials, the division
     window check, the polynomial gcd and exact division, and the fan's
-    cell lookups."""
+    cell lookups.  Nor may the folded Minkowski sum with its per-vertex
+    cones and interior-point test: a cell takes its face and cone from
+    the summands."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
              "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
@@ -200,7 +202,8 @@ def test_no_retired_cone_api_in_src():
              "_cross_facet", "dot_vec", "_base_compare", "def compare",
              "hom_degree", "substitute_z_one", "apply_to_poly",
              "reconstruct_window", "poly_gcd", "poly_exact_div",
-             "cell_containing", "full_dim_cells")
+             "cell_containing", "full_dim_cells", "minkowski_sum",
+             "_vertex_cones", "_satisfies")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"

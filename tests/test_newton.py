@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import qop
 from dfan.cones import RelOpenCone
 from dfan.errors import ZeroOperator
-from dfan.fan import enumerate_fan, grid_weights
-from dfan.newton import (_conv_redundant, face_of, in_wstar, minkowski_sum,
+from dfan.fan import enumerate_fan, fan_of_ideal, grid_weights
+from dfan.newton import (_conv_redundant, face_of, face_of_sum, in_wstar,
                          minkowski_sum_by_hull, newton, normal_cone,
                          vertex_set, wstar_rays)
 from dfan.orders import Weight
+from dfan.parsing import parse_problem
 
 newton_module = importlib.import_module("dfan.newton")
 
@@ -101,7 +102,7 @@ def test_newton_of_zero_raises():
 def test_minkowski_sum_translation():
     g = qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})  # Airy
     p = newton(g)
-    s = minkowski_sum([p, p])
+    s = minkowski_sum_by_hull([p, p])
     assert s.vertices == tuple(sorted(tuple(2 * a for a in v) for v in p.vertices))
 
 
@@ -111,13 +112,13 @@ def test_face_and_normal_cone_airy():
     w_int = Weight.make((-1,), (2,))
     verts, rays = face_of(p, w_int)
     assert verts == ((0, 2, 0),)        # dx1^2 vertex maximizes
-    cone = normal_cone(p, w_int)
+    cone = normal_cone([p], w_int)
     assert cone.contains((-2, 3)) and not cone.contains((0, 1))
     # on u = 0 the x-ray enters the face
     w_u0 = Weight.make((0,), (1,))
     verts0, rays0 = face_of(p, w_u0)
     assert verts0 == ((0, 2, 0),) and rays0 == ((1, 0, 0),)
-    cone0 = normal_cone(p, w_u0)
+    cone0 = normal_cone([p], w_u0)
     assert cone0.contains((0, 2)) and not cone0.contains((-1, 2))
     assert not cone.same_cone(cone0)
 
@@ -132,7 +133,7 @@ def test_normal_cones_partition_w(rng):
         u = (Fraction(-rng.randint(0, 3)),)
         v = (-u[0] + Fraction(rng.randint(0, 4)),)
         ws.append(Weight.make(u, v))
-    cones = [normal_cone(p, w) for w in ws]
+    cones = [normal_cone([p], w) for w in ws]
     for w, c in zip(ws, cones):
         assert c.contains(w.as_tuple())
     for i in range(len(ws)):
@@ -166,29 +167,6 @@ def _admissible_weight(draw, n):
     u = [Fraction(-draw(st.integers(0, 3)), den) for _ in range(n)]
     v = [-a + Fraction(draw(st.integers(0, 4)), den) for a in u]
     return Weight.make(u, v)
-
-
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(st.data())
-def test_minkowski_sum_matches_hull_definition(data):
-    n, polys = data.draw(_summands())
-    fast = minkowski_sum(polys)
-    ref = minkowski_sum_by_hull(polys)
-    assert fast == ref
-    w = data.draw(_admissible_weight(n))
-    assert face_of(fast, w) == face_of(ref, w)
-    assert normal_cone(fast, w).to_doc() == normal_cone(ref, w).to_doc()
-
-
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(_summands())
-def test_minkowski_sum_of_one_summand_is_that_summand(summands):
-    """One summand is returned as it is, with no cone solve."""
-    _, polys = summands
-    with mock.patch.object(newton_module, "solve") as solve:
-        got = minkowski_sum(polys[:1])
-    assert not solve.called
-    assert got == polys[0] == minkowski_sum_by_hull(polys[:1])
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -259,7 +237,7 @@ def _criterion_4_polyhedra():
     and of their Minkowski sum."""
     for n, gens in CRITERION_4_IDEALS:
         polys = [newton(g) for g in gens]
-        yield n, polys + [minkowski_sum(polys)]
+        yield n, polys + [minkowski_sum_by_hull(polys)]
 
 
 def test_face_of_matches_fraction_argmax():
@@ -304,7 +282,7 @@ def normal_cone_with_w_loop(poly, w):
 
 
 def _assert_same_forms(poly, w):
-    got, ref = normal_cone(poly, w), normal_cone_with_w_loop(poly, w)
+    got, ref = normal_cone([poly], w), normal_cone_with_w_loop(poly, w)
     assert (got.equalities, got.strict, got.witness) == (
         ref.equalities, ref.strict, ref.witness)
 
@@ -314,8 +292,9 @@ def test_normal_cone_matches_w_loop_on_criterion_4_cells():
     cells = 0
     for _, gens in CRITERION_4_IDEALS:
         for cell in enumerate_fan(gens, cap=8).cells:
-            _assert_same_forms(minkowski_sum([newton(g) for g in cell.basis]),
-                               cell.witness)
+            _assert_same_forms(
+                minkowski_sum_by_hull([newton(g) for g in cell.basis]),
+                cell.witness)
             cells += 1
     assert cells == 4 + 4 + 24
 
@@ -338,4 +317,48 @@ def _boundary_weight(draw, n):
 @given(st.data())
 def test_normal_cone_matches_w_loop_on_the_boundary_of_w(data):
     n, polys = data.draw(_summands())
-    _assert_same_forms(minkowski_sum(polys), data.draw(_boundary_weight(n)))
+    _assert_same_forms(minkowski_sum_by_hull(polys),
+                       data.draw(_boundary_weight(n)))
+
+
+# The summand route of a fan cell (`face_of_sum`, `normal_cone` on the basis
+# polyhedra) against the hull route: the face and the normal cone of the
+# Minkowski sum built from its definition.
+
+def assert_summand_route_matches_hull(polys, w):
+    """Same face and the same cone as a set; with one summand, the same
+    cone forms and witness too."""
+    total = minkowski_sum_by_hull(polys)
+    got, ref = normal_cone(polys, w), normal_cone([total], w)
+    assert face_of_sum(polys, w) == face_of(total, w)[0]
+    assert got.same_cone(ref)
+    if len(polys) == 1:
+        assert (got.equalities, got.strict, got.witness) == (
+            ref.equalities, ref.strict, ref.witness)
+
+
+FACTORS = ("params: y\nvars: x1 x2\ncap: 3\n"
+           "ideal: (y - 1)*x1*dx1 + x2*dx2; (y + 1)*dx1*dx2 + z^2\n")
+
+
+def test_summand_route_matches_hull_on_fan_cells():
+    """Every cell of the three criterion-4 fans and of the parametric
+    `factors` fan, at its witness."""
+    prob = parse_problem(FACTORS)
+    fans = [enumerate_fan(gens, cap=8) for _, gens in CRITERION_4_IDEALS]
+    fans.append(fan_of_ideal(prob.generators, prob.cap))
+    sizes = []
+    for fan in fans:
+        for cell in fan.cells:
+            assert_summand_route_matches_hull(
+                [newton(g) for g in cell.basis], cell.witness)
+        sizes.append((len(fan.cells), max(len(c.basis) for c in fan.cells)))
+    assert sizes == [(4, 1), (4, 1), (24, 4), (24, 4)]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_summand_route_matches_hull_definition(data):
+    n, polys = data.draw(_summands())
+    assert_summand_route_matches_hull(polys, data.draw(_admissible_weight(n)))
+    assert_summand_route_matches_hull(polys, data.draw(_boundary_weight(n)))

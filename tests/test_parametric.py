@@ -52,11 +52,19 @@ def test_certificate_for_parametric_airy(F1):
 
 def test_certificate_builds_each_basis_polyhedron_once(F1, monkeypatch):
     """cell_at and the Newton stability factors share one polyhedron per
-    basis operator, and cells that share a basis share its operators."""
+    basis operator, and cells that share a basis share its operators.
+    Polyhedra are counted as they are constructed: `vertex_set` also runs
+    on each cell's face sums."""
     built = []
-    vertex_set = newton_module.vertex_set
-    monkeypatch.setattr(newton_module, "vertex_set",
-                        lambda n, pts: built.append(n) or vertex_set(n, pts))
+
+    class Counted(newton_module.NewtonPolyhedron):
+        __slots__ = ()
+
+        def __init__(self, n, vertices):
+            built.append(n)
+            super().__init__(n, vertices)
+
+    monkeypatch.setattr(newton_module, "NewtonPolyhedron", Counted)
     g = _param_airy(F1, ParamPoly.var(1, 0))
     cert = constant_fan_certificate([g], ParamIdeal(1, []), cap=8)
     operators = {id(b) for c in cert.fan.cells for b in c.basis}

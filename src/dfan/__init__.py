@@ -9,7 +9,7 @@ from .params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
                      QQ_FIELD, QQField, param_ring, poly_str)
 from .operators import Exponent, HOperator, exponent, homogenize
 from .orders import OrderSpec, Weight, leading_data
-from .cones import RelOpenCone, clear_form, feasible, solve
+from .cones import RelOpenCone, clear_form, solve
 from .newton import (NewtonPolyhedron, face_of, face_of_sum, in_wstar,
                      normal_cone, vertex_set, wstar_rays)
 from .division import DivisionResult, denominator_certificate, divide, partition
@@ -20,8 +20,7 @@ from .fan import (FanCell, GroebnerFan, base_fan_order, cell_at,
                   fan_of_ideal, grid_weights, homogenized_generators,
                   oracle_classify, t_order)
 from .parametric import (ComprehensiveFan, ConstancyCertificate, Stratum,
-                         common_refinement, comprehensive_fan,
-                         constant_fan_certificate,
+                         comprehensive_fan, constant_fan_certificate,
                          newton_stability_multiplier, rationals_by_height,
                          sample_points, specialize_ideal)
 from .parsing import ProblemFile, parse_operator, parse_param_poly, parse_problem

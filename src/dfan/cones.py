@@ -1,14 +1,16 @@
 """Exact rational linear feasibility and relatively open polyhedral cones.
 
-A cone constraint is a pair (form, rel) meaning form . x REL 0, with form a
-tuple of integers and rel in {"eq", "ge", "gt"}.  `solve` decides such
-homogeneous systems by Fourier-Motzkin elimination in integers, tracking
-strictness, so cone decisions are exact.  The back-substitution stays in
-integers too: the partial point is integer numerators over one positive
-common denominator, bounds compare by cross-multiplying, and `solve` makes
-Fractions only of the point it returns.  `lp_feasible` is an exact,
-fraction-free simplex for the many-variable convex-hull redundancy test of
-`newton.vertex_set`.
+A cone is given by integer linear forms: equalities f . x = 0 and strict
+forms f . x > 0.  `solve` finds a point of such a homogeneous system by
+Fourier-Motzkin elimination in integers, so cone decisions are exact.
+Eliminating a coordinate either substitutes an equality or adds strict
+forms pairwise, which gives strict forms again, so every system holds
+equalities and strict forms only and needs no strictness tracking.  The
+back-substitution stays in integers too: the partial point is integer
+numerators over one positive common denominator, bounds compare by
+cross-multiplying, and `solve` makes Fractions only of the point it
+returns.  `lp_feasible` is an exact, fraction-free simplex for the
+many-variable convex-hull redundancy test of `newton.vertex_set`.
 """
 
 from __future__ import annotations
@@ -24,90 +26,79 @@ def _normalize(form):
     return tuple(c // g for c in form) if g > 1 else form
 
 
-def _combine(pos, neg, var):
-    """Eliminate x_var between pos (coefficient > 0) and neg (< 0)."""
-    (p, prel), (q, qrel) = pos, neg
+def _combine(p, q, var):
+    """Eliminate x_var between the strict forms p (coefficient > 0) and q
+    (< 0): their positive combination free of x_var."""
     a, b = p[var], -q[var]
-    rel = "gt" if "gt" in (prel, qrel) else "ge"
-    return (_normalize(tuple(b * x + a * y for x, y in zip(p, q))), rel)
+    return _normalize(tuple(b * x + a * y for x, y in zip(p, q)))
 
 
-def _substitute(con, var, pivot):
-    """Eliminate x_var from con with the equality pivot: a positive multiple
-    of con minus a multiple of pivot."""
-    form, rel = con
+def _substitute(form, var, pivot):
+    """Eliminate x_var from form with the equality pivot: a positive
+    multiple of form minus a multiple of pivot."""
     k = form[var]
     if not k:
-        return con
+        return form
     c = pivot[var]
     s = k if c > 0 else -k
-    return (_normalize(tuple(abs(c) * a - s * b for a, b in zip(form, pivot))), rel)
+    return _normalize(tuple(abs(c) * a - s * b for a, b in zip(form, pivot)))
 
 
-def solve(constraints, dim):
-    """A point of Q^dim satisfying every constraint (strict ones strictly),
-    or None.  Deterministic: midpoints/offsets of the FM bounds."""
-    sol = _solve([(_normalize(tuple(f)), rel) for f, rel in constraints], dim)
+def solve(equalities, strict, dim):
+    """A point of Q^dim where every equality form vanishes and every strict
+    form is positive, or None.  Deterministic: midpoints/offsets of the FM
+    bounds."""
+    sol = _solve([_normalize(tuple(f)) for f in equalities],
+                 [_normalize(tuple(f)) for f in strict], dim)
     if sol is None:
         return None
     nums, den = sol
     return tuple(Fraction(a, den) for a in nums)
 
 
-def _solve(cons, dim):
+def _solve(eqs, strict, dim):
     """`solve` on normalized integer forms, in integers throughout: None, or
     (nums, den), the point nums / den with den > 0 and gcd(den, *nums) = 1.
     Each bound on the last coordinate is a / (b * den) with b > 0, kept as
     the pair (a, b); bounds compare by cross-multiplying."""
-    cons = list(dict.fromkeys(cons))
-    if any(rel == "gt" and not any(f) for f, rel in cons):
+    eqs = list(dict.fromkeys(eqs))
+    strict = list(dict.fromkeys(strict))
+    if not all(map(any, strict)):  # 0 > 0
         return None
     if dim == 0:
         return (), 1
     var = dim - 1
-    with_var = [c for c in cons if c[0][var]]
-    without = [c for c in cons if not c[0][var]]
-    pivot = next((c for c in with_var if c[1] == "eq"), None)
+    pivot = next((f for f in eqs if f[var]), None)
     if pivot is not None:
-        pf = pivot[0]
-        reduced = [_substitute(k, var, pf) for k in cons if k is not pivot]
-        sol = _solve_lower(reduced, dim)
+        sol = _solve_lower(
+            [_substitute(f, var, pivot) for f in eqs if f is not pivot],
+            [_substitute(f, var, pivot) for f in strict], dim)
         if sol is None:
             return None
-        a, c = -sum(map(mul, pf, sol[0])), pf[var]
+        a, c = -sum(map(mul, pivot, sol[0])), pivot[var]
         return _extend(sol, a, c) if c > 0 else _extend(sol, -a, -c)
-    pos = [c for c in with_var if c[0][var] > 0]
-    neg = [c for c in with_var if c[0][var] < 0]
-    reduced = without + [_combine(p, q, var) for p in pos for q in neg]
-    sol = _solve_lower(reduced, dim)
+    pos = [f for f in strict if f[var] > 0]
+    neg = [f for f in strict if f[var] < 0]
+    sol = _solve_lower(eqs, [f for f in strict if not f[var]]
+                       + [_combine(p, q, var) for p in pos for q in neg], dim)
     if sol is None:
         return None
     nums, den = sol
     lo = hi = None
-    lo_strict = hi_strict = False
-    for form, rel in with_var:
-        a, c = -sum(map(mul, form, nums)), form[var]
-        if c > 0:  # lower bound a / (c * den) on x_var
-            d = 1 if lo is None else a * lo[1] - lo[0] * c
-            if d > 0:
-                lo, lo_strict = (a, c), rel == "gt"
-            elif d == 0 and rel == "gt":
-                lo_strict = True
-        else:      # upper bound (-a) / (-c * den)
-            a, c = -a, -c
-            d = -1 if hi is None else a * hi[1] - hi[0] * c
-            if d < 0:
-                hi, hi_strict = (a, c), rel == "gt"
-            elif d == 0 and rel == "gt":
-                hi_strict = True
+    for f in pos:  # lower bound a / (c * den) on x_var
+        a, c = -sum(map(mul, f, nums)), f[var]
+        if lo is None or a * lo[1] > lo[0] * c:
+            lo = a, c
+    for f in neg:  # upper bound a / (c * den)
+        a, c = sum(map(mul, f, nums)), -f[var]
+        if hi is None or a * hi[1] < hi[0] * c:
+            hi = a, c
     if lo is not None and hi is not None:
-        d = lo[0] * hi[1] - hi[0] * lo[1]
-        if d > 0 or (d == 0 and (lo_strict or hi_strict)):
-            return None
-        # lo itself when the bounds meet, else their midpoint
-        a, b = lo if d == 0 else (lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
+        # the midpoint; lo < hi, as each pair's combination is positive at
+        # the lower point
+        a, b = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
     elif lo is not None:
-        a, b = lo[0] + lo[1] * den, lo[1]  # push off the bound, interior when possible
+        a, b = lo[0] + lo[1] * den, lo[1]  # one past the bound
     elif hi is not None:
         a, b = hi[0] - hi[1] * den, hi[1]
     else:
@@ -126,13 +117,9 @@ def _extend(sol, a, b):
     return nums + (a,), den * b
 
 
-def _solve_lower(cons, dim):
+def _solve_lower(eqs, strict, dim):
     # strip the (zeroed) top coordinate before recursing
-    return _solve([(f[:dim - 1], rel) for f, rel in cons], dim - 1)
-
-
-def feasible(constraints, dim):
-    return solve(constraints, dim) is not None
+    return _solve([f[:dim - 1] for f in eqs], [f[:dim - 1] for f in strict], dim - 1)
 
 
 def lp_feasible(rows, nvars):
@@ -225,8 +212,7 @@ def form_rank(forms):
     while rows:
         pivot = rows.pop()
         var = next(i for i, c in enumerate(pivot) if c)
-        rows = [f for f, _ in (_substitute((r, "eq"), var, pivot) for r in rows)
-                if any(f)]
+        rows = [f for f in (_substitute(r, var, pivot) for r in rows) if any(f)]
         rank += 1
     return rank
 
@@ -244,8 +230,7 @@ class RelOpenCone:
     """Relatively open rational polyhedral cone in Q^dim.
 
     equalities / strict are integer-cleared linear forms f with f(x) = 0 and
-    f(x) > 0 respectively.  A witness interior point is stored; empty cones
-    are never constructed (build via `make`).
+    f(x) > 0 respectively, and witness is a point of the cone.
     """
 
     __slots__ = ("dim", "equalities", "strict", "witness")
@@ -257,64 +242,18 @@ class RelOpenCone:
         self.strict = tuple(dict.fromkeys(clear_form(f) for f in strict))
         self.witness = tuple(Fraction(x) for x in witness)
 
-    @classmethod
-    def make(cls, dim, equalities, strict, witness=None):
-        """Construct, computing a witness; returns None if empty."""
-        cone = cls(dim, equalities, strict, witness or (0,) * dim)
-        if witness is not None and cone.contains(witness):
-            return cone
-        pt = solve(cone._constraints(), dim)
-        if pt is None:
-            return None
-        cone.witness = pt
-        return cone
-
-    def _constraints(self):
-        return ([(f, "eq") for f in self.equalities]
-                + [(f, "gt") for f in self.strict])
-
     def contains(self, point):
         p = _clear_denominators(point)
         return (all(sum(map(mul, f, p)) == 0 for f in self.equalities)
                 and all(sum(map(mul, f, p)) > 0 for f in self.strict))
-
-    def _implies(self, form, rel):
-        """Does every cone point satisfy form REL 0, REL "eq" or "gt"?"""
-        cons = self._constraints()
-        neg = tuple(-c for c in form)
-        if rel == "gt":
-            return not feasible(cons + [(neg, "ge")], self.dim)
-        return (not feasible(cons + [(form, "gt")], self.dim)
-                and not feasible(cons + [(neg, "gt")], self.dim))
-
-    def included_in(self, other):
-        return (other.contains(self.witness)
-                and all(self._implies(f, "eq") for f in other.equalities)
-                and all(self._implies(f, "gt") for f in other.strict))
-
-    def same_cone(self, other):
-        """Set equality of the two relatively open cones."""
-        if self.dim != other.dim:
-            return False
-        if not other.contains(self.witness) or not self.contains(other.witness):
-            return False
-        return self.included_in(other) and other.included_in(self)
-
-    def intersect(self, other):
-        """Relatively open intersection, or None if empty."""
-        return RelOpenCone.make(self.dim,
-                                self.equalities + other.equalities,
-                                self.strict + other.strict)
 
     def closure_facets(self):
         """(form, facet_interior_point) pairs: inequality forms whose zero set
         meets the closure in a facet with the other inequalities strict."""
         out = []
         for f in self.strict:
-            cons = [(g, "eq") for g in self.equalities]
-            cons.append((f, "eq"))
-            cons += [(g, "gt") for g in self.strict if g != f]
-            pt = solve(cons, self.dim)
+            pt = solve(self.equalities + (f,), [g for g in self.strict if g != f],
+                       self.dim)
             if pt is not None and any(pt):
                 out.append((f, pt))
         return out

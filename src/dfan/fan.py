@@ -115,7 +115,7 @@ def _basis_at(gens, w, cap):
     """The reduced standard basis (generic over a parameter field) for the
     order refined by the admissible weight w."""
     w.check_admissible()
-    sb = standard_basis(gens, base_fan_order(gens[0].n).with_weight(w), cap=cap)
+    sb = standard_basis(gens, base_fan_order(w.n).with_weight(w), cap=cap)
     if not sb.basis:
         raise ZeroOperator("fan of the zero ideal")
     return sb

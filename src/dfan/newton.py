@@ -189,7 +189,7 @@ def normal_cone(polys, w):
             eqs.append(r[:dim])
         else:
             strict.append(tuple(-c for c in r[:dim]))
-    cone = RelOpenCone.make(dim, eqs, strict, witness=w.as_tuple())
-    if cone is None:
-        raise NotAdmissible("normal cone construction produced an empty cone")
+    cone = RelOpenCone(dim, eqs, strict, w.as_tuple())
+    if not cone.contains(cone.witness):
+        raise NotAdmissible("w lies outside its own normal cone")
     return cone

@@ -154,23 +154,6 @@ def comprehensive_fan(gens, Q, cap, max_depth=6):
     return ComprehensiveFan(build(Q, 0), Q.ring.ngens)
 
 
-def common_refinement(fans):
-    """Pairwise nonempty intersections of cells across a list of fans: the
-    coarsest fan refining all of them (as relatively open cones)."""
-    if not fans:
-        return []
-    cones = [c.cone for c in fans[0].cells]
-    for fan in fans[1:]:
-        nxt = []
-        for a in cones:
-            for cell in fan.cells:
-                inter = a.intersect(cell.cone)
-                if inter is not None and not any(inter.same_cone(b) for b in nxt):
-                    nxt.append(inter)
-        cones = nxt
-    return cones
-
-
 # ---------------------------------------------------------------------------
 # specialization and parameter sampling
 # ---------------------------------------------------------------------------

@@ -127,11 +127,18 @@ def numerator_factors(coeffs):
             yield from factor_squarefree(c.num)
 
 
+def _factor_key(f):
+    """Sort key of a polynomial: its monomials, then its coefficients in
+    the same order, so y - 1 comes before y + 1."""
+    monoms = sorted(f)
+    return monoms, [f[m] for m in monoms]
+
+
 def multiplier(ring, factors):
-    """(h, h_factors) for a run of factors: each factor once, sorted by its
-    monomials, and their product.  The sort is stable and ties on factors of
-    equal support (y - 1 and y + 1), so those keep their first-seen order."""
-    h_factors = tuple(sorted(dict.fromkeys(factors), key=sorted))
+    """(h, h_factors) for a run of factors: each factor once, sorted by
+    `_factor_key`, so in an order that does not depend on the run's, and
+    their product."""
+    h_factors = tuple(sorted(dict.fromkeys(factors), key=_factor_key))
     h = ring.one
     for f in h_factors:
         h = h * f

@@ -336,6 +336,7 @@ def parse_problem(text):
     gen_texts = []
     div_text = None
     weight_lines = []
+    seen = set()  # the single-valued keys read so far
     for ln, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0]
         line = content.strip()
@@ -347,6 +348,10 @@ def parse_problem(text):
         vstart = len(key) + 2  # 1-based column of the value text
         key = key.strip().lower()
         value = value_raw.strip()
+        if key in seen:
+            raise OperatorSyntaxError(f"repeated {key!r} line", ln, 1)
+        if key in ("params", "vars", "order", "cap", "dividend"):
+            seen.add(key)
 
         def segments():
             off = 0
@@ -398,7 +403,9 @@ def parse_problem(text):
     q_gens = [parse_param_poly(t, params, line=ln, col=c) for t, ln, c in q_texts]
     ring = param_ring(params)
     q_ideal = ParamIdeal(ring, q_gens, claimed_prime=True)
-    if len(params) == 1 and q_ideal.gb and not q_ideal.is_unit_ideal():
+    if q_ideal.is_unit_ideal():
+        raise NotPrime(f"qideal {q_ideal} is the unit ideal")
+    if len(params) == 1 and q_ideal.gb:
         # one parameter: Q = (g) is prime iff g is irreducible
         g = q_ideal.gb[0]
         if factor_squarefree(g) != [g]:

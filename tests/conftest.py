@@ -1,11 +1,12 @@
-"""Shared helpers: compact operator builders, and the reference order and
-division check that several test modules use."""
+"""Shared helpers: compact operator builders, and the reference order,
+division check and cone equality that several test modules use."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from dfan.cones import RelOpenCone, solve
 from dfan.operators import Exponent, HOperator
 from dfan.params import QQ_FIELD, ParamField, ParamIdeal
 from dfan.parsing import parse_operator
@@ -95,6 +96,32 @@ def reconstruct_window(res, G, cap):
     for q, g in zip(res.quotients, G):
         acc = acc + (q * g).truncated(cap)
     return acc
+
+
+def solved_cone(dim, equalities, strict):
+    """The relatively open cone of the forms, with the witness `solve`
+    finds, or None when the cone is empty."""
+    pt = solve(equalities, strict, dim)
+    return None if pt is None else RelOpenCone(dim, equalities, strict, pt)
+
+
+def included_in(a, b):
+    """Does every point of the cone a satisfy the forms of the cone b?  It
+    does when `solve` finds no point of a with f > 0 or f < 0 for an
+    equality f of b, and none with g = 0 or g < 0 for a strict form g."""
+    def empty(eqs, strict):
+        return solve(a.equalities + eqs, a.strict + strict, a.dim) is None
+
+    return (b.contains(a.witness)
+            and all(empty((), (f,)) and empty((), (tuple(-c for c in f),))
+                    for f in b.equalities)
+            and all(empty((g,), ()) and empty((), (tuple(-c for c in g),))
+                    for g in b.strict))
+
+
+def same_cone(a, b):
+    """Set equality of two relatively open cones."""
+    return a.dim == b.dim and included_in(a, b) and included_in(b, a)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ with `pytest -v` as the test verdict) and enforces its own time budget.
 import time
 from fractions import Fraction
 
-from conftest import qop, random_qop, reconstruct_window
+from conftest import qop, random_qop, reconstruct_window, same_cone
 from dfan.division import denominator_certificate, divide, partition
 from dfan.errors import DenominatorVanishes
 from dfan.fan import (check_fan_against_grid, enumerate_fan, fan_of_ideal,
@@ -154,7 +154,7 @@ def _fan_matches_specialization(cert, gens_param, y0, cap):
         if len(spec_fan.cells) != len(cert.fan.cells):
             return "differs"
         for c in cert.fan.cells:
-            match = [d for d in spec_fan.cells if d.cone.same_cone(c.cone)]
+            match = [d for d in spec_fan.cells if same_cone(d.cone, c.cone)]
             if len(match) != 1:
                 return "differs"
             if [b.specialize(y0) for b in c.basis] != match[0].basis:
@@ -257,7 +257,7 @@ def test_criterion_8_comprehensive_fan_two_strata():
         spec_fan = fan_of_ideal(specialize_ideal(gens, y0), 8)
         assert len(spec_fan.cells) == len(s.certificate.fan.cells)
         for c in s.certificate.fan.cells:
-            match = [d for d in spec_fan.cells if d.cone.same_cone(c.cone)]
+            match = [d for d in spec_fan.cells if same_cone(d.cone, c.cone)]
             assert len(match) == 1
             assert [b.specialize(y0) for b in c.basis] == match[0].basis
     elapsed = _budget(t0, 300.0, "criterion 8")

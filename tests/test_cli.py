@@ -93,6 +93,11 @@ def test_exit_codes():
     assert "x9" in bad_syntax.stderr
     math_err = run_cli(["fan"], "vars: x1\nideal: 0*x1\n")
     assert math_err.returncode == 1
+    # no generators at all: oracle-fan used to die with an IndexError
+    for text in ("vars: x1\n", "vars: x1 x2\nideal: 0\n"):
+        zero = run_cli(["oracle-fan"], text)
+        assert zero.returncode == 1 and "ZeroOperator" in zero.stderr
+        assert "Traceback" not in zero.stderr and not zero.stdout
     missing_div = run_cli(["div"], AIRY)
     assert missing_div.returncode == 2
     # the guard band's slack is fixed, not a flag
@@ -150,10 +155,12 @@ def test_oracle_fan_groups_weights():
 
 def test_one_parameter_qideal_must_be_prime():
     body = "vars: x1\nideal: dx1^2 - y*x1*z^2\n"
-    for q in ("y^2 - 1", "y^2"):
+    # the unit ideal was once read as a denominator lying in <1>
+    for q, why in (("y^2 - 1", "is not prime"), ("y^2", "is not prime"),
+                   ("1", "is the unit ideal"), ("y^2 + 1; y - 1", "is the unit ideal")):
         proc = run_cli(["compfan"], f"params: y\nqideal: {q}\n" + body)
-        assert proc.returncode == 1
-        assert "NotPrime" in proc.stderr
+        assert proc.returncode == 1 and not proc.stdout
+        assert "NotPrime" in proc.stderr and why in proc.stderr, q
     proc = run_cli(["compfan"], "params: y\nqideal: y^2 - 2\n" + body)
     assert proc.returncode == 0
 

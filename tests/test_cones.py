@@ -8,9 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
 import dfan.cones as cones
-from dfan.cones import (RelOpenCone, clear_form, feasible, form_rank,
-                        lp_feasible, solve)
+from conftest import included_in, same_cone, solved_cone
+from dfan.cones import clear_form, form_rank, lp_feasible, solve
 
 F = Fraction
 
@@ -146,33 +147,47 @@ def _lower_by_fractions(cons, dim):
 # solve
 # ---------------------------------------------------------------------------
 
-def _satisfied(pt, cons):
-    vals = [(sum(a * x for a, x in zip(f, pt)), rel) for f, rel in cons]
-    return all(v == 0 if rel == "eq" else v >= 0 if rel == "ge" else v > 0
-               for v, rel in vals)
+def _satisfied(pt, equalities, strict):
+    def val(f):
+        return sum(a * x for a, x in zip(f, pt))
+
+    return (all(val(f) == 0 for f in equalities)
+            and all(val(f) > 0 for f in strict))
+
+
+def _split(cons):
+    """The equality forms and the strict forms of (form, rel) pairs, rel in
+    {"eq", "gt"}: `solve`'s arguments."""
+    return ([f for f, rel in cons if rel == "eq"],
+            [f for f, rel in cons if rel == "gt"])
+
+
+def _by_fractions(equalities, strict, dim):
+    """The Fraction oracle on `solve`'s arguments."""
+    return solve_by_fractions([(f, 0, "eq") for f in equalities]
+                              + [(f, 0, "gt") for f in strict], dim)
 
 
 def test_solve_simple_systems():
     # x > 0, x < t, t > 0: the cone over the open interval 0 < x < 1
-    cons = [((1, 0), "gt"), ((-1, 1), "gt"), ((0, 1), "gt")]
-    pt = solve(cons, 2)
-    assert pt is not None and 0 < pt[0] / pt[1] < 1 and _satisfied(pt, cons)
+    strict = [(1, 0), (-1, 1), (0, 1)]
+    pt = solve([], strict, 2)
+    assert pt is not None and 0 < pt[0] / pt[1] < 1 and _satisfied(pt, [], strict)
     # infeasible: x > 0 and x < 0
-    assert solve([((1,), "gt"), ((-1,), "gt")], 1) is None
+    assert solve([], [(1,), (-1,)], 1) is None
     # equality pivots: x + y = t, x - y = 0, t > 0 gives x = y = t/2
-    cons = [((1, 1, -1), "eq"), ((1, -1, 0), "eq"), ((0, 0, 1), "gt")]
-    pt = solve(cons, 3)
+    pt = solve([(1, 1, -1), (1, -1, 0)], [(0, 0, 1)], 3)
     assert pt[0] == pt[1] == pt[2] / 2 and pt[2] > 0
     assert all(type(x) is Fraction for x in pt)
 
 
 def test_solve_strictness_tracking():
-    # with t > 0: x >= t and x <= t is feasible, but x > t and x <= t is not
-    t_pos = ((0, 1), "gt")
-    assert feasible([((1, -1), "ge"), ((-1, 1), "ge"), t_pos], 2)
-    assert not feasible([((1, -1), "gt"), ((-1, 1), "ge"), t_pos], 2)
-    # a zero form: 0 >= 0 holds, 0 > 0 does not
-    assert feasible([((0, 0), "ge")], 2) and not feasible([((0, 0), "gt")], 2)
+    """Strict forms hold strictly: with t > 0, x = t has a point, while
+    x > t with x < t has none; 0 = 0 holds and 0 > 0 does not."""
+    t_pos = [(0, 1)]
+    assert solve([(1, -1)], t_pos, 2) == (1, 1)
+    assert solve([], [(1, -1), (-1, 1)] + t_pos, 2) is None
+    assert solve([(0, 0)], [], 2) == (0, 0) and solve([], [(0, 0)], 2) is None
 
 
 def _integer_only_solve(seen):
@@ -180,11 +195,11 @@ def _integer_only_solve(seen):
     must hold int coefficients only."""
     raw = cones._solve
 
-    def checked(cons, dim):
-        for form, _ in cons:
+    def checked(equalities, strict, dim):
+        for form in equalities + strict:
             assert len(form) == dim and all(type(c) is int for c in form), form
-        seen.append(len(cons))
-        return raw(cons, dim)
+        seen.append(len(equalities) + len(strict))
+        return raw(equalities, strict, dim)
 
     return mock.patch.object(cones, "_solve", checked)
 
@@ -193,7 +208,7 @@ systems = st.integers(min_value=1, max_value=5).flatmap(
     lambda dim: st.tuples(st.just(dim), st.lists(
         st.tuples(st.lists(st.integers(min_value=-3, max_value=3),
                            min_size=dim, max_size=dim).map(tuple),
-                  st.sampled_from(["eq", "ge", "gt"])),
+                  st.sampled_from(["eq", "gt"])),
         max_size=7)))
 
 
@@ -204,13 +219,14 @@ def test_integer_elimination_matches_fraction_oracle(system):
     point (or None) of the Fraction elimination it replaced, and every
     system it recurses on holds ints only."""
     dim, cons = system
+    eqs, strict = _split(cons)
     seen = []
     with _integer_only_solve(seen):
-        pt = solve(cons, dim)
+        pt = solve(eqs, strict, dim)
     assert len(seen) == dim + 1 or pt is None
-    assert pt == solve_by_fractions([(f, 0, rel) for f, rel in cons], dim)
+    assert pt == _by_fractions(eqs, strict, dim)
     if pt is not None:
-        assert _satisfied(pt, cons)
+        assert _satisfied(pt, eqs, strict)
 
 
 # x0 = 1 and 1/2 < x1 < 2/3 put x1 at 7/12: a common denominator of 12 for
@@ -222,41 +238,43 @@ _TWELFTHS = [((1, 0, 0), "gt"), ((-1, 2, 0), "gt"), ((2, -3, 0), "gt")]
     ([((0, -1, 1), "gt")], F(19, 12)),                      # lo + 1
     ([((0, 1, -1), "gt")], F(-5, 12)),                      # hi - 1
     ([((0, -1, 1), "gt"), ((0, 2, -1), "gt")], F(7, 8)),    # midpoint
-    ([((0, -1, 1), "ge"), ((0, 1, -1), "ge")], F(7, 12)),   # lo == hi
+    ([((0, -1, 1), "gt"), ((0, 1, -1), "gt")], None),       # lo == hi: empty
     ([((0, 1, -2), "eq")], F(7, 24)),                       # equality pivot
     ([((0, -1, 3), "gt"), ((0, 1, -1), "gt")], F(7, 18)),   # midpoint, reduced
     ([((0, -1, 1), "gt"), ((0, 3, -1), "gt")], F(7, 6)),    # midpoint in twelfths
 ], ids=["lo", "hi", "mid", "meet", "pivot", "mid_reduced", "mid_whole"])
 def test_back_substitution_over_a_common_denominator(top, x2):
     """Each way of fixing the last coordinate, once the earlier ones share a
-    denominator above 1, gives the Fraction oracle's point."""
-    cons = _TWELFTHS + top
-    pt = solve(cons, 3)
-    assert pt == (1, F(7, 12), x2)
-    assert pt == solve_by_fractions([(f, 0, rel) for f, rel in cons], 3)
-    assert all(type(x) is F for x in pt)
+    denominator above 1, gives the Fraction oracle's point; strict bounds
+    that meet leave no point."""
+    eqs, strict = _split(_TWELFTHS + top)
+    pt = solve(eqs, strict, 3)
+    assert pt == (None if x2 is None else (1, F(7, 12), x2))
+    assert pt == _by_fractions(eqs, strict, 3)
+    assert pt is None or all(type(x) is F for x in pt)
 
 
 def test_cone_queries_match_fraction_oracle():
-    """The elimination inside cone construction, facets and inclusion
-    answers as the Fraction oracle does, point for point."""
+    """The elimination inside cone construction, closure facets and the
+    tests' cone equality answers as the Fraction oracle does, point for
+    point."""
     calls = []
     raw = cones.solve
 
-    def both(cons, dim):
-        pt = raw(cons, dim)
-        assert pt == solve_by_fractions([(f, 0, rel) for f, rel in cons], dim)
+    def both(equalities, strict, dim):
+        pt = raw(equalities, strict, dim)
+        assert pt == _by_fractions(equalities, strict, dim)
         calls.append(pt)
         return pt
 
-    with mock.patch.object(cones, "solve", both):
-        a = RelOpenCone.make(3, [], [(1, 0, 0), (0, 1, -1), (1, 1, 1)])
-        redundant = RelOpenCone.make(3, [], [(2, 1, 1), (1, 0, 0), (0, 2, -2),
-                                             (1, 1, 1)])
-        b = RelOpenCone.make(3, [(1, -1, 0)], [(1, 0, 0), (0, 0, 1)])
+    with mock.patch.object(cones, "solve", both), \
+            mock.patch.object(conftest, "solve", both):
+        a = solved_cone(3, [], [(1, 0, 0), (0, 1, -1), (1, 1, 1)])
+        redundant = solved_cone(3, [], [(2, 1, 1), (1, 0, 0), (0, 2, -2),
+                                        (1, 1, 1)])
+        b = solved_cone(3, [(1, -1, 0)], [(1, 0, 0), (0, 0, 1)])
         assert a.closure_facets() and b.closure_facets()
-        assert a.intersect(b) is not None
-        assert a.same_cone(redundant) and not a.same_cone(b)
+        assert same_cone(a, redundant) and not same_cone(a, b)
     assert len(calls) > 15 and any(pt is None for pt in calls)
 
 
@@ -367,15 +385,33 @@ def _random_lp(rng):
 # simplex, forms, cones
 # ---------------------------------------------------------------------------
 
+def _lp_by_elimination(rows, nvars):
+    """`lp_feasible`'s question put to the Fraction elimination: the affine
+    system x >= 0 and coeffs . x REL rhs for each row."""
+    cons = [(tuple(int(i == j) for j in range(nvars)), 0, "ge")
+            for i in range(nvars)]
+    for coeffs, rel, rhs in rows:
+        if rel == "le":
+            cons.append((tuple(-c for c in coeffs), rhs, "ge"))
+        else:
+            cons.append((coeffs, -rhs, rel))
+    return solve_by_fractions(cons, nvars) is not None
+
+
 def test_lp_feasible_matches_elimination():
     # mu1 + mu2 = 1, mu >= 0, mu1 - mu2 >= 1/2
     rows = [((F(1), F(1)), "eq", F(1)), ((F(1), F(-1)), "ge", F(1, 2))]
-    assert lp_feasible(rows, 2)
+    assert lp_feasible(rows, 2) and _lp_by_elimination(rows, 2)
     rows_bad = [((F(1), F(1)), "eq", F(1)), ((F(1), F(1)), "ge", F(2))]
-    assert not lp_feasible(rows_bad, 2)
+    assert not lp_feasible(rows_bad, 2) and not _lp_by_elimination(rows_bad, 2)
     # degenerate equalities
     assert lp_feasible([((F(1),), "eq", F(0))], 1)
     assert not lp_feasible([((F(0),), "eq", F(1))], 1)
+    # 200 seeded systems of the simplex sweep
+    rng = random.Random(7)
+    for _ in range(200):
+        nvars, rows = _random_lp(rng)
+        assert lp_feasible(rows, nvars) == _lp_by_elimination(rows, nvars), rows
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -450,42 +486,43 @@ def test_form_rank_matches_fraction_rank(args):
 
 def test_rel_open_cone_membership():
     # open quadrant x > 0, y > 0
-    c = RelOpenCone.make(2, [], [(1, 0), (0, 1)])
+    c = solved_cone(2, [], [(1, 0), (0, 1)])
+    assert c.contains(c.witness)
     assert c.contains((1, 2)) and not c.contains((0, 1))
     assert c.contains((F(1, 2), F(1, 3))) and not c.contains((F(-1, 6), F(5, 4)))
     # ray x = y, x > 0
-    r = RelOpenCone.make(2, [(1, -1)], [(1, 0)])
+    r = solved_cone(2, [(1, -1)], [(1, 0)])
+    assert r.contains(r.witness)
     assert r.contains((3, 3)) and not r.contains((3, 2))
     assert r.contains((F(2, 3), F(4, 6))) and not r.contains((F(1, 3), F(1, 2)))
     # empty: x > 0 and x = 0
-    assert RelOpenCone.make(1, [(1,)], [(1,)]) is None
+    assert solve([(1,)], [(1,)], 1) is None and solved_cone(1, [(1,)], [(1,)]) is None
 
 
 def test_same_cone_and_inclusion():
-    a = RelOpenCone.make(2, [], [(1, 0), (0, 1)])
-    b = RelOpenCone.make(2, [], [(2, 0), (0, 3), (1, 1)])  # redundant extra
-    assert a.same_cone(b)
-    r = RelOpenCone.make(2, [(1, -1)], [(1, 0)])
-    assert r.included_in(a) and not a.included_in(r)
-
-
-def test_intersection():
-    a = RelOpenCone.make(2, [], [(1, 0)])
-    b = RelOpenCone.make(2, [], [(-1, 1)])
-    c = a.intersect(b)
-    assert c is not None and c.contains((1, 2))
-    d = RelOpenCone.make(2, [], [(-1, 0)])
-    assert a.intersect(d) is None
+    """The tests' cone equality: a redundant extra form changes no set."""
+    a = solved_cone(2, [], [(1, 0), (0, 1)])
+    b = solved_cone(2, [], [(2, 0), (0, 3), (1, 1)])
+    assert same_cone(a, b)
+    r = solved_cone(2, [(1, -1)], [(1, 0)])
+    assert included_in(r, a) and not included_in(a, r) and not same_cone(a, r)
 
 
 def test_closure_facets():
-    c = RelOpenCone.make(2, [], [(1, 0), (0, 1)])
+    c = solved_cone(2, [], [(1, 0), (0, 1)])
     facets = c.closure_facets()
     forms = sorted(f for f, _ in facets)
     assert forms == [(0, 1), (1, 0)]
     for f, pt in facets:
         assert sum(a * x for a, x in zip(f, pt)) == 0
         assert any(pt)
+    # every facet point lies on its form and strictly inside the others
+    c = solved_cone(3, [], [(1, -1, 0), (0, 1, 0), (0, 0, 1)])
+    facets = c.closure_facets()
+    assert [f for f, _ in facets] == list(c.strict)
+    for f, pt in facets:
+        assert sum(a * x for a, x in zip(f, pt)) == 0
+        assert all(sum(a * x for a, x in zip(g, pt)) > 0 for g in c.strict if g != f)
     # a pointed ray has no facets besides the excluded apex
-    r = RelOpenCone.make(2, [(1, -1)], [(1, 0)])
+    r = solved_cone(2, [(1, -1)], [(1, 0)])
     assert r.closure_facets() == []

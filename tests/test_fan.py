@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import op, qop, random_ideal
+from conftest import op, qop, random_ideal, same_cone
 import dfan.fan as fan_module
 from dfan.errors import NonConvergentTraversal
 from dfan.fan import (cell_at, check_fan_against_grid, enumerate_fan,
@@ -272,7 +272,7 @@ def test_reused_cells_carry_the_multiplier_that_found_their_basis():
         spec = fan_of_ideal(specialize_ideal(prob.generators, y0), prob.cap)
         assert len(spec.cells) == len(cells)
         for c in cells:
-            match = [d for d in spec.cells if d.cone.same_cone(c.cone)]
+            match = [d for d in spec.cells if same_cone(d.cone, c.cone)]
             assert len(match) == 1, y0
             assert [b.specialize(y0) for b in c.basis] == match[0].basis, y0
 

@@ -176,10 +176,9 @@ def test_retired_names_detects_and_ignores():
 
 
 def test_no_retired_cone_api_in_src():
-    """Cones take homogeneous (form, rel) constraints with = and > only;
-    the unused weak inequalities, closure and interior-point queries, the
-    fan cell's unread polyhedron and the reduced-basis alias must not come
-    back, nor division's per-call cap copies, the z = 1 product built
+    """Cones hold equality and strict forms only; the unused weak
+    inequalities, closure and interior-point queries, the fan cell's
+    unread polyhedron and the reduced-basis alias must not come back, nor division's per-call cap copies, the z = 1 product built
     from a general product, the uncalled cap copier, or the second
     generic-basis entry point with its out-parameter collector.  Nor may
     the z = 1 side path: its own basis entry point and homogenization
@@ -192,7 +191,11 @@ def test_no_retired_cone_api_in_src():
     window check, the polynomial gcd and exact division, and the fan's
     cell lookups.  Nor may the folded Minkowski sum with its per-vertex
     cones and interior-point test: a cell takes its face and cone from
-    the summands."""
+    the summands.  Nor may the cone set algebra with its constructor,
+    inclusion, equality, intersection and feasibility tests, the common
+    refinement of fans, or the strictness bookkeeping of the elimination:
+    the fan asks a cone for membership and closure facets only, and `solve`
+    takes equalities and strict forms."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
              "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
@@ -203,12 +206,15 @@ def test_no_retired_cone_api_in_src():
              "hom_degree", "substitute_z_one", "apply_to_poly",
              "reconstruct_window", "poly_gcd", "poly_exact_div",
              "cell_containing", "full_dim_cells", "minkowski_sum",
-             "_vertex_cones", "_satisfies")
+             "_vertex_cones", "_satisfies", "same_cone", "included_in",
+             "_implies", "intersect", "feasible", "common_refinement",
+             "_constraints", "lo_strict")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"
                   for name in retired_names(path.read_text(), names)]
     assert not found, "retired names:\n" + "\n".join(found)
+    assert not hasattr(dfan.cones.RelOpenCone, "make")
     assert "base" not in {f.name for f in dataclasses.fields(OrderSpec)}
     orders = (Path(dfan.__file__).parent / "orders.py").read_text()
     assert "from .operators" not in orders

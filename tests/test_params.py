@@ -1,6 +1,7 @@
 """Parameter ring, ideals, and the fraction field Frac(C/Q)."""
 
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import dfan
 from dfan.errors import DenominatorVanishes, DivisionByZeroModQ, NotPrime
 from dfan.params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
-                         factor_squarefree, param_ring, poly_divides,
-                         poly_eval, poly_primitive)
+                         factor_squarefree, multiplier, param_ring,
+                         poly_divides, poly_eval, poly_primitive)
 
 
 def test_poly_arithmetic_basics():
@@ -40,6 +41,19 @@ def test_factor_squarefree():
     fs = factor_squarefree(y * y * (y - 1) * 6)
     assert sorted(str(f) for f in fs) == ["y1", "y1 - 1"]
     assert factor_squarefree(ParamPoly.const(1, 5)) == []
+
+
+def test_multiplier_does_not_depend_on_the_order_of_its_factors():
+    """Every order of one run of factors, repeats included, gives one
+    h_factors tuple: supports first, then coefficients, so y - 1 and
+    y + 1 no longer keep their first-seen order."""
+    y = param_ring(["y"]).gens[0]
+    runs = {multiplier(y.ring, run) for run in permutations([y + 1, y, y - 1, y + 1])}
+    assert runs == {(y ** 3 - y, (y - 1, y + 1, y))}
+    a, b = param_ring(["a", "b"]).gens
+    factors = [a + 2 * b, a - b, a + b, a, 2 * a - b]
+    runs = {multiplier(a.ring, run)[1] for run in permutations(factors)}
+    assert runs == {(a - b, 2 * a - b, a + b, a + 2 * b, a)}
 
 
 def test_param_ideal_membership():

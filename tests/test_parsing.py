@@ -134,6 +134,23 @@ def test_names_and_order_are_checked_where_written():
     assert "unknown base order 'lex'" in str(exc.value) and exc.value.line == 3
 
 
+def test_single_keys_are_stated_once():
+    """A second `vars:`, `params:`, `order:`, `cap:` or `dividend:` line is
+    refused at its line; it used to replace the first silently."""
+    for text, ln in (("vars: x1\nvars: x2\nideal: x2\n", 2),
+                     ("params: y\nvars: x1\nParams: a\n", 3),
+                     ("vars: x1\norder: tdeg\norder: antigraded_lex\n", 3),
+                     ("vars: x1\ncap: 3\nideal: x1\ncap : 4\n", 4),
+                     ("vars: x1\ndividend: x1\ndividend: dx1\n", 3)):
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_problem(text)
+        assert "repeated" in str(exc.value) and exc.value.line == ln, text
+    # `ideal:`, `qideal:` and `weight:` lines add up
+    prob = parse_problem("params: y\nvars: x1\nqideal: y^2 + 1\nqideal: y^2 + 1\n"
+                         "weight: u 0 v 1\nweight: u -1 v 2\nideal: x1\nideal: dx1\n")
+    assert len(prob.generators) == 2 and len(prob.weights) == 2
+
+
 def test_names_must_be_tokens_and_not_dx_partners():
     """A declared name is an identifier a token can spell, and never `d` +
     a declared variable, which names that variable's dx-partner."""

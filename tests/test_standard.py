@@ -160,7 +160,7 @@ def test_generic_basis_collects_reduction_denominators():
 def test_h_is_factored_from_the_completion_on_first_read(monkeypatch):
     """QQ bases never factor; a parametric one factors each leading
     coefficient of the completion list once, when h or h_factors is first
-    read.  Factors of equal support keep their first-seen order."""
+    read.  Factors of equal support sort by their coefficients."""
     calls = []
     factor = params_module.factor_squarefree
     monkeypatch.setattr(params_module, "factor_squarefree",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb
-from operator import add, sub
+from operator import add, ge, sub
 from typing import NamedTuple
 
 from .params import QQ_FIELD
@@ -30,20 +30,20 @@ class Exponent(NamedTuple):
     k: int
 
     def __add__(self, other):
-        return Exponent(tuple(a + b for a, b in zip(self.alpha, other.alpha)),
-                        tuple(a + b for a, b in zip(self.beta, other.beta)),
+        return Exponent(tuple(map(add, self.alpha, other.alpha)),
+                        tuple(map(add, self.beta, other.beta)),
                         self.k + other.k)
 
     def __sub__(self, other):
-        return Exponent(tuple(a - b for a, b in zip(self.alpha, other.alpha)),
-                        tuple(a - b for a, b in zip(self.beta, other.beta)),
+        return Exponent(tuple(map(sub, self.alpha, other.alpha)),
+                        tuple(map(sub, self.beta, other.beta)),
                         self.k - other.k)
 
     def dominates(self, other):
         """Componentwise >= (self lies in other + N^{2n+1})."""
         return (self.k >= other.k
-                and all(a >= b for a, b in zip(self.alpha, other.alpha))
-                and all(a >= b for a, b in zip(self.beta, other.beta)))
+                and all(map(ge, self.alpha, other.alpha))
+                and all(map(ge, self.beta, other.beta)))
 
     @property
     def xdeg(self):
@@ -77,12 +77,13 @@ class HOperator:
 
     `terms` is never mutated after construction.  `lead_memo` holds
     (OrderSpec, leading exponent) for the last order `orders.leading_data`
-    was asked about, or None; `newton_memo` holds the polyhedron
-    `newton.newton` built, or None; `level_memo` holds `top_level` once read.
+    was asked about, or None; `clear_memo` holds `cleared()` once read;
+    `newton_memo` holds the polyhedron `newton.newton` built, or None;
+    `level_memo` holds `top_level` once read.
     """
 
     __slots__ = ("n", "field", "terms", "cap", "tainted", "lead_memo",
-                 "newton_memo", "level_memo")
+                 "clear_memo", "newton_memo", "level_memo")
 
     def __init__(self, n, field, terms=None, cap=None, tainted=False):
         self.n = n
@@ -100,6 +101,7 @@ class HOperator:
         self.cap = cap
         self.tainted = tainted
         self.lead_memo = None
+        self.clear_memo = None
         self.newton_memo = None
         self.level_memo = None
 
@@ -125,6 +127,14 @@ class HOperator:
         if self.level_memo is None:
             self.level_memo = max((e.level for e in self.terms), default=0)
         return self.level_memo
+
+    def cleared(self):
+        """The terms over one common denominator, `field.clear(terms)`: a
+        `params.Cleared` whose `terms` division and S-pairs multiply.  It
+        does not depend on an order, so it is kept for good."""
+        if self.clear_memo is None:
+            self.clear_memo = self.field.clear(self.terms)
+        return self.clear_memo
 
     def z_free(self):
         return all(e.k == 0 for e in self.terms)
@@ -219,9 +229,10 @@ class HOperator:
 
 def term_product(e, c, g, cap, z_one=False):
     """c * x^a dx^b z^k times g, for e = (a, b, k), truncated at the x-degree
-    cap (None: none); with z_one, in the z = 1 quotient.  Returns the terms
-    dict and whether the cap cut a nonzero term, the term e itself
-    included."""
+    cap (None: none); with z_one, in the z = 1 quotient.  g is anything with
+    `terms`, such as an operator or its `cleared()` form, and c any
+    coefficient its terms multiply with.  Returns the terms dict and whether
+    the cap cut a nonzero term, the term e itself included."""
     if cap is not None and sum(e[0]) > cap:
         return {}, True  # every product term has x-degree at least |a|
     out = {}

@@ -17,6 +17,8 @@ operands or their field; a bare parameter count m means the names y1..ym.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DivisionByZeroModQ, NotPrime, DenominatorVanishes
 
@@ -216,8 +218,22 @@ class ParamIdeal:
 # Coefficient domains
 # ---------------------------------------------------------------------------
 
+class Cleared(NamedTuple):
+    """An operator's terms over one common denominator: the terms are
+    `terms[e] / den`.  Over QQ the numerators are integers and den is the
+    lcm of the coefficient denominators; a parameter field clears nothing,
+    so there the terms are the coefficients and den is 1."""
+
+    terms: dict
+    den: object
+
+
 class QQField:
-    """Domain marker for plain Fraction coefficients."""
+    """Domain marker for plain Fraction coefficients.
+
+    Division and S-pairs run on integer numerators over one common
+    denominator (`clear`, `cofactors`, `cross`) and make Fractions (`ratio`)
+    only of the coefficients they return."""
 
     is_param = False
 
@@ -236,6 +252,32 @@ class QQField:
             # a constant has the same value at every point, so evaluate at ()
             return poly_eval(x.num, ()) / poly_eval(x.den, ())
         return Fraction(x)
+
+    @staticmethod
+    def clear(terms):
+        den = lcm(*(c.denominator for c in terms.values()))
+        return Cleared({e: c.numerator * (den // c.denominator)
+                        for e, c in terms.items()}, den)
+
+    @staticmethod
+    def cofactors(c, l):
+        """The least (s, t) with s*c == t*l and s > 0, for integers c and
+        nonzero l."""
+        g = gcd(c, l)
+        if l < 0:
+            g = -g
+        return l // g, c // g
+
+    @staticmethod
+    def cross(li, lj):
+        """(a, b, d) with a/d == 1/li and b/d == 1/lj, for nonzero integers
+        li and lj; d is their lcm up to sign."""
+        g = gcd(li, lj)
+        return lj // g, li // g, li * (lj // g)
+
+    @staticmethod
+    def ratio(num, den):
+        return Fraction(num, den)
 
     def __eq__(self, other):
         return isinstance(other, QQField)
@@ -271,14 +313,38 @@ class ParamField:
 
     @property
     def zero(self):
-        return ParamFraction(self, self.ring.zero, self.ring.one)
+        return self._constant(self.ring.zero)
 
     @property
     def one(self):
-        return ParamFraction(self, self.ring.one, self.ring.one)
+        return self._constant(self.ring.one)
+
+    def _constant(self, c):
+        """c/1 for c = 0 or 1, which a proper q leaves normalized."""
+        if self.q.is_unit_ideal():
+            return ParamFraction(self, c, self.ring.one)  # raises: 1 lies in q
+        return ParamFraction.normalized(self, c, self.ring.one)
 
     def from_poly(self, p):
         return ParamFraction(self, p, self.ring.one)
+
+    # The field clears no denominators: the arithmetic of a division or an
+    # S-pair is the plain field arithmetic, with cofactor 1 and den 1.
+
+    @staticmethod
+    def clear(terms):
+        return Cleared(terms, 1)
+
+    @staticmethod
+    def cofactors(c, l):
+        return 1, c / l
+
+    def cross(self, li, lj):
+        return self.one / li, self.one / lj, 1
+
+    @staticmethod
+    def ratio(num, den):
+        return num if den == 1 else num / den
 
     def coerce(self, x):
         """x as an element of this field: a ParamFraction (of this ring), a
@@ -319,7 +385,10 @@ class ParamFraction:
         if ((num.ring is not ring or den.ring is not ring)
                 and (num.ring != ring or den.ring != ring)):
             raise ValueError("parameter ring mismatch")
-        if not den or field.q.contains(den):
+        # a nonzero constant lies in no proper q, so only the unit ideal
+        # needs a test there
+        if not den or (field.q.is_unit_ideal() if den.is_ground
+                       else field.q.contains(den)):
             raise DivisionByZeroModQ(f"denominator {poly_str(den)} lies in {field.q}")
         num = field.q.normal_form(num)
         if not num:
@@ -329,6 +398,15 @@ class ParamFraction:
         self.field = field
         self.num = num
         self.den = den
+
+    @classmethod
+    def normalized(cls, field, num, den):
+        """num/den as given, which the caller knows to be normalized."""
+        self = object.__new__(cls)
+        self.field = field
+        self.num = num
+        self.den = den
+        return self
 
     def __bool__(self):
         return bool(self.num)
@@ -392,8 +470,9 @@ class ParamFraction:
     def specialize(self, y0):
         dv = poly_eval(self.den, y0)
         if dv == 0:
+            at = ",".join(f"{name}={v}" for name, v in zip(self.den.ring.symbols, y0))
             raise DenominatorVanishes(f"denominator {poly_str(self.den)} "
-                                      f"vanishes at {tuple(y0)}")
+                                      f"vanishes at {at}")
         return poly_eval(self.num, y0) / dv
 
     def __str__(self):

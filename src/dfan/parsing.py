@@ -135,11 +135,7 @@ class _Parser:
             p = self._next()
             if p[0] != "int":
                 raise OperatorSyntaxError("exponent must be an integer", p[2], p[3])
-            k = int(p[1])
-            r = HOperator.monomial(v.n, v.field, exponent(v.n))
-            for _ in range(k):
-                r = r * v
-            v = r
+            v = _power(v, int(p[1]))
             t = self._peek()
         return v
 
@@ -162,8 +158,23 @@ class _Parser:
         raise OperatorSyntaxError(f"unexpected {t[1]!r}", t[2], t[3])
 
 
+def _power(v, k):
+    """v^k by repeated squaring, high bit first: at most 2*log2(k)
+    products, where multiplying k times would hang on a large k."""
+    if k == 0:
+        return HOperator.monomial(v.n, v.field, exponent(v.n))
+    r = v
+    for bit in bin(k)[3:]:
+        r = r * r
+        if bit == "1":
+            r = r * v
+    return r
+
+
 def _invert_scalar(w, ln, col):
     """The inverse coefficient of a scalar (no x/dx/z) operator."""
+    if w.is_zero():
+        raise OperatorSyntaxError("division by zero", ln, col)
     if len(w.terms) != 1 or next(iter(w.terms)) != exponent(w.n):
         raise OperatorSyntaxError("can only divide by a scalar", ln, col)
     c = next(iter(w.terms.values()))

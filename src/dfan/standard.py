@@ -12,7 +12,9 @@ One loop serves both rings: `standard_basis`, `spair`, `completion`,
 `reduce_basis` and `division.divide` take the term product as `mul`, by
 default `operators.term_product` in the homogenized ring;
 `fan.homogenized_generators` passes its z = 1 form to complete plain
-differential operators.
+differential operators.  Over QQ, `spair` and `divide` run on integer
+numerators over one common denominator and make Fractions only of the
+coefficients they return (see `division`).
 
 Over Frac(C/Q) the same loop computes the generic standard basis.  The field
 is the only place Q enters: a coefficient whose numerator lies in Q is zero
@@ -34,30 +36,38 @@ from functools import cached_property
 from heapq import heappop, heappush
 
 from .division import divide
-from .operators import Exponent, HOperator, term_product
+from .operators import Exponent, HOperator, _add_term, term_product
 from .orders import leading_data
 from .params import QQ_FIELD, multiplier, numerator_factors
 
 
 def _join(a: Exponent, b: Exponent):
-    return Exponent(tuple(max(x, y) for x, y in zip(a.alpha, b.alpha)),
-                    tuple(max(x, y) for x, y in zip(a.beta, b.beta)),
-                    max(a.k, b.k))
+    return Exponent(tuple(map(max, a.alpha, b.alpha)),
+                    tuple(map(max, a.beta, b.beta)), max(a.k, b.k))
 
 
 def spair(gi, gj, ord_spec, mul=None):
     """S-operator: cross-multiply to the join of the leading exponents and
-    subtract; the joined leading terms cancel exactly.  mul is as in
+    subtract; the joined leading terms cancel exactly.  The products run on
+    the cleared forms, scaled by a and b over one denominator d
+    (`field.cross` of the leading numerators); mul is as in
     `division.divide`."""
     mul = mul or term_product
-    ei, lci = leading_data(gi, ord_spec)
-    ej, lcj = leading_data(gj, ord_spec)
+    ei = leading_data(gi, ord_spec)[0]
+    ej = leading_data(gj, ord_spec)[0]
+    fi, fj = gi.cleared(), gj.cleared()
     e = _join(ei, ej)
     field = gi.field
-    ti, cut_i = mul(e - ei, field.one / lci, gi, gi.cap)
-    tj, cut_j = mul(e - ej, field.one / lcj, gj, gj.cap)
-    return (HOperator(gi.n, field, ti, cap=gi.cap, tainted=gi.tainted or cut_i)
-            - HOperator(gj.n, field, tj, cap=gj.cap, tainted=gj.tainted or cut_j))
+    a, b, d = field.cross(fi.terms[ei], fj.terms[ej])
+    terms, cut_i = mul(e - ei, a, fi, gi.cap)
+    tj, cut_j = mul(e - ej, b, fj, gj.cap)
+    for te, c in tj.items():
+        _add_term(terms, te, -c)
+    caps = [c for c in (gi.cap, gj.cap) if c is not None]
+    ratio = field.ratio
+    return HOperator(gi.n, field, {te: ratio(c, d) for te, c in terms.items()},
+                     cap=min(caps) if caps else None,
+                     tainted=gi.tainted or cut_i or gj.tainted or cut_j)
 
 
 @dataclass

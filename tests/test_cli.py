@@ -204,6 +204,17 @@ def test_seed_weight_must_be_rational():
                      "weight line must read", "line 2")
 
 
+def test_vanishing_denominator_names_the_point():
+    """The point prints as `--at` reads it, not as a tuple of Fractions."""
+    proc = run_cli(["specialize", "--at", "y=0"], "params: y\nvars: x1\nideal: dx1/y\n")
+    assert proc.returncode == 1 and not proc.stdout
+    assert "denominator y vanishes at y=0" in proc.stderr
+    assert "Fraction" not in proc.stderr
+    proc = run_cli(["specialize", "--at", "a=1/2,b=-1"],
+                   "params: a b\nvars: x1\nideal: dx1/(a + 2*b + 3/2) + x1\n")
+    assert proc.returncode == 1 and "vanishes at a=1/2,b=-1" in proc.stderr
+
+
 def test_specialize_point_must_be_rational():
     for at in ("y=abc", "y=1/0"):
         _usage_error(run_cli(["specialize", "--at", at], SERIES),

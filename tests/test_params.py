@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import dfan
 from dfan.errors import DenominatorVanishes, DivisionByZeroModQ, NotPrime
 from dfan.params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
-                         factor_squarefree, multiplier, param_ring,
+                         _cancel, factor_squarefree, multiplier, param_ring,
                          poly_divides, poly_eval, poly_primitive)
 
 
@@ -77,6 +77,33 @@ def test_fraction_normalization_and_zero_test():
     assert not f
     with pytest.raises(DivisionByZeroModQ):
         ParamFraction(F, ParamPoly.const(1, 1), y)
+
+
+def test_constant_denominators_skip_the_normal_form(monkeypatch):
+    """A nonzero constant lies in no proper Q, so constructing over it
+    reduces the numerator alone; `zero` and `one` reduce nothing.  The
+    representatives are those the full normalization gives (numerator
+    reduced, then cancelled), and the unit ideal still rejects every
+    denominator."""
+    y = ParamPoly.var(1, 0)
+    F = ParamField(1, ParamIdeal(1, [y * y - 2], claimed_prime=True))
+    calls = []
+    normal_form = ParamIdeal.normal_form
+    monkeypatch.setattr(ParamIdeal, "normal_form",
+                        lambda self, p: calls.append(p) or normal_form(self, p))
+    for num, den in ((y ** 3 + 1, 3), (y - 1, 1), (6 * y, -4), (0, 5)):
+        f = ParamFraction(F, F.ring(num), F.ring(den))
+        assert calls == [F.ring(num)]
+        calls.clear()
+        n0 = normal_form(F.q, F.ring(num))
+        assert (f.num, f.den) == (_cancel(n0, F.ring(den)) if n0 else (n0, F.ring.one))
+    for c, want in ((F.zero, 0), (F.one, 1)):
+        assert (c.num, c.den) == (F.ring(want), F.ring.one) and not calls
+    unit = ParamField(1, ParamIdeal(1, [y, y - 1]))
+    for make in (lambda: unit.one, lambda: unit.zero,
+                 lambda: ParamFraction(unit, y, unit.ring(2))):
+        with pytest.raises(DivisionByZeroModQ):
+            make()
 
 
 def test_fraction_cancellation():

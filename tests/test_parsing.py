@@ -1,14 +1,15 @@
 """Operator and problem-file parsing, diagnostics, and round-trips."""
 
 from fractions import Fraction
+from math import ceil, log2
 
 import pytest
 
 from conftest import qop
 from dfan.errors import NotPrime, OperatorSyntaxError, UnknownName
-from dfan.operators import exponent
+from dfan.operators import HOperator, exponent
 from dfan.orders import Weight
-from dfan.params import ParamField, ParamPoly
+from dfan.params import ParamField, ParamIdeal, ParamPoly
 from dfan.parsing import parse_operator, parse_param_poly, parse_problem
 
 
@@ -46,6 +47,50 @@ def test_division_only_by_invertible_scalars():
     assert p.terms[exponent(1, beta=[1])] == F.one / F.from_poly(y)
     with pytest.raises(OperatorSyntaxError):
         parse_operator("dx1/x1", ["x1"])
+
+
+def test_division_by_a_zero_scalar():
+    """0 is a scalar, but not an invertible one: `x1/0` and `dx1/(y - y)`
+    say so at the `/`, in a problem file as in a bare expression."""
+    for text, names, params, col in (("x1/0", ["x1"], [], 3),
+                                     ("dx1/(y - y)", ["x1"], ["y"], 4)):
+        with pytest.raises(OperatorSyntaxError) as exc:
+            parse_operator(text, names, params)
+        assert "division by zero" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (1, col)
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_problem("params: y\nvars: x1\nideal: dx1/(y - y)\n")
+    assert "division by zero at line 3, column 11" in str(exc.value)
+
+
+def power_by_loop(v, k):
+    """v^k as k products 1*v*...*v, the loop `_power` replaced."""
+    r = HOperator.monomial(v.n, v.field, exponent(v.n))
+    for _ in range(k):
+        r = r * v
+    return r
+
+
+def test_powers_by_repeated_squaring(monkeypatch):
+    """`^k` takes at most 2*ceil(log2 k) products, so a huge exponent
+    parses at once, and gives the k-fold product's operator."""
+    products = []
+    mul = HOperator.__mul__
+    monkeypatch.setattr(HOperator, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    k = 99999999
+    p = parse_operator(f"x1^{k}", ["x1"])
+    assert p == HOperator.monomial(1, p.field, exponent(1, alpha=[k]))
+    assert len(products) <= 2 * ceil(log2(k))
+    monkeypatch.setattr(HOperator, "__mul__", mul)
+    FQ = ParamField(1, ParamIdeal(1, [ParamPoly.var(1, 0) ** 2 - 2], claimed_prime=True))
+    for text, names, params, field in (("dx1 + x1*z", ["x1"], [], None),
+                                       ("x2*dx1 - 1/2*dx2*x1", ["x1", "x2"], [], None),
+                                       ("y*dx1 + x1 - 1", ["x1"], ["y"], FQ)):
+        v = parse_operator(text, names, params, field=field)
+        for k in range(8):
+            p = parse_operator(f"({text})^{k}", names, params, field=field)
+            assert p == power_by_loop(v, k), (text, k)
 
 
 def test_parse_param_poly():

@@ -243,8 +243,13 @@ class RelOpenCone:
         self.witness = tuple(Fraction(x) for x in witness)
 
     def contains(self, point):
-        p = _clear_denominators(point)
-        return (all(sum(map(mul, f, p)) == 0 for f in self.equalities)
+        return self.contains_integer(_clear_denominators(point))
+
+    def contains_integer(self, p):
+        """Membership of an integer vector p, or of any positive rational
+        multiple of p: the forms are homogeneous, so a weight's cleared
+        integer vector (`orders.Weight.ivec`) answers for the weight."""
+        return (all(not sum(map(mul, f, p)) for f in self.equalities)
                 and all(sum(map(mul, f, p)) > 0 for f in self.strict))
 
     def closure_facets(self):

@@ -12,6 +12,19 @@ so every point of a cell's closure is admissible.  The fan is enumerated by
 crossing closure facets from seed weights covering every activity stratum
 (as in Fukuda-Jensen-Thomas, Computing Groebner fans, Math. Comp. 2007).
 
+One `enumerate_fan` call keeps a set of the weights it has popped from its
+queue and an index of its cells by activity stratum (the W constraints
+active at the witness, `Weight.activity`).  A weight popped before is
+skipped untested: it lies in a stored cell or is the witness of one.  Any
+other weight is tested only against the cells of its own stratum.  The
+index is exact, not a heuristic: a cell cone holds each W form as an
+equality exactly where it is active at the witness and as a strict form
+elsewhere, so every point of a cell has the witness's activity and no cell
+holds a point of another stratum.  Membership, admissibility and the steps
+off a cell (`_step_off`) run on cleared integer vectors (`Weight.ivec`, and
+2^k p + d for the candidate (p + d / 2^k) / den); only a weight that is
+queued is made of Fractions.
+
 A traversal meets few distinct reduced bases, so it completes each one once.
 For one `enumerate_fan` call it keeps every reduced basis found so far, with
 its leading exponents.  At a new witness w, a kept basis G whose every
@@ -51,6 +64,7 @@ takes Q separately.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
@@ -60,7 +74,7 @@ from .cones import form_rank
 from .errors import NonConvergentTraversal, ZeroOperator
 from .newton import face_of, face_of_sum, minkowski_sum_by_hull, newton, normal_cone
 from .operators import homogenize, term_product
-from .orders import OrderSpec, Weight, leading_data
+from .orders import OrderSpec, Weight, in_w, leading_data
 from .standard import standard_basis
 
 
@@ -105,7 +119,7 @@ class FanCell:
     tainted: bool = False
 
     def contains(self, w: Weight):
-        return self.cone.contains(w.as_tuple())
+        return self.cone.contains_integer(w.ivec)
 
     def dim(self):
         return self.cone.dim - form_rank(self.cone.equalities)
@@ -205,18 +219,21 @@ def _leaves_w(n, pt, d):
                for i in range(n))
 
 
-def _step_off(pt, d, cone, eps, tries):
-    """The first admissible weight pt + eps*d outside cone, eps halved up to
-    tries times; None when none is found or no step along d is admissible."""
-    n = len(pt) // 2
-    if _leaves_w(n, pt, d):
+def _step_off(p, d, den, cone, first, tries):
+    """The first admissible weight (p + d / 2^k) / den outside cone, for k =
+    first, first + 1, ... (tries values of k); None when none is found or no
+    step along d is admissible.  p and d are integer vectors and den > 0.
+    Each candidate is tested on the integer vector 2^k p + d, a positive
+    multiple of it; only the returned weight is made of Fractions."""
+    n = len(p) // 2
+    if _leaves_w(n, p, d):
         return None
+    scale = 1 << first
     for _ in range(tries):
-        cand = tuple(p + eps * di for p, di in zip(pt, d))
-        w = _as_weight(n, cand)
-        if w.is_admissible() and not cone.contains(cand):
-            return w
-        eps /= 2
+        cand = [scale * a + b for a, b in zip(p, d)]
+        if in_w(cand) and not cone.contains_integer(cand):
+            return _as_weight(n, [Fraction(c, scale * den) for c in cand])
+        scale <<= 1
     return None
 
 
@@ -232,32 +249,42 @@ def enumerate_fan(gens, cap, max_cells=4096):
         raise ZeroOperator("fan of the empty generating set")
     n = gens[0].n
     cells = []
+    strata = {}   # activity -> the cells of that stratum
+    seen = set()  # the weights popped so far
     kept = []
-    queue = list(_seed_weights(n))
+    queue = deque(_seed_weights(n))
     while queue:
-        w = queue.pop(0)
-        if any(c.contains(w) for c in cells):
+        w = queue.popleft()
+        if w in seen:
+            continue
+        seen.add(w)
+        stratum = strata.setdefault(w.activity(), [])
+        if any(c.contains(w) for c in stratum):
             continue
         if len(cells) >= max_cells:
             raise NonConvergentTraversal(
                 f"fan traversal found more than {max_cells} cells")
         cell = cell_at(gens, w, cap, kept)
         cells.append(cell)
+        stratum.append(cell)
         # descend / move sideways: cross every closure facet, stepping
-        # from the facet point away from the witness; the facet points lie
-        # in W, since the cone carries all 2n W forms
+        # from the facet point pt away from the witness w, along pt - w
+        # over the denominator of both; the facet points lie in W, since
+        # the cone carries all 2n W forms
         cone = cell.cone
         for _form, pt in cone.closure_facets():
-            queue.append(_as_weight(n, pt))
-            d = tuple(p - q for p, q in zip(pt, cone.witness))
-            nb = _step_off(pt, d, cone, Fraction(1), 60)
+            f = _as_weight(n, pt)
+            queue.append(f)
+            p = [a * w.den for a in f.ivec]
+            d = [a - b * f.den for a, b in zip(p, w.ivec)]
+            nb = _step_off(p, d, f.den * w.den, cone, 0, 60)
             if nb is not None:
                 queue.append(nb)
-        # ascend: step off each equality in both directions
+        # ascend: step off each equality in both directions from eps = 1/2,
+        # from w along +form and -form, each (+-den * form) over den
         for form in cone.equalities:
-            for sign in (1, -1):
-                d = tuple(sign * Fraction(c) for c in form)
-                up = _step_off(cone.witness, d, cone, Fraction(1, 2), 40)
+            for s in (w.den, -w.den):
+                up = _step_off(w.ivec, [s * c for c in form], w.den, cone, 1, 40)
                 if up is not None:
                     queue.append(up)
     cells.sort(key=lambda c: (-c.dim(), c.cone.equalities, c.cone.strict))

@@ -148,8 +148,8 @@ def minkowski_sum_by_hull(polys):
 def face_of(poly, w):
     """(face vertices, face rays) of the polyhedron with respect to w in W."""
     w.check_admissible()
-    u, v = w.integer_form()  # a positive scale keeps the argmax and the zeros
-    iw = u + v               # zip stops before the z-slot, which w ignores
+    iw = w.ivec  # a positive scale keeps the argmax and the zeros; zip
+                 # stops before the z-slot, which w ignores
     vals = {p: sum(map(mul, iw, p)) for p in poly.vertices}
     top = max(vals.values())
     verts = tuple(p for p in poly.vertices if vals[p] == top)
@@ -190,6 +190,6 @@ def normal_cone(polys, w):
         else:
             strict.append(tuple(-c for c in r[:dim]))
     cone = RelOpenCone(dim, eqs, strict, w.as_tuple())
-    if not cone.contains(cone.witness):
+    if not cone.contains_integer(w.ivec):
         raise NotAdmissible("w lies outside its own normal cone")
     return cone

@@ -79,11 +79,12 @@ class HOperator:
     (OrderSpec, leading exponent) for the last order `orders.leading_data`
     was asked about, or None; `clear_memo` holds `cleared()` once read;
     `newton_memo` holds the polyhedron `newton.newton` built, or None;
-    `level_memo` holds `top_level` once read.
+    `level_memo` holds `top_level` once read; `str_memo` holds `str()`
+    once read.
     """
 
     __slots__ = ("n", "field", "terms", "cap", "tainted", "lead_memo",
-                 "clear_memo", "newton_memo", "level_memo")
+                 "clear_memo", "newton_memo", "level_memo", "str_memo")
 
     def __init__(self, n, field, terms=None, cap=None, tainted=False):
         self.n = n
@@ -104,6 +105,7 @@ class HOperator:
         self.clear_memo = None
         self.newton_memo = None
         self.level_memo = None
+        self.str_memo = None
 
     # -- constructors -------------------------------------------------------
 
@@ -212,6 +214,11 @@ class HOperator:
     # -- display -------------------------------------------------------------
 
     def __str__(self):
+        if self.str_memo is None:
+            self.str_memo = self._format()
+        return self.str_memo
+
+    def _format(self):
         if not self.terms:
             return "0"
         def key(e):

@@ -15,6 +15,13 @@ integers).  Completion, division and reduction all sort with it; the
 rule-by-rule statement of the same order lives in the tests, as the oracle
 the key is checked against.  `leading_data` remembers each operator's
 leading exponent for the last order it was asked about.
+
+A weight keeps its integer vector: `Weight.ivec`, (u, v) times the lcm
+`Weight.den` of its denominators, is computed once per weight.  It is a
+positive multiple of the weight, so admissibility (`in_w`), the activity
+strata, the key's integer form, the faces of `newton.face_of` and the cone
+membership tests of the fan traversal all read it and never redo Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -28,9 +35,18 @@ from operator import mul
 from .errors import NotAdmissible, ZeroOperator
 
 
+def in_w(vec):
+    """Is the vector (u, v), or any positive multiple of it, in the
+    admissible cone W: every u_i <= 0 and every u_i + v_i >= 0?"""
+    n = len(vec) // 2
+    return (all(a <= 0 for a in vec[:n])
+            and all(a + b >= 0 for a, b in zip(vec[:n], vec[n:])))
+
+
 @dataclass(frozen=True)
 class Weight:
-    """Weight vector w = (u, v) on (x, dx); z always has weight 0."""
+    """Weight vector w = (u, v) on (x, dx); z always has weight 0.  The
+    cached `den` and `ivec` hold its cleared integer form."""
 
     u: tuple
     v: tuple
@@ -43,8 +59,20 @@ class Weight:
     def n(self):
         return len(self.u)
 
+    @cached_property
+    def den(self):
+        """The lcm of the denominators of (u, v)."""
+        return lcm(*(c.denominator for c in self.u + self.v))
+
+    @cached_property
+    def ivec(self):
+        """(u, v) times `den`, one integer tuple: a positive multiple of the
+        weight, so it has the same order, signs and zeros."""
+        d = self.den
+        return tuple(c.numerator * (d // c.denominator) for c in self.u + self.v)
+
     def is_admissible(self):
-        return all(a <= 0 for a in self.u) and all(a + b >= 0 for a, b in zip(self.u, self.v))
+        return in_w(self.ivec)
 
     def check_admissible(self):
         if not self.is_admissible():
@@ -55,13 +83,14 @@ class Weight:
 
     def integer_form(self):
         """(u, v) times the lcm of the denominators: integers, same order."""
-        d = lcm(*(c.denominator for c in self.u + self.v))
-        return (tuple(int(a * d) for a in self.u), tuple(int(b * d) for b in self.v))
+        iv, n = self.ivec, self.n
+        return iv[:n], iv[n:]
 
     def activity(self):
         """Indices of active W constraints: ({i: u_i = 0}, {i: u_i + v_i = 0})."""
-        return (frozenset(i for i, a in enumerate(self.u) if a == 0),
-                frozenset(i for i, (a, b) in enumerate(zip(self.u, self.v)) if a + b == 0))
+        iv, n = self.ivec, self.n
+        return (frozenset(i for i in range(n) if not iv[i]),
+                frozenset(i for i in range(n) if not iv[i] + iv[n + i]))
 
     def __str__(self):
         return f"(u={tuple(map(str, self.u))}, v={tuple(map(str, self.v))})"

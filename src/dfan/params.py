@@ -279,6 +279,17 @@ class QQField:
     def ratio(num, den):
         return Fraction(num, den)
 
+    @staticmethod
+    def clear_ratios(nums, den):
+        """`clear` of the terms {e: ratio(c, den)}, from the integer
+        numerators nums and the nonzero den: with g = gcd(den, *nums), the
+        lcm of the denominators is |den| / g, and it scales ratio(c, den)
+        to c / g with the sign of den."""
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        return Cleared({e: c // g for e, c in nums.items()}, den // g)
+
     def __eq__(self, other):
         return isinstance(other, QQField)
 
@@ -345,6 +356,9 @@ class ParamField:
     @staticmethod
     def ratio(num, den):
         return num if den == 1 else num / den
+
+    def clear_ratios(self, nums, den):
+        return Cleared({e: self.ratio(c, den) for e, c in nums.items()}, 1)
 
     def coerce(self, x):
         """x as an element of this field: a ParamFraction (of this ring), a

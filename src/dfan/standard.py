@@ -51,7 +51,9 @@ def spair(gi, gj, ord_spec, mul=None):
     subtract; the joined leading terms cancel exactly.  The products run on
     the cleared forms, scaled by a and b over one denominator d
     (`field.cross` of the leading numerators); mul is as in
-    `division.divide`."""
+    `division.divide`.  The S-operator keeps its own cleared form, made from
+    those numerators (`field.clear_ratios`), so `divide` does not clear it
+    again."""
     mul = mul or term_product
     ei = leading_data(gi, ord_spec)[0]
     ej = leading_data(gj, ord_spec)[0]
@@ -65,9 +67,12 @@ def spair(gi, gj, ord_spec, mul=None):
         _add_term(terms, te, -c)
     caps = [c for c in (gi.cap, gj.cap) if c is not None]
     ratio = field.ratio
-    return HOperator(gi.n, field, {te: ratio(c, d) for te, c in terms.items()},
-                     cap=min(caps) if caps else None,
-                     tainted=gi.tainted or cut_i or gj.tainted or cut_j)
+    sp = HOperator(gi.n, field, {te: ratio(c, d) for te, c in terms.items()},
+                   cap=min(caps) if caps else None,
+                   tainted=gi.tainted or cut_i or gj.tainted or cut_j)
+    # the numerators of the terms kept are the cleared form `divide` needs
+    sp.clear_memo = field.clear_ratios({te: terms[te] for te in sp.terms}, d)
+    return sp
 
 
 @dataclass
@@ -196,7 +201,12 @@ def reduce_basis(basis, ord_spec, mul=None):
             continue
         res = divide(tail, G0, ord_spec, mul=mul)
         tainted = tainted or res.tainted
-        out.append(lm + res.remainder)
+        r = res.remainder
+        if r.cap is not None and e.xdeg > r.cap:
+            # the remainder has the least cap of G0, below the leading
+            # monomial: the element keeps its own cap, and so its leader
+            r = HOperator(r.n, field, r.terms, cap=g.cap, tainted=r.tainted)
+        out.append(lm + r)
     key = ord_spec.key()
     out.sort(key=lambda g: key(leading_data(g, ord_spec)[0]))
     return out, tainted

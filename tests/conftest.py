@@ -45,6 +45,12 @@ def random_ideal(rng, n, maxk=1, most=2):
     return [g for g in gens if not g.is_zero()]
 
 
+def admissible_by_fractions(w):
+    """`Weight.is_admissible` stated on the Fraction coordinates: the oracle
+    of the test on the integer vector."""
+    return all(a <= 0 for a in w.u) and all(a + b >= 0 for a, b in zip(w.u, w.v))
+
+
 def _dot(w, e):
     return (sum(a * p for a, p in zip(w.u, e.alpha))
             + sum(b * p for b, p in zip(w.v, e.beta)))

@@ -1,14 +1,16 @@
 """Fan enumeration, the z = 1 completion, and the independent grid oracle."""
 
+import hashlib
 import json
 import random
+from collections import deque
 from fractions import Fraction
 from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import op, qop, random_ideal, same_cone
+from conftest import admissible_by_fractions, op, qop, random_ideal, same_cone
 import dfan.fan as fan_module
 from dfan.errors import NonConvergentTraversal
 from dfan.fan import (cell_at, check_fan_against_grid, enumerate_fan,
@@ -148,20 +150,48 @@ def test_each_cell_is_the_only_one_holding_its_witness(gens):
         assert len(holders) == 1 and holders[0] is cell
 
 
-@pytest.mark.parametrize("gens, tried, built", [(AIRY, 14, 4), (EULER, 13, 4),
-                                                (TWO_VARIABLE, 828, 24)],
-                         ids=["airy", "euler", "two_variable"])
-def test_traversal_tries_the_same_weights(gens, tried, built, monkeypatch):
-    """Pinned traversal work: the membership tests of queued weights against
-    stored cells, and the cells built.  Facet crossings step from eps = 1
-    with 60 halvings and ascents from eps = 1/2 with 40; another start or
-    budget queues other weights and changes these counts."""
+def recorded_pops(monkeypatch):
+    """The weights `enumerate_fan` pops from its queue, in order, as a list
+    it fills."""
+    popped = []
+
+    class Queue(deque):
+        def popleft(self):
+            popped.append(super().popleft())
+            return popped[-1]
+
+    monkeypatch.setattr(fan_module, "deque", Queue)
+    return popped
+
+
+@pytest.mark.parametrize("gens, pops, digest, tested, built", [
+    (AIRY, 9, "d221ba7cbf2151d3993cc8e46a78a8c00464daea7b47dd4caf2cd806bce5219a",
+     2, 4),
+    (EULER, 8, "d5d4fed0eaeba16d6386fc094ecb235dff5733f3b2b6907178dd785dd586bfd1",
+     2, 4),
+    (TWO_VARIABLE, 87,
+     "79b30c39dda2ffd4504b65d63743f646522de18f4391313326a8489792a36292", 61, 24),
+], ids=["airy", "euler", "two_variable"])
+def test_traversal_tries_the_same_weights(gens, pops, digest, tested, built,
+                                          monkeypatch):
+    """Pinned traversal work: the weights popped from the queue (their
+    number and the sha256 of their strings, one a line), the membership
+    tests of popped weights against stored cells, and the cells built.
+    Facet crossings step from eps = 1 with 60 halvings and ascents from
+    eps = 1/2 with 40; another start or budget queues other weights and
+    changes the sequence.  A weight popped before is skipped untested, and
+    any other is tested only against the cells of its own activity stratum:
+    on the two-variable fan that is 61 tests, where a test against every
+    stored cell made 828."""
+    popped = recorded_pops(monkeypatch)
     calls = []
     contains = fan_module.FanCell.contains
     monkeypatch.setattr(fan_module.FanCell, "contains",
                         lambda cell, w: calls.append(w) or contains(cell, w))
     fan = enumerate_fan(gens, cap=8)
-    assert (len(calls), len(fan.cells)) == (tried, built)
+    text = "\n".join(map(str, popped))
+    assert (len(popped), hashlib.sha256(text.encode()).hexdigest()) == (pops, digest)
+    assert (len(calls), len(fan.cells)) == (tested, built)
 
 
 def assert_cells_match_fresh(fan, gens, cap):
@@ -244,6 +274,107 @@ def certificate_of(text):
 def test_parametric_traversal_cells_match_fresh(text):
     cert = certificate_of(text)
     assert_cells_match_fresh(cert.fan, cert.hom_gens, cert.fan.cap)
+
+
+AIRY_I = ("params: y\nvars: x1\ncap: 6\nqideal: y^2 + 1\n"
+          "ideal: dx1^2 + (2*y - 1)*x1*z^2\n")
+EULER_Q0 = "params: y\nvars: x1\ncap: 6\nideal: x1*dx1 - 3*y*x1 - 1\n"
+
+# the criterion-4 fans and the certificate fans of the bench templates
+FANS = {"airy": lambda: enumerate_fan(AIRY, cap=8),
+        "euler": lambda: enumerate_fan(EULER, cap=8),
+        "two_variable": lambda: enumerate_fan(TWO_VARIABLE, cap=8)}
+FANS.update((name, lambda text=text: certificate_of(text).fan) for name, text in [
+    ("series_q0", SERIES_Q0), ("series_i", SERIES_I), ("airy_q0", AIRY_Q0),
+    ("airy_cubic", AIRY_CUBIC), ("airy_sqrt2", AIRY_SQRT2), ("airy_ab", AIRY_AB),
+    ("airy_i", AIRY_I), ("euler_q0", EULER_Q0)])
+
+
+@pytest.mark.parametrize("name", list(FANS))
+def test_stratum_lookup_finds_the_cell_a_full_scan_finds(name, monkeypatch):
+    """Every weight the traversal queues lies in at most one cell, and the
+    cells of its own activity stratum find it exactly when all cells do:
+    the traversal's index by activity skips no cell that holds it."""
+    popped = recorded_pops(monkeypatch)
+    fan = FANS[name]()
+    strata = {}
+    for cell in fan.cells:
+        strata.setdefault(cell.witness.activity(), []).append(cell)
+    assert len(set(popped)) > len(fan.cells) and len(strata) > 1
+    for w in popped:
+        full = [c for c in fan.cells if c.contains(w)]
+        assert len(full) <= 1, str(w)
+        assert full == [c for c in strata.get(w.activity(), ()) if c.contains(w)]
+
+
+@pytest.mark.parametrize("name", list(FANS))
+def test_w_forms_are_equalities_exactly_where_the_witness_is_active(name):
+    """Each cell cone holds all 2n W forms, -u_i and u_i + v_i: as an
+    equality where the constraint is active at the witness, as a strict
+    form elsewhere.  So every point of a cell has the witness's activity,
+    which makes the traversal's stratum index exact."""
+    fan = FANS[name]()
+    n = fan.n
+
+    def unit(*slots):
+        return tuple(int(j in slots) for j in range(2 * n))
+
+    for cell in fan.cells:
+        u_zero, uv_zero = cell.witness.activity()
+        eqs, strict = set(cell.cone.equalities), set(cell.cone.strict)
+        for i in range(n):
+            u, uv = unit(i), unit(i, n + i)
+            minus_u = tuple(-c for c in u)
+            assert (u in eqs, minus_u in strict) == (i in u_zero, i not in u_zero)
+            assert (uv in eqs, uv in strict) == (i in uv_zero, i not in uv_zero)
+
+
+def step_off_by_fractions(pt, d, cone, eps, tries):
+    """`fan._step_off` on Fraction points: the first admissible pt + eps*d
+    outside cone, eps halved up to tries times."""
+    n = len(pt) // 2
+    if fan_module._leaves_w(n, pt, d):
+        return None
+    for _ in range(tries):
+        cand = tuple(p + eps * di for p, di in zip(pt, d))
+        w = fan_module._as_weight(n, cand)
+        if admissible_by_fractions(w) and not cone.contains(cand):
+            return w
+        eps /= 2
+    return None
+
+
+@pytest.mark.parametrize("name", list(FANS))
+def test_integer_step_off_matches_the_fraction_oracle(name, monkeypatch):
+    """Each step of the traversal goes from a closure-facet point pt along
+    pt - witness from eps = 1 with 60 halvings, or from the witness along
+    an equality form or its negative from eps = 1/2 with 40, and returns
+    the weight the Fraction loop returns."""
+    step_off = fan_module._step_off
+    facets = {}
+    results = []
+
+    def checked(p, d, den, cone, first, tries):
+        got = step_off(p, d, den, cone, first, tries)
+        pt = tuple(Fraction(a, den) for a in p)
+        dd = tuple(Fraction(a, den) for a in d)
+        if first == 0:
+            if id(cone) not in facets:
+                facets[id(cone)] = [q for _, q in cone.closure_facets()]
+            assert tries == 60 and pt in facets[id(cone)]
+            assert dd == tuple(a - b for a, b in zip(pt, cone.witness))
+        else:
+            assert (first, tries) == (1, 40) and pt == cone.witness
+            assert dd in cone.equalities or tuple(-c for c in dd) in cone.equalities
+        assert got == step_off_by_fractions(pt, dd, cone, Fraction(1, 2 ** first),
+                                            tries)
+        assert got is None or all(type(c) is Fraction for c in got.as_tuple())
+        results.append(got)
+        return got
+
+    monkeypatch.setattr(fan_module, "_step_off", checked)
+    FANS[name]()
+    assert any(results)
 
 
 # graded but not z-free, so taken as given

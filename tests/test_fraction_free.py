@@ -150,10 +150,17 @@ def check_division(P, G, order, mul=None):
 
 
 def check_spairs(ops, order, mul=None):
+    """spair against the oracle; the cleared form the S-operator comes with
+    is the one `field.clear` makes of its terms."""
     for i, gi in enumerate(ops):
         for gj in ops[i + 1:]:
-            assert same_op(spair(gi, gj, order, mul=mul),
-                           spair_by_fractions(gi, gj, order, mul=mul))
+            sp = spair(gi, gj, order, mul=mul)
+            assert same_op(sp, spair_by_fractions(gi, gj, order, mul=mul))
+            kept = sp.clear_memo
+            assert kept is not None and kept == sp.field.clear(sp.terms)
+            assert list(kept.terms) == list(sp.terms)
+            if sp.field == QQ_FIELD:
+                assert all(type(c) is int for c in [*kept.terms.values(), kept.den])
 
 
 def by_fractions():

@@ -1,7 +1,8 @@
 """Lint: every name a dfan module or a test imports is used there, no module
 keeps mutable state at its top level, every error class is raised, the
-retired mod-Q route and cone API stay gone, the hot LP and the elimination
-stay fraction-free, and each submodule is reachable under its own name."""
+retired mod-Q route and cone API stay gone, the hot LP, the elimination and
+the traversal's weight tests stay fraction-free, and each submodule is
+reachable under its own name."""
 
 import ast
 import dataclasses
@@ -222,8 +223,13 @@ def test_no_retired_cone_api_in_src():
 
 def names_in_function(source, func):
     """The identifiers (names and attribute names) the body of the
-    top-level function func mentions."""
-    node = next(n for n in ast.parse(source).body
+    top-level function func, or of the method "Class.name", mentions."""
+    body = ast.parse(source).body
+    if "." in func:
+        cls, func = func.split(".")
+        body = next(n for n in body
+                    if isinstance(n, ast.ClassDef) and n.name == cls).body
+    node = next(n for n in body
                 if isinstance(n, ast.FunctionDef) and n.name == func)
     return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
@@ -232,20 +238,28 @@ def names_in_function(source, func):
 def test_names_in_function_detects_and_ignores():
     src = ("from fractions import Fraction\n"
            "def f(x):\n    return fractions.Fraction(x) + g(x)\n"
-           "def g(x):\n    return x.denominator\n")
+           "def g(x):\n    return x.denominator\n"
+           "class K:\n    def g(self):\n        return Fraction(self.y)\n")
     assert "Fraction" in names_in_function(src, "f")
     assert names_in_function(src, "g") == {"x", "denominator"}
+    assert names_in_function(src, "K.g") == {"self", "y", "Fraction"}
 
 
 def test_hot_lp_is_fraction_free():
     """The simplex, the rows `vertex_set` hands it, and the elimination with
     its back-substitution stay in integers: a rational tableau or point must
     not come back into any of these bodies.  `solve` converts its point to
-    Fraction once, at its return."""
+    Fraction once, at its return.  Nor may Fractions come back into the fan
+    traversal's weight tests: a weight's cleared integer vector, the
+    admissibility and cone membership tests that read it, and the W-exit
+    test of a step."""
     root = Path(dfan.__file__).parent
     for module, func in (("cones.py", "lp_feasible"),
                          ("newton.py", "_conv_redundant"),
-                         ("cones.py", "_solve"), ("cones.py", "_extend")):
+                         ("cones.py", "_solve"), ("cones.py", "_extend"),
+                         ("cones.py", "RelOpenCone.contains_integer"),
+                         ("orders.py", "Weight.den"), ("orders.py", "Weight.ivec"),
+                         ("orders.py", "in_w"), ("fan.py", "_leaves_w")):
         names = names_in_function((root / module).read_text(), func)
         assert "Fraction" not in names, f"{module}: {func} names Fraction"
 

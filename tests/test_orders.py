@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from functools import cmp_to_key, partial
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import compare_by_rules, qop
+from conftest import admissible_by_fractions, compare_by_rules, qop
 from dfan.errors import NotAdmissible, ZeroOperator
 from dfan.operators import Exponent, exponent
 from dfan.orders import OrderSpec, Weight, leading_data
@@ -125,6 +126,53 @@ def test_activity():
     u0, uv0 = w.activity()
     assert u0 == frozenset({0})
     assert uv0 == frozenset({1})
+
+
+def activity_by_fractions(w):
+    """`Weight.activity` stated on the Fraction coordinates."""
+    return (frozenset(i for i, a in enumerate(w.u) if a == 0),
+            frozenset(i for i, (a, b) in enumerate(zip(w.u, w.v)) if a + b == 0))
+
+
+def integer_form_by_fractions(w):
+    """`Weight.integer_form` stated on the Fraction coordinates."""
+    d = lcm(*(c.denominator for c in w.u + w.v))
+    return (tuple(int(a * d) for a in w.u), tuple(int(b * d) for b in w.v))
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# zero often, so that W constraints are often active
+coords = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def any_weight(draw):
+    """A weight in 1-3 variables, admissible or not, with u_i = 0 and
+    u_i + v_i = 0 often."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    u = [draw(coords) for _ in range(n)]
+    return Weight.make(u, [draw(coords) - a for a in u])
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_weight())
+def test_integer_vector_matches_the_fraction_formulas(w):
+    """The cached integer vector is (u, v) times the lcm of its
+    denominators, and admissibility, activity and the integer form read on
+    it equal their Fraction statements."""
+    assert w.den == lcm(*(c.denominator for c in w.as_tuple())) > 0
+    assert all(type(c) is int for c in w.ivec)
+    assert [Fraction(c, w.den) for c in w.ivec] == list(w.as_tuple())
+    assert w.is_admissible() == admissible_by_fractions(w)
+    assert w.activity() == activity_by_fractions(w)
+    assert w.integer_form() == integer_form_by_fractions(w)
+    assert all(type(c) is int for part in w.integer_form() for c in part)
+
+
+def test_integer_vector_is_computed_once():
+    w = Weight.make((Fraction(-1, 2), 0), (Fraction(5, 6), 1))
+    assert w.ivec is w.ivec and w.ivec == (-3, 0, 5, 6) and w.den == 6
+    assert w == Weight.make((Fraction(-1, 2), 0), (Fraction(5, 6), 1))
 
 
 @st.composite

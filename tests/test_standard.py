@@ -75,6 +75,19 @@ def test_reduced_basis_is_monic_minimal_autoreduced():
             assert i == j or not t.dominates(s)
 
 
+def test_a_leader_above_another_elements_cap_is_kept():
+    """With generators cut at caps 4 and 2, the tail of the first reduces
+    to a remainder at cap 2, below its leading monomial (x-degree 4).  The
+    reduced element keeps its own cap and its leader, and is tainted since
+    the tail was cut; it used to lose the leader, and here became zero."""
+    g = qop(2, {((2, 2), (1, 0), 0): 1, ((2, 2), (0, 0), 0): 1}).truncated(4)
+    h = qop(2, {((0, 0), (0, 1), 0): 1}).truncated(2)
+    for mul in (None, partial(term_product, z_one=True)):
+        sb = standard_basis([g, h], OrderSpec(2, homogenized=False), cap=4, mul=mul)
+        assert [str(b) for b in sb.basis] == ["x1^2*x2^2*dx1", "dx2"]
+        assert [b.cap for b in sb.basis] == [4, 2] and sb.tainted
+
+
 def test_cap_certification():
     order = OrderSpec(1)
     g = qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})

@@ -9,7 +9,7 @@ from .params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
                      QQ_FIELD, QQField, param_ring, poly_str)
 from .operators import Exponent, HOperator, exponent, homogenize
 from .orders import OrderSpec, Weight, leading_data
-from .cones import RelOpenCone, clear_form, solve
+from .cones import RelOpenCone, solve
 from .newton import (NewtonPolyhedron, face_of, face_of_sum, in_wstar,
                      normal_cone, vertex_set, wstar_rays)
 from .division import DivisionResult, denominator_certificate, divide, partition

@@ -48,7 +48,8 @@ def _weight_doc(w):
 
 def _cell_doc(cell):
     return {
-        "cone": cell.cone.to_doc(),
+        "cone": {**cell.cone.to_doc(),
+                 "witness": [_rat(x) for x in cell.witness.as_tuple()]},
         "dim": cell.dim(),
         "witness": _weight_doc(cell.witness),
         "grading": {"u_zero": sorted(cell.witness.activity()[0]),
@@ -169,14 +170,18 @@ def run_command(verb, problem, args):
                 "num_classes": len(classes), "classes": classes}
 
     if verb == "specialize":
-        if not args.at:
+        if problem.params and not args.at:
             raise OperatorSyntaxError("specialize needs --at name=value,...")
         assign = {}
-        for part in args.at.split(","):
+        for part in args.at.split(",") if args.at else ():
             if "=" not in part:
                 raise OperatorSyntaxError(f"bad assignment {part!r}")
-            k, v = part.split("=", 1)
-            assign[k.strip()] = _fraction(v.strip(), "--at")
+            k, v = (t.strip() for t in part.split("=", 1))
+            if k not in problem.params:
+                raise OperatorSyntaxError(f"--at: unknown parameter {k!r}")
+            if k in assign:
+                raise OperatorSyntaxError(f"--at: repeated parameter {k!r}")
+            assign[k] = _fraction(v, "--at")
         try:
             y0 = tuple(assign[p] for p in problem.params)
         except KeyError as exc:

@@ -1,4 +1,5 @@
-"""Exact rational linear feasibility and relatively open polyhedral cones.
+"""Exact linear feasibility and relatively open polyhedral cones, in
+integers.
 
 A cone is given by integer linear forms: equalities f . x = 0 and strict
 forms f . x > 0.  `solve` finds a point of such a homogeneous system by
@@ -6,17 +7,19 @@ Fourier-Motzkin elimination in integers, so cone decisions are exact.
 Eliminating a coordinate either substitutes an equality or adds strict
 forms pairwise, which gives strict forms again, so every system holds
 equalities and strict forms only and needs no strictness tracking.  The
-back-substitution stays in integers too: the partial point is integer
-numerators over one positive common denominator, bounds compare by
-cross-multiplying, and `solve` makes Fractions only of the point it
-returns.  `lp_feasible` is an exact, fraction-free simplex for the
-many-variable convex-hull redundancy test of `newton.vertex_set`.
+back-substitution stays in integers too: a point is integer numerators over
+one positive common denominator, (nums, den), and bounds compare by
+cross-multiplying.  The forms are homogeneous, so a cone holds the point
+exactly when it holds the integer vector nums: membership (`contains`)
+takes integer vectors, and the fan traversal hands it a weight's
+`orders.Weight.ivec`.  `lp_feasible` is an exact, fraction-free simplex for
+the many-variable convex-hull redundancy test of `newton.vertex_set`.
+Nothing here makes a rational number.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 
@@ -45,20 +48,16 @@ def _substitute(form, var, pivot):
 
 
 def solve(equalities, strict, dim):
-    """A point of Q^dim where every equality form vanishes and every strict
-    form is positive, or None.  Deterministic: midpoints/offsets of the FM
-    bounds."""
-    sol = _solve([_normalize(tuple(f)) for f in equalities],
-                 [_normalize(tuple(f)) for f in strict], dim)
-    if sol is None:
-        return None
-    nums, den = sol
-    return tuple(Fraction(a, den) for a in nums)
+    """A point of Q^dim where every integer equality form vanishes and every
+    integer strict form is positive, as (nums, den) with den > 0 and
+    gcd(den, *nums) = 1 (the point nums / den), or None.  Deterministic:
+    midpoints/offsets of the FM bounds."""
+    return _solve([_normalize(tuple(f)) for f in equalities],
+                  [_normalize(tuple(f)) for f in strict], dim)
 
 
 def _solve(eqs, strict, dim):
-    """`solve` on normalized integer forms, in integers throughout: None, or
-    (nums, den), the point nums / den with den > 0 and gcd(den, *nums) = 1.
+    """`solve` on normalized integer forms, in integers throughout.
     Each bound on the last coordinate is a / (b * den) with b > 0, kept as
     the pair (a, b); bounds compare by cross-multiplying."""
     eqs = list(dict.fromkeys(eqs))
@@ -124,30 +123,26 @@ def _solve_lower(eqs, strict, dim):
 
 def lp_feasible(rows, nvars):
     """Feasibility of {x >= 0, coeffs . x REL rhs for each row}, REL in
-    {"eq", "le", "ge"}, coefficients int or Fraction.  Exact phase-1
-    simplex with Bland's rule; suited to many variables, where elimination
-    blows up.
+    {"eq", "le", "ge"}, integer coefficients.  Exact phase-1 simplex with
+    Bland's rule; suited to many variables, where elimination blows up.
 
-    Fraction-free (Edmonds; Bareiss, Math. Comp. 1968): each row is scaled
-    to integers once, and the tableau is an integer matrix T over a common
-    denominator D > 0, each pivot dividing exactly.  The artificial of a
-    row scaled by c weighs 1/c in the phase-1 objective, so every reduced
-    cost and ratio is a positive multiple of the rational tableau's and the
-    pivots are the same.  Artificial columns never enter and are not kept."""
+    Fraction-free (Edmonds; Bareiss, Math. Comp. 1968): the tableau is an
+    integer matrix T over a common denominator D > 0, each pivot dividing
+    exactly, so every reduced cost and ratio is a positive multiple of the
+    rational tableau's and the pivots are the same.  Artificial columns
+    never enter and are not kept."""
     cons = []
     for coeffs, rel, rhs in rows:
-        vec = (*coeffs, rhs)
-        row = _clear_denominators(vec)
-        if row[-1] < 0:
+        row = [*coeffs, rhs]
+        if rhs < 0:
             row = [-c for c in row]
             rel = {"le": "ge", "ge": "le", "eq": "eq"}[rel]
-        cons.append((row, rel, lcm(*(c.denominator for c in vec))))
-    nslack = sum(rel != "eq" for _, rel, _ in cons)
+        cons.append((row, rel))
+    nslack = sum(rel != "eq" for _, rel in cons)
     total = nvars + nslack  # the columns that may enter; then the rhs
-    weight = lcm(*(scale for _, rel, scale in cons if rel != "le"))
     T, basis, cost = [], [], [0] * (total + 1)
     slack, art = nvars, total
-    for row, rel, scale in cons:
+    for row, rel in cons:
         tab = row[:-1] + [0] * nslack + row[-1:]
         if rel == "le":
             tab[slack] = 1
@@ -157,8 +152,7 @@ def lp_feasible(rows, nvars):
                 tab[slack] = -1
             basis.append(art)
             art += 1
-            k = weight // scale
-            cost = [a + k * b for a, b in zip(cost, tab)]
+            cost = [a + b for a, b in zip(cost, tab)]
         slack += rel != "eq"
         T.append(tab)
     D = 1
@@ -192,17 +186,6 @@ def lp_feasible(rows, nvars):
     return cost[total] == 0
 
 
-def _clear_denominators(vec):
-    """The rational vector times the lcm of its denominators."""
-    den = lcm(*(c.denominator for c in vec))
-    return [c.numerator * (den // c.denominator) for c in vec]
-
-
-def clear_form(form):
-    """Scale a rational linear form to coprime integers (sign preserved)."""
-    return _normalize(tuple(_clear_denominators(form)))
-
-
 def form_rank(forms):
     """Rank of a set of integer linear forms, eliminating with `solve`'s
     integer step `_substitute`: each nonzero form in turn eliminates its
@@ -229,44 +212,41 @@ def _canon_eq(form):
 class RelOpenCone:
     """Relatively open rational polyhedral cone in Q^dim.
 
-    equalities / strict are integer-cleared linear forms f with f(x) = 0 and
-    f(x) > 0 respectively, and witness is a point of the cone.
+    equalities / strict are integer linear forms f, divided by the gcd of
+    their coefficients, with f(x) = 0 and f(x) > 0 respectively.
     """
 
-    __slots__ = ("dim", "equalities", "strict", "witness")
+    __slots__ = ("dim", "equalities", "strict")
 
-    def __init__(self, dim, equalities, strict, witness):
+    def __init__(self, dim, equalities, strict):
         self.dim = dim
-        self.equalities = tuple(dict.fromkeys(_canon_eq(clear_form(f)) for f in equalities
-                                              if any(f)))
-        self.strict = tuple(dict.fromkeys(clear_form(f) for f in strict))
-        self.witness = tuple(Fraction(x) for x in witness)
+        self.equalities = tuple(dict.fromkeys(_canon_eq(_normalize(tuple(f)))
+                                              for f in equalities if any(f)))
+        self.strict = tuple(dict.fromkeys(_normalize(tuple(f)) for f in strict))
 
-    def contains(self, point):
-        return self.contains_integer(_clear_denominators(point))
-
-    def contains_integer(self, p):
+    def contains(self, p):
         """Membership of an integer vector p, or of any positive rational
-        multiple of p: the forms are homogeneous, so a weight's cleared
-        integer vector (`orders.Weight.ivec`) answers for the weight."""
+        multiple of p: the forms are homogeneous, so a weight's integer
+        vector (`orders.Weight.ivec`) answers for the weight."""
         return (all(not sum(map(mul, f, p)) for f in self.equalities)
                 and all(sum(map(mul, f, p)) > 0 for f in self.strict))
 
     def closure_facets(self):
-        """(form, facet_interior_point) pairs: inequality forms whose zero set
-        meets the closure in a facet with the other inequalities strict."""
+        """(form, (nums, den)) pairs: the inequality forms whose zero set
+        meets the closure in a facet, each with a point of that facet with
+        the other inequalities strict, as `solve` returns it."""
         out = []
         for f in self.strict:
             pt = solve(self.equalities + (f,), [g for g in self.strict if g != f],
                        self.dim)
-            if pt is not None and any(pt):
+            if pt is not None and any(pt[0]):
                 out.append((f, pt))
         return out
 
     def to_doc(self):
         doc = [{"rel": "=", "form": list(f)} for f in self.equalities]
         doc += [{"rel": ">", "form": list(f)} for f in self.strict]
-        return {"forms": doc, "witness": [str(x) for x in self.witness]}
+        return {"forms": doc}
 
     def __repr__(self):
         bits = [f"{f}=0" for f in self.equalities]

@@ -20,10 +20,13 @@ other weight is tested only against the cells of its own stratum.  The
 index is exact, not a heuristic: a cell cone holds each W form as an
 equality exactly where it is active at the witness and as a strict form
 elsewhere, so every point of a cell has the witness's activity and no cell
-holds a point of another stratum.  Membership, admissibility and the steps
-off a cell (`_step_off`) run on cleared integer vectors (`Weight.ivec`, and
-2^k p + d for the candidate (p + d / 2^k) / den); only a weight that is
-queued is made of Fractions.
+holds a point of another stratum.  Every weight and cone point is an
+integer vector over one positive denominator: a closure-facet point is
+`cones.solve`'s (nums, den), a step off a cell (`_step_off`) is the
+candidate (p + d / 2^k) / den tested as the integer vector 2^k p + d, and
+each becomes a weight through `Weight.over`.  Membership and admissibility
+read the integer vector (`Weight.ivec`), so the traversal does no rational
+arithmetic.
 
 A traversal meets few distinct reduced bases, so it completes each one once.
 For one `enumerate_fan` call it keeps every reduced basis found so far, with
@@ -65,7 +68,7 @@ takes Q separately.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product as iproduct
@@ -119,7 +122,7 @@ class FanCell:
     tainted: bool = False
 
     def contains(self, w: Weight):
-        return self.cone.contains_integer(w.ivec)
+        return self.cone.contains(w.ivec)
 
     def dim(self):
         return self.cone.dim - form_rank(self.cone.equalities)
@@ -191,24 +194,18 @@ class GroebnerFan:
     n: int
     cells: list
     cap: object
-    gens: list = dc_field(default_factory=list)
 
 
 def _seed_weights(n):
     """One witness per activity pattern: each coordinate interior, on u = 0,
     on u + v = 0, or on both."""
-    choices = [(Fraction(-1), Fraction(2)), (Fraction(0), Fraction(1)),
-               (Fraction(-1), Fraction(1)), (Fraction(0), Fraction(0))]
+    choices = [(-1, 2), (0, 1), (-1, 1), (0, 0)]
     seeds = []
     for pick in iproduct(choices, repeat=n):
         u = tuple(p[0] for p in pick)
         v = tuple(p[1] for p in pick)
         seeds.append(Weight.make(u, v))
     return seeds
-
-
-def _as_weight(n, point):
-    return Weight.make(tuple(point[:n]), tuple(point[n:2 * n]))
 
 
 def _leaves_w(n, pt, d):
@@ -224,15 +221,15 @@ def _step_off(p, d, den, cone, first, tries):
     first, first + 1, ... (tries values of k); None when none is found or no
     step along d is admissible.  p and d are integer vectors and den > 0.
     Each candidate is tested on the integer vector 2^k p + d, a positive
-    multiple of it; only the returned weight is made of Fractions."""
+    multiple of it, and returned as that vector over 2^k den."""
     n = len(p) // 2
     if _leaves_w(n, p, d):
         return None
     scale = 1 << first
     for _ in range(tries):
         cand = [scale * a + b for a, b in zip(p, d)]
-        if in_w(cand) and not cone.contains_integer(cand):
-            return _as_weight(n, [Fraction(c, scale * den) for c in cand])
+        if in_w(cand) and not cone.contains(cand):
+            return Weight.over(cand, scale * den)
         scale <<= 1
     return None
 
@@ -273,7 +270,7 @@ def enumerate_fan(gens, cap, max_cells=4096):
         # the cone carries all 2n W forms
         cone = cell.cone
         for _form, pt in cone.closure_facets():
-            f = _as_weight(n, pt)
+            f = Weight.over(*pt)
             queue.append(f)
             p = [a * w.den for a in f.ivec]
             d = [a - b * f.den for a, b in zip(p, w.ivec)]
@@ -288,7 +285,7 @@ def enumerate_fan(gens, cap, max_cells=4096):
                 if up is not None:
                     queue.append(up)
     cells.sort(key=lambda c: (-c.dim(), c.cone.equalities, c.cone.strict))
-    return GroebnerFan(n, cells, cap, list(gens))
+    return GroebnerFan(n, cells, cap)
 
 
 def fan_of_ideal(gens, cap, max_cells=4096):

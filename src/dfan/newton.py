@@ -189,7 +189,7 @@ def normal_cone(polys, w):
             eqs.append(r[:dim])
         else:
             strict.append(tuple(-c for c in r[:dim]))
-    cone = RelOpenCone(dim, eqs, strict, w.as_tuple())
-    if not cone.contains_integer(w.ivec):
+    cone = RelOpenCone(dim, eqs, strict)
+    if not cone.contains(w.ivec):
         raise NotAdmissible("w lies outside its own normal cone")
     return cone

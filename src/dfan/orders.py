@@ -16,12 +16,16 @@ rule-by-rule statement of the same order lives in the tests, as the oracle
 the key is checked against.  `leading_data` remembers each operator's
 leading exponent for the last order it was asked about.
 
-A weight keeps its integer vector: `Weight.ivec`, (u, v) times the lcm
-`Weight.den` of its denominators, is computed once per weight.  It is a
-positive multiple of the weight, so admissibility (`in_w`), the activity
-strata, the key's integer form, the faces of `newton.face_of` and the cone
-membership tests of the fan traversal all read it and never redo Fraction
-arithmetic.
+A weight is an integer vector over one positive denominator: `Weight.ivec`
+is (u, v) times `Weight.den`, the least common denominator, and these two
+fields are all a weight stores.  The pair is canonical (gcd(den, *ivec) =
+1), so equality and hashing are those of the rational coordinates.  The
+vector is a positive multiple of the weight, so admissibility (`in_w`), the
+activity strata, the key's integer form, the faces of `newton.face_of` and
+the cone membership tests of the fan traversal all read it.  `Weight` is
+the one place that converts between weights and rationals: `Weight.make`
+builds a weight from rational coordinates, and `u`, `v` and `as_tuple` are
+Fraction views of it, for display and for the tests' oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import NotAdmissible, ZeroOperator
@@ -45,31 +49,38 @@ def in_w(vec):
 
 @dataclass(frozen=True)
 class Weight:
-    """Weight vector w = (u, v) on (x, dx); z always has weight 0.  The
-    cached `den` and `ivec` hold its cleared integer form."""
+    """Weight vector w = (u, v) on (x, dx); z always has weight 0.  Stored
+    as ivec / den: ivec the integers (u, v) times den, den > 0 and
+    gcd(den, *ivec) = 1."""
 
-    u: tuple
-    v: tuple
+    ivec: tuple
+    den: int
 
     @staticmethod
     def make(u, v):
-        return Weight(tuple(Fraction(a) for a in u), tuple(Fraction(b) for b in v))
+        """The weight with the rational coordinates u, v."""
+        coords = [Fraction(c) for c in (*u, *v)]
+        den = lcm(*(c.denominator for c in coords))
+        return Weight(tuple(c.numerator * (den // c.denominator) for c in coords),
+                      den)
+
+    @staticmethod
+    def over(vec, den):
+        """The weight vec / den, for an integer vector vec and den > 0."""
+        g = gcd(den, *vec)
+        return Weight(tuple(c // g for c in vec), den // g)
 
     @property
     def n(self):
-        return len(self.u)
+        return len(self.ivec) // 2
 
-    @cached_property
-    def den(self):
-        """The lcm of the denominators of (u, v)."""
-        return lcm(*(c.denominator for c in self.u + self.v))
+    @property
+    def u(self):
+        return self.as_tuple()[:self.n]
 
-    @cached_property
-    def ivec(self):
-        """(u, v) times `den`, one integer tuple: a positive multiple of the
-        weight, so it has the same order, signs and zeros."""
-        d = self.den
-        return tuple(c.numerator * (d // c.denominator) for c in self.u + self.v)
+    @property
+    def v(self):
+        return self.as_tuple()[self.n:]
 
     def is_admissible(self):
         return in_w(self.ivec)
@@ -79,7 +90,8 @@ class Weight:
             raise NotAdmissible(f"weight {self} is not admissible")
 
     def as_tuple(self):
-        return self.u + self.v
+        """(u, v) as one tuple of Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.ivec)
 
     def integer_form(self):
         """(u, v) times the lcm of the denominators: integers, same order."""

@@ -478,9 +478,6 @@ class ParamFraction:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def inverse(self):
-        return self.field.one / self
-
     def specialize(self, y0):
         dv = poly_eval(self.den, y0)
         if dv == 0:

@@ -105,20 +105,22 @@ def reconstruct_window(res, G, cap):
 
 
 def solved_cone(dim, equalities, strict):
-    """The relatively open cone of the forms, with the witness `solve`
-    finds, or None when the cone is empty."""
+    """The relatively open cone of the forms, or None when `solve` finds it
+    empty."""
     pt = solve(equalities, strict, dim)
-    return None if pt is None else RelOpenCone(dim, equalities, strict, pt)
+    return None if pt is None else RelOpenCone(dim, equalities, strict)
 
 
 def included_in(a, b):
     """Does every point of the cone a satisfy the forms of the cone b?  It
     does when `solve` finds no point of a with f > 0 or f < 0 for an
-    equality f of b, and none with g = 0 or g < 0 for a strict form g."""
+    equality f of b, and none with g = 0 or g < 0 for a strict form g.  The
+    point `solve` finds in a is tested first."""
     def empty(eqs, strict):
         return solve(a.equalities + eqs, a.strict + strict, a.dim) is None
 
-    return (b.contains(a.witness)
+    pt = solve(a.equalities, a.strict, a.dim)
+    return ((pt is None or b.contains(pt[0]))
             and all(empty((), (f,)) and empty((), (tuple(-c for c in f),))
                     for f in b.equalities)
             and all(empty((g,), ()) and empty((), (tuple(-c for c in g),))

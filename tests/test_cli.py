@@ -103,6 +103,14 @@ def test_exit_codes():
     # the guard band's slack is fixed, not a flag
     guard = run_cli(["div", "--guard", "4"], DIV)
     assert guard.returncode == 2 and "--guard" in guard.stderr
+    # every `--at` name is a parameter, given once; a problem without
+    # parameters takes none
+    for at, words in (("y=1,foo=2", "unknown parameter 'foo'"),
+                      ("y=1,y=2", "repeated parameter 'y'")):
+        _usage_error(run_cli(["specialize", "--at", at], SERIES), "--at", words)
+    _usage_error(run_cli(["specialize"], SERIES), "specialize needs --at")
+    _usage_error(run_cli(["specialize", "--at", "y=1"], DIV),
+                 "unknown parameter 'y'")
 
 
 def test_cap_override_below_one_is_a_usage_error():

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -48,8 +49,19 @@ VERBS = {
     "certify": ["certify"],
     "compfan": ["compfan"],
     "oracle-fan": ["oracle-fan", "--samples", "20"],
-    "specialize": ["specialize", "--at", "y=2,a=3,b=-1/2"],
+    "specialize": ["specialize"],
 }
+
+# `specialize` runs at this point, given for the problem's own parameters
+# only: `--at` refuses a name that is not a parameter
+AT = {"y": "2", "a": "3", "b": "-1/2"}
+
+
+def argv(problem, verb):
+    params = re.search(r"^params: (.*)$", PROBLEMS[problem], re.M)
+    if verb != "specialize" or params is None:
+        return VERBS[verb]
+    return VERBS[verb] + ["--at", ",".join(f"{p}={AT[p]}" for p in params[1].split())]
 
 
 def run(argv, text):
@@ -66,7 +78,7 @@ def run(argv, text):
 
 
 def record(problem, verb):
-    rc, stdout = run(VERBS[verb], PROBLEMS[problem])
+    rc, stdout = run(argv(problem, verb), PROBLEMS[problem])
     return {"exit": rc, "sha256": hashlib.sha256(stdout.encode()).hexdigest()}
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import conftest
 import dfan.cones as cones
 from conftest import included_in, same_cone, solved_cone
-from dfan.cones import clear_form, form_rank, lp_feasible, solve
+from dfan.cones import form_rank, lp_feasible, solve
 
 F = Fraction
 
@@ -168,26 +168,37 @@ def _by_fractions(equalities, strict, dim):
                               + [(f, 0, "gt") for f in strict], dim)
 
 
+def _point(sol):
+    """`solve`'s (nums, den) as the Fraction point nums / den, after
+    checking that it is integers over the least positive denominator."""
+    if sol is None:
+        return None
+    nums, den = sol
+    assert all(type(c) is int for c in (*nums, den)), sol
+    assert den > 0 and gcd(den, *nums) == 1, sol
+    return tuple(F(a, den) for a in nums)
+
+
 def test_solve_simple_systems():
     # x > 0, x < t, t > 0: the cone over the open interval 0 < x < 1
     strict = [(1, 0), (-1, 1), (0, 1)]
-    pt = solve([], strict, 2)
+    pt = _point(solve([], strict, 2))
     assert pt is not None and 0 < pt[0] / pt[1] < 1 and _satisfied(pt, [], strict)
     # infeasible: x > 0 and x < 0
     assert solve([], [(1,), (-1,)], 1) is None
     # equality pivots: x + y = t, x - y = 0, t > 0 gives x = y = t/2
-    pt = solve([(1, 1, -1), (1, -1, 0)], [(0, 0, 1)], 3)
-    assert pt[0] == pt[1] == pt[2] / 2 and pt[2] > 0
-    assert all(type(x) is Fraction for x in pt)
+    nums, den = solve([(1, 1, -1), (1, -1, 0)], [(0, 0, 1)], 3)
+    assert 2 * nums[0] == 2 * nums[1] == nums[2] > 0 and den > 0
+    assert all(type(x) is int for x in (*nums, den))
 
 
 def test_solve_strictness_tracking():
     """Strict forms hold strictly: with t > 0, x = t has a point, while
     x > t with x < t has none; 0 = 0 holds and 0 > 0 does not."""
     t_pos = [(0, 1)]
-    assert solve([(1, -1)], t_pos, 2) == (1, 1)
+    assert solve([(1, -1)], t_pos, 2) == ((1, 1), 1)
     assert solve([], [(1, -1), (-1, 1)] + t_pos, 2) is None
-    assert solve([(0, 0)], [], 2) == (0, 0) and solve([], [(0, 0)], 2) is None
+    assert solve([(0, 0)], [], 2) == ((0, 0), 1) and solve([], [(0, 0)], 2) is None
 
 
 def _integer_only_solve(seen):
@@ -222,7 +233,7 @@ def test_integer_elimination_matches_fraction_oracle(system):
     eqs, strict = _split(cons)
     seen = []
     with _integer_only_solve(seen):
-        pt = solve(eqs, strict, dim)
+        pt = _point(solve(eqs, strict, dim))
     assert len(seen) == dim + 1 or pt is None
     assert pt == _by_fractions(eqs, strict, dim)
     if pt is not None:
@@ -248,10 +259,9 @@ def test_back_substitution_over_a_common_denominator(top, x2):
     denominator above 1, gives the Fraction oracle's point; strict bounds
     that meet leave no point."""
     eqs, strict = _split(_TWELFTHS + top)
-    pt = solve(eqs, strict, 3)
+    pt = _point(solve(eqs, strict, 3))
     assert pt == (None if x2 is None else (1, F(7, 12), x2))
     assert pt == _by_fractions(eqs, strict, 3)
-    assert pt is None or all(type(x) is F for x in pt)
 
 
 def test_cone_queries_match_fraction_oracle():
@@ -263,7 +273,7 @@ def test_cone_queries_match_fraction_oracle():
 
     def both(equalities, strict, dim):
         pt = raw(equalities, strict, dim)
-        assert pt == _by_fractions(equalities, strict, dim)
+        assert _point(pt) == _by_fractions(equalities, strict, dim)
         calls.append(pt)
         return pt
 
@@ -359,11 +369,10 @@ def fraction_simplex(rows, nvars):
 
 def _random_lp(rng):
     """(nvars, rows): 1-4 variables and 1-6 rows mixing eq/le/ge, integer
-    and rational coefficients, right-hand sides of either sign, all-zero
-    rows, and positive multiples of earlier rows (tied ratios)."""
+    coefficients, right-hand sides of either sign, all-zero rows, and
+    positive multiples of earlier rows (tied ratios)."""
     def coeff():
-        a = rng.randint(-3, 3)
-        return F(a, rng.randint(1, 3)) if rng.random() < 0.4 else a
+        return rng.randint(-3, 3)
 
     nvars = rng.randint(1, 4)
     rows = []
@@ -372,7 +381,7 @@ def _random_lp(rng):
         kind = rng.random()
         if kind < 0.2 and rows:
             c, _, r = rng.choice(rows)
-            k = rng.choice((2, 3, F(1, 2)))
+            k = rng.choice((2, 3))
             rows.append((tuple(k * a for a in c), rel, k * r))
         elif kind < 0.3:
             rows.append(((0,) * nvars, rel, coeff()))
@@ -399,14 +408,14 @@ def _lp_by_elimination(rows, nvars):
 
 
 def test_lp_feasible_matches_elimination():
-    # mu1 + mu2 = 1, mu >= 0, mu1 - mu2 >= 1/2
-    rows = [((F(1), F(1)), "eq", F(1)), ((F(1), F(-1)), "ge", F(1, 2))]
+    # mu1 + mu2 = 1, mu >= 0, 2 mu1 - 2 mu2 >= 1
+    rows = [((1, 1), "eq", 1), ((2, -2), "ge", 1)]
     assert lp_feasible(rows, 2) and _lp_by_elimination(rows, 2)
-    rows_bad = [((F(1), F(1)), "eq", F(1)), ((F(1), F(1)), "ge", F(2))]
+    rows_bad = [((1, 1), "eq", 1), ((1, 1), "ge", 2)]
     assert not lp_feasible(rows_bad, 2) and not _lp_by_elimination(rows_bad, 2)
     # degenerate equalities
-    assert lp_feasible([((F(1),), "eq", F(0))], 1)
-    assert not lp_feasible([((F(0),), "eq", F(1))], 1)
+    assert lp_feasible([((1,), "eq", 0)], 1)
+    assert not lp_feasible([((0,), "eq", 1)], 1)
     # 200 seeded systems of the simplex sweep
     rng = random.Random(7)
     for _ in range(200):
@@ -426,21 +435,19 @@ def test_lp_feasible_sweep_matches_fraction_simplex():
     tableau does, and the sweep holds every kind of row and both answers."""
     rng = random.Random(2024)
     answers = []
-    rational = negative = zero = copies = 0
+    negative = zero = copies = 0
     for _ in range(2000):
         nvars, rows = _random_lp(rng)
         got = lp_feasible(rows, nvars)
         assert got == fraction_simplex(rows, nvars), rows
         answers.append(got)
-        vals = [a for c, _, r in rows for a in (*c, r)]
-        rational += any(type(a) is F and a.denominator > 1 for a in vals)
         negative += any(r < 0 for _, _, r in rows)
         zero += any(not any(c) for c, _, _ in rows)
         copies += any(c[0] and d[0] and c != d and all(a * d[0] == b * c[0]
                                                        for a, b in zip(c, d))
                       for i, (c, _, _) in enumerate(rows)
                       for d, _, _ in rows[:i])
-    assert min(rational, negative, zero, copies) > 100
+    assert min(negative, zero, copies) > 100
     assert 0.2 < sum(answers) / len(answers) < 0.8
 
 
@@ -465,8 +472,9 @@ def fraction_rank(forms, dim):
 
 
 def test_clear_form_and_rank():
-    assert clear_form((F(1, 2), F(-1, 3))) == (3, -2)
-    assert clear_form((4, -6, 0)) == (2, -3, 0) and clear_form((0, 0)) == (0, 0)
+    """A form is divided by the gcd of its coefficients, sign kept."""
+    assert cones._normalize((4, -6, 0)) == (2, -3, 0)
+    assert cones._normalize((0, 0)) == (0, 0)
     assert form_rank([(1, 0), (0, 1), (1, 1)]) == 2
     assert form_rank([(1, 1), (2, 2)]) == 1
     assert form_rank([]) == 0
@@ -487,14 +495,14 @@ def test_form_rank_matches_fraction_rank(args):
 def test_rel_open_cone_membership():
     # open quadrant x > 0, y > 0
     c = solved_cone(2, [], [(1, 0), (0, 1)])
-    assert c.contains(c.witness)
+    assert c.contains(solve([], [(1, 0), (0, 1)], 2)[0])
     assert c.contains((1, 2)) and not c.contains((0, 1))
-    assert c.contains((F(1, 2), F(1, 3))) and not c.contains((F(-1, 6), F(5, 4)))
+    assert c.contains((3, 2)) and not c.contains((-2, 15))
     # ray x = y, x > 0
     r = solved_cone(2, [(1, -1)], [(1, 0)])
-    assert r.contains(r.witness)
+    assert r.contains(solve([(1, -1)], [(1, 0)], 2)[0])
     assert r.contains((3, 3)) and not r.contains((3, 2))
-    assert r.contains((F(2, 3), F(4, 6))) and not r.contains((F(1, 3), F(1, 2)))
+    assert r.contains((2, 2)) and not r.contains((2, 3))
     # empty: x > 0 and x = 0
     assert solve([(1,)], [(1,)], 1) is None and solved_cone(1, [(1,)], [(1,)]) is None
 
@@ -513,14 +521,14 @@ def test_closure_facets():
     facets = c.closure_facets()
     forms = sorted(f for f, _ in facets)
     assert forms == [(0, 1), (1, 0)]
-    for f, pt in facets:
+    for f, (pt, den) in facets:
         assert sum(a * x for a, x in zip(f, pt)) == 0
-        assert any(pt)
+        assert any(pt) and den > 0
     # every facet point lies on its form and strictly inside the others
     c = solved_cone(3, [], [(1, -1, 0), (0, 1, 0), (0, 0, 1)])
     facets = c.closure_facets()
     assert [f for f, _ in facets] == list(c.strict)
-    for f, pt in facets:
+    for f, (pt, _) in facets:
         assert sum(a * x for a, x in zip(f, pt)) == 0
         assert all(sum(a * x for a, x in zip(g, pt)) > 0 for g in c.strict if g != f)
     # a pointed ray has no facets besides the excluded apex

@@ -6,6 +6,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -141,11 +142,11 @@ TWO_VARIABLE = [qop(2, {((1, 0), (1, 0), 0): 1, ((0, 1), (0, 1), 0): 1}),
                          ids=["airy", "euler", "two_variable"])
 def test_each_cell_is_the_only_one_holding_its_witness(gens):
     """The traversal builds a cell only at a weight no stored cell holds,
-    and the cell's cone keeps that weight as its witness, so no two cells
-    can be the same cone."""
+    and the cell keeps that weight as its witness, which its cone holds, so
+    no two cells can be the same cone."""
     fan = enumerate_fan(gens, cap=8)
     for cell in fan.cells:
-        assert cell.cone.witness == cell.witness.as_tuple()
+        assert cell.cone.contains(cell.witness.ivec)
         holders = [c for c in fan.cells if c.contains(cell.witness)]
         assert len(holders) == 1 and holders[0] is cell
 
@@ -209,8 +210,8 @@ def assert_cells_match_fresh(fan, gens, cap):
         assert cell.basis == ref.basis, where
         assert cell.staircase == ref.staircase, where
         assert cell.face_vertices == ref.face_vertices, where
-        assert (cell.cone.equalities, cell.cone.strict, cell.cone.witness) == (
-            ref.cone.equalities, ref.cone.strict, ref.cone.witness), where
+        assert (cell.cone.equalities, cell.cone.strict, cell.witness) == (
+            ref.cone.equalities, ref.cone.strict, ref.witness), where
         key = (frozenset(map(str, cell.basis)), tuple(cell.staircase))
         first = found.setdefault(key, ref) if graded else ref
         assert (cell.h_factors, cell.tainted) == (
@@ -329,6 +330,18 @@ def test_w_forms_are_equalities_exactly_where_the_witness_is_active(name):
             assert (uv in eqs, uv in strict) == (i in uv_zero, i not in uv_zero)
 
 
+def weight_at(point):
+    """The weight with the rational coordinates point = (u, v)."""
+    n = len(point) // 2
+    return Weight.make(point[:n], point[n:])
+
+
+def holds_by_fractions(cone, pt):
+    """Cone membership stated on a Fraction point."""
+    return (all(sum(a * x for a, x in zip(f, pt)) == 0 for f in cone.equalities)
+            and all(sum(a * x for a, x in zip(f, pt)) > 0 for f in cone.strict))
+
+
 def step_off_by_fractions(pt, d, cone, eps, tries):
     """`fan._step_off` on Fraction points: the first admissible pt + eps*d
     outside cone, eps halved up to tries times."""
@@ -337,8 +350,8 @@ def step_off_by_fractions(pt, d, cone, eps, tries):
         return None
     for _ in range(tries):
         cand = tuple(p + eps * di for p, di in zip(pt, d))
-        w = fan_module._as_weight(n, cand)
-        if admissible_by_fractions(w) and not cone.contains(cand):
+        w = weight_at(cand)
+        if admissible_by_fractions(w) and not holds_by_fractions(cone, cand):
             return w
         eps /= 2
     return None
@@ -349,29 +362,42 @@ def test_integer_step_off_matches_the_fraction_oracle(name, monkeypatch):
     """Each step of the traversal goes from a closure-facet point pt along
     pt - witness from eps = 1 with 60 halvings, or from the witness along
     an equality form or its negative from eps = 1/2 with 40, and returns
-    the weight the Fraction loop returns."""
+    the weight the Fraction loop returns, integers over the least positive
+    denominator."""
     step_off = fan_module._step_off
+    raw_cell_at = fan_module.cell_at
+    witnesses = {}  # id of a cell's cone -> the cell's witness, as Fractions
     facets = {}
     results = []
+
+    def recorded_cell_at(*args):
+        cell = raw_cell_at(*args)
+        witnesses[id(cell.cone)] = cell.witness.as_tuple()
+        return cell
 
     def checked(p, d, den, cone, first, tries):
         got = step_off(p, d, den, cone, first, tries)
         pt = tuple(Fraction(a, den) for a in p)
         dd = tuple(Fraction(a, den) for a in d)
+        witness = witnesses[id(cone)]
         if first == 0:
             if id(cone) not in facets:
-                facets[id(cone)] = [q for _, q in cone.closure_facets()]
+                facets[id(cone)] = [tuple(Fraction(a, q_den) for a in q)
+                                    for _, (q, q_den) in cone.closure_facets()]
             assert tries == 60 and pt in facets[id(cone)]
-            assert dd == tuple(a - b for a, b in zip(pt, cone.witness))
+            assert dd == tuple(a - b for a, b in zip(pt, witness))
         else:
-            assert (first, tries) == (1, 40) and pt == cone.witness
+            assert (first, tries) == (1, 40) and pt == witness
             assert dd in cone.equalities or tuple(-c for c in dd) in cone.equalities
         assert got == step_off_by_fractions(pt, dd, cone, Fraction(1, 2 ** first),
                                             tries)
-        assert got is None or all(type(c) is Fraction for c in got.as_tuple())
+        if got is not None:
+            assert all(type(c) is int for c in (*got.ivec, got.den))
+            assert got.den > 0 and gcd(got.den, *got.ivec) == 1
         results.append(got)
         return got
 
+    monkeypatch.setattr(fan_module, "cell_at", recorded_cell_at)
     monkeypatch.setattr(fan_module, "_step_off", checked)
     FANS[name]()
     assert any(results)
@@ -482,7 +508,7 @@ def test_every_closure_facet_point_is_admissible(gens):
     fan = enumerate_fan(gens, cap=8)
     points = [pt for c in fan.cells for _, pt in c.cone.closure_facets()]
     assert points
-    assert all(fan_module._as_weight(fan.n, pt).is_admissible() for pt in points)
+    assert all(Weight.over(*pt).is_admissible() for pt in points)
 
 
 def test_grid_weights_admissible_and_exhaustive():
@@ -506,12 +532,11 @@ def test_leaves_w_is_exact(args):
     """When the predicate fires no halved step pt + 2^-k d (k < 60) is
     admissible; when it does not fire at an admissible pt, a small one is."""
     n, pt, d = args
-    steps = [fan_module._as_weight(n, [p + Fraction(1, 2 ** k) * di
-                                       for p, di in zip(pt, d)])
+    steps = [weight_at([p + Fraction(1, 2 ** k) * di for p, di in zip(pt, d)])
              for k in range(60)]
     if fan_module._leaves_w(n, pt, d):
         assert not any(w.is_admissible() for w in steps)
-    elif fan_module._as_weight(n, pt).is_admissible():
+    elif weight_at(pt).is_admissible():
         assert steps[-1].is_admissible()
 
 

@@ -196,7 +196,10 @@ def test_no_retired_cone_api_in_src():
     inclusion, equality, intersection and feasibility tests, the common
     refinement of fans, or the strictness bookkeeping of the elimination:
     the fan asks a cone for membership and closure facets only, and `solve`
-    takes equalities and strict forms."""
+    takes equalities and strict forms.  Nor may a second membership test
+    for rational points, the rational form clearing, or a cone's copy of
+    its cell's witness: cones take and return integer vectors, and a weight
+    is its integer vector over its denominator."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
              "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
@@ -209,13 +212,16 @@ def test_no_retired_cone_api_in_src():
              "cell_containing", "full_dim_cells", "minkowski_sum",
              "_vertex_cones", "_satisfies", "same_cone", "included_in",
              "_implies", "intersect", "feasible", "common_refinement",
-             "_constraints", "lo_strict")
+             "_constraints", "lo_strict", "contains_integer", "clear_form",
+             "_clear_denominators", "_as_weight")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"
                   for name in retired_names(path.read_text(), names)]
     assert not found, "retired names:\n" + "\n".join(found)
     assert not hasattr(dfan.cones.RelOpenCone, "make")
+    assert dfan.cones.RelOpenCone.__slots__ == ("dim", "equalities", "strict")
+    assert [f.name for f in dataclasses.fields(dfan.orders.Weight)] == ["ivec", "den"]
     assert "base" not in {f.name for f in dataclasses.fields(OrderSpec)}
     orders = (Path(dfan.__file__).parent / "orders.py").read_text()
     assert "from .operators" not in orders
@@ -246,20 +252,22 @@ def test_names_in_function_detects_and_ignores():
 
 
 def test_hot_lp_is_fraction_free():
-    """The simplex, the rows `vertex_set` hands it, and the elimination with
-    its back-substitution stay in integers: a rational tableau or point must
-    not come back into any of these bodies.  `solve` converts its point to
-    Fraction once, at its return.  Nor may Fractions come back into the fan
-    traversal's weight tests: a weight's cleared integer vector, the
-    admissibility and cone membership tests that read it, and the W-exit
-    test of a step."""
+    """The cone layer is integers only: the simplex, the elimination with
+    its back-substitution, the points `solve` returns and cone membership.
+    `cones.py` imports no `fractions`, and the rows `vertex_set` hands the
+    simplex are integers.  Nor may Fractions come back into the fan
+    traversal's weight tests and steps: a weight built from an integer
+    vector, the admissibility test that reads it, the W-exit test of a step
+    and the step itself."""
     root = Path(dfan.__file__).parent
-    for module, func in (("cones.py", "lp_feasible"),
-                         ("newton.py", "_conv_redundant"),
-                         ("cones.py", "_solve"), ("cones.py", "_extend"),
-                         ("cones.py", "RelOpenCone.contains_integer"),
-                         ("orders.py", "Weight.den"), ("orders.py", "Weight.ivec"),
-                         ("orders.py", "in_w"), ("fan.py", "_leaves_w")):
+    cones = ast.parse((root / "cones.py").read_text())
+    imported = {a.name for n in ast.walk(cones) if isinstance(n, ast.Import)
+                for a in n.names}
+    imported |= {n.module for n in ast.walk(cones) if isinstance(n, ast.ImportFrom)}
+    assert "fractions" not in imported
+    for module, func in (("newton.py", "_conv_redundant"),
+                         ("orders.py", "Weight.over"), ("orders.py", "in_w"),
+                         ("fan.py", "_leaves_w"), ("fan.py", "_step_off")):
         names = names_in_function((root / module).read_text(), func)
         assert "Fraction" not in names, f"{module}: {func} names Fraction"
 

@@ -135,10 +135,10 @@ def test_normal_cones_partition_w(rng):
         ws.append(Weight.make(u, v))
     cones = [normal_cone([p], w) for w in ws]
     for w, c in zip(ws, cones):
-        assert c.contains(w.as_tuple())
+        assert c.contains(w.ivec)
     for i in range(len(ws)):
         for j in range(i + 1, len(ws)):
-            in_other = cones[j].contains(ws[i].as_tuple())
+            in_other = cones[j].contains(ws[i].ivec)
             same = same_cone(cones[i], cones[j])
             assert in_other == same
 
@@ -278,13 +278,12 @@ def normal_cone_with_w_loop(poly, w):
         g = [0] * dim
         g[i] = g[n + i] = 1  # u_i + v_i
         (eqs if w.u[i] + w.v[i] == 0 else strict).append(tuple(g))
-    return RelOpenCone(dim, eqs, strict, w.as_tuple())
+    return RelOpenCone(dim, eqs, strict)
 
 
 def _assert_same_forms(poly, w):
     got, ref = normal_cone([poly], w), normal_cone_with_w_loop(poly, w)
-    assert (got.equalities, got.strict, got.witness) == (
-        ref.equalities, ref.strict, ref.witness)
+    assert (got.equalities, got.strict) == (ref.equalities, ref.strict)
 
 
 def test_normal_cone_matches_w_loop_on_criterion_4_cells():
@@ -327,14 +326,13 @@ def test_normal_cone_matches_w_loop_on_the_boundary_of_w(data):
 
 def assert_summand_route_matches_hull(polys, w):
     """Same face and the same cone as a set; with one summand, the same
-    cone forms and witness too."""
+    cone forms too."""
     total = minkowski_sum_by_hull(polys)
     got, ref = normal_cone(polys, w), normal_cone([total], w)
     assert face_of_sum(polys, w) == face_of(total, w)[0]
     assert same_cone(got, ref)
     if len(polys) == 1:
-        assert (got.equalities, got.strict, got.witness) == (
-            ref.equalities, ref.strict, ref.witness)
+        assert (got.equalities, got.strict) == (ref.equalities, ref.strict)
 
 
 FACTORS = ("params: y\nvars: x1 x2\ncap: 3\n"

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import cmp_to_key, partial
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +173,26 @@ def test_integer_vector_is_computed_once():
     w = Weight.make((Fraction(-1, 2), 0), (Fraction(5, 6), 1))
     assert w.ivec is w.ivec and w.ivec == (-3, 0, 5, 6) and w.den == 6
     assert w == Weight.make((Fraction(-1, 2), 0), (Fraction(5, 6), 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+           st.integers(-12, 12), min_size=2 * n, max_size=2 * n)),
+       st.integers(1, 12), st.integers(1, 6))
+def test_weight_over_matches_make(vec, den, k):
+    """`Weight.over` on any positive multiple (k vec, k den) of an integer
+    vector over a denominator, coprime or not, is the weight `Weight.make`
+    builds from the Fraction coordinates vec / den: equal, with the same
+    hash and str, and both canonical."""
+    n = len(vec) // 2
+    coords = [Fraction(c, den) for c in vec]
+    w = Weight.over([k * c for c in vec], k * den)
+    ref = Weight.make(coords[:n], coords[n:])
+    assert w == ref and hash(w) == hash(ref) and str(w) == str(ref)
+    for x in (w, ref):
+        assert all(type(c) is int for c in (*x.ivec, x.den))
+        assert x.den > 0 and gcd(x.den, *x.ivec) == 1
+        assert x.as_tuple() == tuple(coords)
 
 
 @st.composite

@@ -15,10 +15,9 @@ from .newton import (NewtonPolyhedron, face_of, face_of_sum, in_wstar,
 from .division import DivisionResult, denominator_certificate, divide, partition
 from .standard import (StandardBasis, certified_standard_basis, reduce_basis,
                        spair, standard_basis, uniqueness_check)
-from .fan import (FanCell, GroebnerFan, base_fan_order, cell_at,
-                  check_fan_against_grid, enumerate_fan,
-                  fan_of_ideal, grid_weights, homogenized_generators,
-                  oracle_classify, t_order)
+from .fan import (FanCell, GroebnerFan, cell_at, check_fan_against_grid,
+                  enumerate_fan, fan_of_ideal, grid_weights,
+                  homogenized_generators, oracle_classify, t_order)
 from .parametric import (ComprehensiveFan, ConstancyCertificate, Stratum,
                          comprehensive_fan, constant_fan_certificate,
                          newton_stability_multiplier, rationals_by_height,

@@ -5,12 +5,12 @@ the class of w is the relatively open normal cone of the Minkowski sum of the
 Newton polyhedra of that basis at its w-face.  The sum is never built: its
 normal fan is the common refinement of the summands' normal fans, so the
 cone is the intersection of the summands' normal cones at w and the face is
-the sum of their w-faces (see `newton`).  The W constraints come with
-the rays of W*, the recession cone of every such polyhedron: the cone holds
-all 2n of them (-u_i, u_i + v_i), each an equality where it is active at w,
-so every point of a cell's closure is admissible.  The fan is enumerated by
-crossing closure facets from seed weights covering every activity stratum
-(as in Fukuda-Jensen-Thomas, Computing Groebner fans, Math. Comp. 2007).
+the sum of their w-faces (see `newton`).  The cone also holds all 2n
+forms of W (`orders.w_forms`: -u_i, u_i + v_i), each an equality where it
+is active at w, so every point of a cell's closure is admissible.  The fan
+is enumerated by crossing closure facets from seed weights covering every
+activity stratum (as in Fukuda-Jensen-Thomas, Computing Groebner fans,
+Math. Comp. 2007).
 
 One `enumerate_fan` call keeps a set of the weights it has popped from its
 queue and an index of its cells by activity stratum (the W constraints
@@ -22,11 +22,21 @@ equality exactly where it is active at the witness and as a strict form
 elsewhere, so every point of a cell has the witness's activity and no cell
 holds a point of another stratum.  Every weight and cone point is an
 integer vector over one positive denominator: a closure-facet point is
-`cones.solve`'s (nums, den), a step off a cell (`_step_off`) is the
-candidate (p + d / 2^k) / den tested as the integer vector 2^k p + d, and
-each becomes a weight through `Weight.over`.  Membership and admissibility
-read the integer vector (`Weight.ivec`), so the traversal does no rational
-arithmetic.
+`cones.solve`'s (nums, den), a step off a cell (`_step_off`) is the integer
+vector 2^k p + d over 2^k den, and each becomes a weight through
+`Weight.over`.  Membership and admissibility read the integer vector
+(`Weight.ivec`), so the traversal does no rational arithmetic.
+
+A step off a cell is exact, in closed form.  It starts at a point p of the
+cell's closure, which lies in W, and moves along d: from a closure-facet
+point away from the witness, or from the witness along plus or minus an
+equality form.  The step (p + d / 2^k) / den takes the least k >= first
+that keeps every form g of W nonnegative.  A form with g(d) >= 0 holds
+for every k; one with g(d) < 0 holds exactly from the least k with
+2^k g(p) >= -g(d), and for no k when g(p) = 0, where the step leaves W and
+none is taken.  No step lies in the cell it leaves: a crossed facet form f
+has f(p) = 0 and f(d) < 0, so f is negative at the step, and an equality e
+has e(w) = 0, so e is +-den |e|^2 != 0 at the step.
 
 A traversal meets few distinct reduced bases, so it completes each one once.
 For one `enumerate_fan` call it keeps every reduced basis found so far, with
@@ -77,7 +87,7 @@ from .cones import form_rank
 from .errors import NonConvergentTraversal, ZeroOperator
 from .newton import face_of, face_of_sum, minkowski_sum_by_hull, newton, normal_cone
 from .operators import homogenize, term_product
-from .orders import OrderSpec, Weight, in_w, leading_data
+from .orders import OrderSpec, Weight, leading_data, w_values
 from .standard import standard_basis
 
 
@@ -85,10 +95,6 @@ def t_order(n):
     """dx-degree weight order for computing in the z = 1 quotient."""
     t = Weight.make((0,) * n, (1,) * n)
     return OrderSpec(n, weights=(t,), homogenized=False)
-
-
-def base_fan_order(n):
-    return OrderSpec(n)
 
 
 def homogenized_generators(gens, cap):
@@ -132,7 +138,7 @@ def _basis_at(gens, w, cap):
     """The reduced standard basis (generic over a parameter field) for the
     order refined by the admissible weight w."""
     w.check_admissible()
-    sb = standard_basis(gens, base_fan_order(w.n).with_weight(w), cap=cap)
+    sb = standard_basis(gens, OrderSpec(w.n).with_weight(w), cap=cap)
     if not sb.basis:
         raise ZeroOperator("fan of the zero ideal")
     return sb
@@ -147,7 +153,7 @@ def _kept_basis_at(w, kept):
     """(standard basis, its elements sorted by the order of w, their
     leading exponents) of the first kept basis whose elements all keep
     their leading exponents under the order refined by w, or None."""
-    order = base_fan_order(w.n).with_weight(w)
+    order = OrderSpec(w.n).with_weight(w)
     key = order.key()
     for sb, leads in kept:
         if all(leading_data(g, order)[0] == e for g, e in zip(sb.basis, leads)):
@@ -208,30 +214,17 @@ def _seed_weights(n):
     return seeds
 
 
-def _leaves_w(n, pt, d):
-    """True when no step pt + eps*d with eps > 0 is admissible: some W
-    constraint is tight at pt (u_i = 0 or u_i + v_i = 0) and d leaves it."""
-    return any((pt[i] == 0 and d[i] > 0)
-               or (pt[i] + pt[n + i] == 0 and d[i] + d[n + i] < 0)
-               for i in range(n))
-
-
-def _step_off(p, d, den, cone, first, tries):
-    """The first admissible weight (p + d / 2^k) / den outside cone, for k =
-    first, first + 1, ... (tries values of k); None when none is found or no
-    step along d is admissible.  p and d are integer vectors and den > 0.
-    Each candidate is tested on the integer vector 2^k p + d, a positive
-    multiple of it, and returned as that vector over 2^k den."""
-    n = len(p) // 2
-    if _leaves_w(n, p, d):
+def _step_off(p, d, den, first):
+    """The weight (p + d / 2^k) / den, as the integer vector 2^k p + d over
+    2^k den, for the least k >= first that puts it in W, or None when no
+    step along d stays in W (see the module docstring).  p and d are
+    integer vectors, den > 0 and p / den lies in W."""
+    falling = [(gp, gd) for gp, gd in zip(w_values(p), w_values(d)) if gd < 0]
+    if not all(gp for gp, _ in falling):
         return None
-    scale = 1 << first
-    for _ in range(tries):
-        cand = [scale * a + b for a, b in zip(p, d)]
-        if in_w(cand) and not cone.contains(cand):
-            return Weight.over(cand, scale * den)
-        scale <<= 1
-    return None
+    # 2^k gp >= -gd, that is 2^k >= ceil(-gd / gp), from this k on
+    k = max([first] + [(-(gd // gp) - 1).bit_length() for gp, gd in falling])
+    return Weight.over([(a << k) + b for a, b in zip(p, d)], den << k)
 
 
 def enumerate_fan(gens, cap, max_cells=4096):
@@ -274,14 +267,14 @@ def enumerate_fan(gens, cap, max_cells=4096):
             queue.append(f)
             p = [a * w.den for a in f.ivec]
             d = [a - b * f.den for a, b in zip(p, w.ivec)]
-            nb = _step_off(p, d, f.den * w.den, cone, 0, 60)
+            nb = _step_off(p, d, f.den * w.den, 0)
             if nb is not None:
                 queue.append(nb)
         # ascend: step off each equality in both directions from eps = 1/2,
         # from w along +form and -form, each (+-den * form) over den
         for form in cone.equalities:
             for s in (w.den, -w.den):
-                up = _step_off(w.ivec, [s * c for c in form], w.den, cone, 1, 40)
+                up = _step_off(w.ivec, [s * c for c in form], w.den, 1)
                 if up is not None:
                     queue.append(up)
     cells.sort(key=lambda c: (-c.dim(), c.cone.equalities, c.cone.strict))
@@ -319,7 +312,7 @@ def oracle_classify(gens, w, cap):
     faces as `cell_at` takes it (`face_of_sum`), so the grid check does not
     rest on the traversal's face route."""
     sb = _basis_at(gens, w, cap)
-    face, _ = face_of(minkowski_sum_by_hull([newton(g) for g in sb.basis]), w)
+    face = face_of(minkowski_sum_by_hull([newton(g) for g in sb.basis]), w)
     return (tuple(sb.staircase), face, w.activity())
 
 

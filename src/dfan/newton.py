@@ -1,8 +1,9 @@
 """Newton polyhedra New(g) = conv(E) + W* and their normal cones.
 
-W* is the polar dual of the admissible cone W, generated by e_i (1 in the
-x_i slot) and e'_i (-1 in the x_i and dx_i slots), embedded in Z^{2n+1} with
-z-slot 0.  W* is simplicial, so cone membership is a closed-form test.
+W* is the polar dual of the admissible cone W: its 2n generators are the
+negated forms of W (`orders.w_forms`), e_i (1 in the x_i slot) and e'_i
+(-1 in the x_i and dx_i slots), embedded in Z^{2n+1} with z-slot 0.  W* is
+simplicial, so cone membership is a closed-form test.
 
 The vertex set of one polyhedron comes from its support points by pairwise
 W*-absorption and then an exact LP redundancy test (`vertex_set`), which
@@ -14,8 +15,10 @@ New(g1) + ... + New(gk), never the sum itself.  The normal fan of a sum is
 the common refinement of the summands' normal fans (Ziegler, Lectures on
 Polytopes, Prop. 7.12), so the w-face of the sum is the sum of the
 summands' w-faces (`face_of_sum`), and the class of w is the intersection
-of the summands' normal cones at w (`normal_cone`).  At a generic w each
-summand's face is one vertex, so the face is one sum and no LP runs.
+of the summands' normal cones at w (`normal_cone`), cut by the forms of W:
+each an equality where it vanishes at w and a strict form elsewhere.  At a
+generic w each summand's face is one vertex, so the face is one sum and no
+LP runs.
 `minkowski_sum_by_hull` is the definition of the sum, kept as the grid
 oracle's independent reference.
 """
@@ -27,21 +30,12 @@ from operator import mul
 
 from .cones import RelOpenCone, lp_feasible
 from .errors import ZeroOperator, NotAdmissible
+from .orders import w_forms, w_values
 
 
 def wstar_rays(n):
-    """The 2n generators of W* in Z^{2n+1}."""
-    rays = []
-    for i in range(n):
-        r = [0] * (2 * n + 1)
-        r[i] = 1
-        rays.append(tuple(r))
-    for i in range(n):
-        r = [0] * (2 * n + 1)
-        r[i] = -1
-        r[n + i] = -1
-        rays.append(tuple(r))
-    return tuple(rays)
+    """The 2n generators of W* in Z^{2n+1}: the forms of W negated."""
+    return tuple(tuple(-c for c in g) + (0,) for g in w_forms(n))
 
 
 def in_wstar(n, d):
@@ -146,49 +140,39 @@ def minkowski_sum_by_hull(polys):
 
 
 def face_of(poly, w):
-    """(face vertices, face rays) of the polyhedron with respect to w in W."""
+    """The face vertices of the polyhedron with respect to w in W."""
     w.check_admissible()
-    iw = w.ivec  # a positive scale keeps the argmax and the zeros; zip
-                 # stops before the z-slot, which w ignores
+    iw = w.ivec  # a positive scale keeps the argmax; zip stops before the
+                 # z-slot, which w ignores
     vals = {p: sum(map(mul, iw, p)) for p in poly.vertices}
     top = max(vals.values())
-    verts = tuple(p for p in poly.vertices if vals[p] == top)
-    rays = tuple(r for r in wstar_rays(poly.n) if not sum(map(mul, iw, r)))
-    return verts, rays
+    return tuple(p for p in poly.vertices if vals[p] == top)
 
 
 def face_of_sum(polys, w):
     """The face vertices of the Minkowski sum of polys with respect to w in
     W: the vertices among the sums of the summands' face vertices."""
-    return tuple(_vertex_sums(polys[0].n, [face_of(p, w)[0] for p in polys]))
+    return tuple(_vertex_sums(polys[0].n, [face_of(p, w) for p in polys]))
 
 
 def normal_cone(polys, w):
     """The equivalence class of w for the Minkowski sum of polys (one or
     more polyhedra): weights in W with the same face of every summand and
     the same active W constraints, as a relatively open cone in Q^{2n}.
-    Each summand gives its own equalities and strict forms; the W
-    constraints are added once."""
+    Each summand gives its own equalities and strict forms; the forms of W
+    are added once, each an equality where it vanishes at w (the W
+    constraint is active there) and a strict form elsewhere."""
     w.check_admissible()
-    n = polys[0].n
-    dim = 2 * n
+    dim = 2 * polys[0].n
     eqs, strict = [], []
     for poly in polys:
-        verts, frays = face_of(poly, w)
+        verts = face_of(poly, w)
         p0 = verts[0]
         eqs += [tuple(a - b for a, b in zip(p0[:dim], p)) for p in verts[1:]]
         strict += [tuple(a - b for a, b in zip(p0[:dim], q))
                    for q in poly.vertices if q not in verts]
-    # The rays of W* carry the W constraints: e_i gives the form -u_i and
-    # -e_i - e'_i gives u_i + v_i, each an equality exactly when w . r = 0,
-    # that is when the W constraint is active at w.  Every summand has the
-    # same face rays.
-    fray_set = set(frays)
-    for r in wstar_rays(n):
-        if r in fray_set:
-            eqs.append(r[:dim])
-        else:
-            strict.append(tuple(-c for c in r[:dim]))
+    for g, x in zip(w_forms(polys[0].n), w_values(w.ivec)):
+        (strict if x else eqs).append(g)
     cone = RelOpenCone(dim, eqs, strict)
     if not cone.contains(w.ivec):
         raise NotAdmissible("w lies outside its own normal cone")

@@ -16,6 +16,16 @@ rule-by-rule statement of the same order lives in the tests, as the oracle
 the key is checked against.  `leading_data` remembers each operator's
 leading exponent for the last order it was asked about.
 
+The admissible cone W = {u <= 0, u + v >= 0} is stated here and nowhere
+else: `w_forms(n)` lists its 2n integer forms, -u_1 ... -u_n and then
+u_1 + v_1 ... u_n + v_n, and a vector lies in W when none is negative.
+`w_values(vec)` gives their values at a vector, in the same order, without
+building the forms.  `newton` reads them for the W constraints of every
+normal cone and for the generators of the dual cone W*, and the fan
+traversal reads the values to step off a cell.  `in_w` and
+`Weight.activity` test the same forms directly, since admissibility is
+checked at every order refinement.
+
 A weight is an integer vector over one positive denominator: `Weight.ivec`
 is (u, v) times `Weight.den`, the least common denominator, and these two
 fields are all a weight stores.  The pair is canonical (gcd(den, *ivec) =
@@ -37,6 +47,21 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import NotAdmissible, ZeroOperator
+
+
+def w_forms(n):
+    """The 2n integer forms on Q^{2n} whose common nonnegative set is W:
+    -u_i for each i, then u_i + v_i for each i."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return (tuple(tuple(-c for c in e) + (0,) * n for e in units)
+            + tuple(e + e for e in units))
+
+
+def w_values(vec):
+    """The values of the forms `w_forms` at the vector (u, v), in their
+    order: -u_i for each i, then u_i + v_i for each i."""
+    n = len(vec) // 2
+    return [-a for a in vec[:n]] + [a + b for a, b in zip(vec, vec[n:])]
 
 
 def in_w(vec):

@@ -146,8 +146,6 @@ def comprehensive_fan(gens, Q, cap, max_depth=6):
             sub = ParamIdeal(q.ring, list(q.gb) + [f])
             if sub.is_unit_ideal():
                 continue
-            if sub == q:
-                continue
             node.children.append(build(sub, depth + 1))
         return node
 

@@ -1,7 +1,6 @@
 """Fan enumeration, the z = 1 completion, and the independent grid oracle."""
 
 import hashlib
-import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -9,10 +8,11 @@ from functools import partial
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import admissible_by_fractions, op, qop, random_ideal, same_cone
 import dfan.fan as fan_module
+from dfan.cones import RelOpenCone
 from dfan.errors import NonConvergentTraversal
 from dfan.fan import (cell_at, check_fan_against_grid, enumerate_fan,
                       fan_of_ideal, grid_weights, homogenized_generators,
@@ -178,12 +178,12 @@ def test_traversal_tries_the_same_weights(gens, pops, digest, tested, built,
     """Pinned traversal work: the weights popped from the queue (their
     number and the sha256 of their strings, one a line), the membership
     tests of popped weights against stored cells, and the cells built.
-    Facet crossings step from eps = 1 with 60 halvings and ascents from
-    eps = 1/2 with 40; another start or budget queues other weights and
-    changes the sequence.  A weight popped before is skipped untested, and
-    any other is tested only against the cells of its own activity stratum:
-    on the two-variable fan that is 61 tests, where a test against every
-    stored cell made 828."""
+    Facet crossings step from eps = 1 and ascents from eps = 1/2, each by
+    the largest eps = 2^-k up to its start that stays in W (`_step_off`);
+    another start queues other weights and changes the sequence.  A weight
+    popped before is skipped untested, and any other is tested only against
+    the cells of its own activity stratum: on the two-variable fan that is
+    61 tests, where a test against every stored cell made 828."""
     popped = recorded_pops(monkeypatch)
     calls = []
     contains = fan_module.FanCell.contains
@@ -343,11 +343,9 @@ def holds_by_fractions(cone, pt):
 
 
 def step_off_by_fractions(pt, d, cone, eps, tries):
-    """`fan._step_off` on Fraction points: the first admissible pt + eps*d
-    outside cone, eps halved up to tries times."""
-    n = len(pt) // 2
-    if fan_module._leaves_w(n, pt, d):
-        return None
+    """The step off a cell by halving, on Fraction points: the first
+    admissible pt + eps*d outside cone, eps halved up to tries times, or
+    None.  The oracle of the closed-form `fan._step_off`."""
     for _ in range(tries):
         cand = tuple(p + eps * di for p, di in zip(pt, d))
         w = weight_at(cand)
@@ -360,40 +358,41 @@ def step_off_by_fractions(pt, d, cone, eps, tries):
 @pytest.mark.parametrize("name", list(FANS))
 def test_integer_step_off_matches_the_fraction_oracle(name, monkeypatch):
     """Each step of the traversal goes from a closure-facet point pt along
-    pt - witness from eps = 1 with 60 halvings, or from the witness along
-    an equality form or its negative from eps = 1/2 with 40, and returns
-    the weight the Fraction loop returns, integers over the least positive
-    denominator."""
+    pt - witness from eps = 1, or from the witness along an equality form
+    or its negative from eps = 1/2, and returns the weight the Fraction
+    halving loop with its cone test returns within 200 halvings: integers
+    over the least positive denominator, in W and outside the cell it
+    steps off."""
     step_off = fan_module._step_off
     raw_cell_at = fan_module.cell_at
-    witnesses = {}  # id of a cell's cone -> the cell's witness, as Fractions
+    cells = []  # the cells built so far; the traversal steps off the last
     facets = {}
     results = []
 
     def recorded_cell_at(*args):
-        cell = raw_cell_at(*args)
-        witnesses[id(cell.cone)] = cell.witness.as_tuple()
-        return cell
+        cells.append(raw_cell_at(*args))
+        return cells[-1]
 
-    def checked(p, d, den, cone, first, tries):
-        got = step_off(p, d, den, cone, first, tries)
+    def checked(p, d, den, first):
+        got = step_off(p, d, den, first)
+        cone, witness = cells[-1].cone, cells[-1].witness.as_tuple()
         pt = tuple(Fraction(a, den) for a in p)
         dd = tuple(Fraction(a, den) for a in d)
-        witness = witnesses[id(cone)]
         if first == 0:
             if id(cone) not in facets:
                 facets[id(cone)] = [tuple(Fraction(a, q_den) for a in q)
                                     for _, (q, q_den) in cone.closure_facets()]
-            assert tries == 60 and pt in facets[id(cone)]
+            assert pt in facets[id(cone)]
             assert dd == tuple(a - b for a, b in zip(pt, witness))
         else:
-            assert (first, tries) == (1, 40) and pt == witness
+            assert first == 1 and pt == witness
             assert dd in cone.equalities or tuple(-c for c in dd) in cone.equalities
         assert got == step_off_by_fractions(pt, dd, cone, Fraction(1, 2 ** first),
-                                            tries)
+                                            200)
         if got is not None:
             assert all(type(c) is int for c in (*got.ivec, got.den))
             assert got.den > 0 and gcd(got.den, *got.ivec) == 1
+            assert got.is_admissible() and not cone.contains(got.ivec)
         results.append(got)
         return got
 
@@ -520,47 +519,34 @@ def test_grid_weights_admissible_and_exhaustive():
     assert (frozenset({0, 1}), frozenset({0, 1})) in activities
 
 
-coords = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(-1, 3), Fraction(0),
-                          Fraction(1, 2), Fraction(1), Fraction(3)])
+@st.composite
+def steps_off(draw):
+    """(p, d, den, first) for `fan._step_off`: p / den in W, often on its
+    boundary, and d with entries up to 7 * 2^90, so that -g(d) / g(p)
+    ranges up to about 2^90 over the forms g of W."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    u = [-draw(st.integers(min_value=0, max_value=3)) for _ in range(n)]
+    v = [draw(st.integers(min_value=0, max_value=3)) - a for a in u]
+    d = [draw(st.integers(min_value=-7, max_value=7))
+         << draw(st.integers(min_value=0, max_value=90)) for _ in range(2 * n)]
+    return (tuple(u + v), tuple(d), draw(st.integers(min_value=1, max_value=6)),
+            draw(st.integers(min_value=0, max_value=1)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=2).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(coords, min_size=2 * n, max_size=2 * n),
-                        st.lists(coords, min_size=2 * n, max_size=2 * n))))
-def test_leaves_w_is_exact(args):
-    """When the predicate fires no halved step pt + 2^-k d (k < 60) is
-    admissible; when it does not fire at an admissible pt, a small one is."""
-    n, pt, d = args
-    steps = [weight_at([p + Fraction(1, 2 ** k) * di for p, di in zip(pt, d)])
-             for k in range(60)]
-    if fan_module._leaves_w(n, pt, d):
-        assert not any(w.is_admissible() for w in steps)
-    elif weight_at(pt).is_admissible():
-        assert steps[-1].is_admissible()
-
-
-def _fan_doc(fan):
-    return json.dumps([[c.cone.to_doc(), str(c.witness), [str(e) for e in c.staircase],
-                        [list(v) for v in c.face_vertices]] for c in fan.cells])
-
-
-@pytest.mark.parametrize("gens", [
-    [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})],
-    [qop(2, {((1, 0), (1, 0), 0): 1, ((0, 1), (0, 1), 0): 1}),
-     qop(2, {((0, 0), (1, 1), 0): 1, ((0, 0), (0, 0), 2): 1})],
-])
-def test_w_boundary_exit_keeps_the_fan(gens, monkeypatch):
-    """Skipping steps that leave W changes no cell of the enumerated fan."""
-    fired = []
-    leaves_w = fan_module._leaves_w
-
-    def recording(*args):
-        fired.append(leaves_w(*args))
-        return fired[-1]
-
-    monkeypatch.setattr(fan_module, "_leaves_w", recording)
-    with_exit = _fan_doc(enumerate_fan(gens, cap=8))
-    assert any(fired)
-    monkeypatch.setattr(fan_module, "_leaves_w", lambda *a: False)
-    assert _fan_doc(enumerate_fan(gens, cap=8)) == with_exit
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(steps_off())
+@example(((-1, 1), (2 ** 90 + 1, 0), 1, 0))  # k = 91
+@example(((0, 1), (1, 0), 1, 0))             # leaves W at u = 0
+def test_step_off_matches_the_fraction_oracle_on_random_steps(step):
+    """The closed-form step equals the Fraction halving loop with a
+    200-halving budget, on steps that need up to about 94 halvings, and it
+    is None exactly where that loop finds no admissible step.  The
+    traversal's steps never lie in the cell they leave, so the loop here
+    tests against a cone holding no point."""
+    p, d, den, first = step
+    nowhere = RelOpenCone(len(p), [], [(0,) * len(p)])
+    got = fan_module._step_off(p, d, den, first)
+    want = step_off_by_fractions(tuple(Fraction(a, den) for a in p),
+                                 tuple(Fraction(a, den) for a in d), nowhere,
+                                 Fraction(1, 2 ** first), 200)
+    assert got == want

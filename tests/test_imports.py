@@ -199,7 +199,9 @@ def test_no_retired_cone_api_in_src():
     takes equalities and strict forms.  Nor may a second membership test
     for rational points, the rational form clearing, or a cone's copy of
     its cell's witness: cones take and return integer vectors, and a weight
-    is its integer vector over its denominator."""
+    is its integer vector over its denominator.  Nor may the fan's own
+    W-exit test or its one-line base-order wrapper: the forms of W live in
+    `orders`, and a step off a cell is computed from them."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
              "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
@@ -213,7 +215,7 @@ def test_no_retired_cone_api_in_src():
              "_vertex_cones", "_satisfies", "same_cone", "included_in",
              "_implies", "intersect", "feasible", "common_refinement",
              "_constraints", "lo_strict", "contains_integer", "clear_form",
-             "_clear_denominators", "_as_weight")
+             "_clear_denominators", "_as_weight", "_leaves_w", "base_fan_order")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"
@@ -267,9 +269,23 @@ def test_hot_lp_is_fraction_free():
     assert "fractions" not in imported
     for module, func in (("newton.py", "_conv_redundant"),
                          ("orders.py", "Weight.over"), ("orders.py", "in_w"),
-                         ("fan.py", "_leaves_w"), ("fan.py", "_step_off")):
+                         ("fan.py", "_step_off")):
         names = names_in_function((root / module).read_text(), func)
         assert "Fraction" not in names, f"{module}: {func} names Fraction"
+
+
+def test_w_is_read_from_orders():
+    """A step off a cell is computed in closed form from the values of the
+    forms of W: it tests no cone membership and calls no admissibility
+    test.  A face is
+    its vertices, and the normal cone takes the W constraints from the
+    forms of W, not from the rays of W*."""
+    root = Path(dfan.__file__).parent
+    step = names_in_function((root / "fan.py").read_text(), "_step_off")
+    assert not {"contains", "in_w"} & step
+    newton = (root / "newton.py").read_text()
+    for func in ("face_of", "normal_cone"):
+        assert "wstar_rays" not in names_in_function(newton, func), func
 
 
 def test_submodules_are_not_shadowed():

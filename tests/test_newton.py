@@ -25,12 +25,37 @@ def dot(w, vec):
     return sum(a * p for a, p in zip(w.as_tuple(), vec))
 
 
+def wstar_generators(n):
+    """The 2n generators of W* in Z^{2n+1}, written out: e_i (1 in the x_i
+    slot), then e'_i (-1 in the x_i and dx_i slots).  The oracle of
+    `wstar_rays`, which reads them off the forms of W."""
+    rays = []
+    for i in range(n):
+        r = [0] * (2 * n + 1)
+        r[i] = 1
+        rays.append(tuple(r))
+    for i in range(n):
+        r = [0] * (2 * n + 1)
+        r[i] = -1
+        r[n + i] = -1
+        rays.append(tuple(r))
+    return tuple(rays)
+
+
+def face_rays(n, w):
+    """The generators of W* that w vanishes on: the rays of the w-face of
+    every polyhedron conv(E) + W*."""
+    return tuple(r for r in wstar_generators(n) if dot(w, r) == 0)
+
+
 def test_wstar_rays_shape():
     rays = wstar_rays(2)
     assert len(rays) == 4
     assert (1, 0, 0, 0, 0) in rays and (-1, 0, -1, 0, 0) in rays
     for r in rays:
         assert in_wstar(2, r)
+    for n in range(1, 5):
+        assert wstar_rays(n) == wstar_generators(n)
 
 
 def test_wstar_membership_closed_form():
@@ -110,14 +135,13 @@ def test_face_and_normal_cone_airy():
     g = qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})
     p = newton(g)
     w_int = Weight.make((-1,), (2,))
-    verts, rays = face_of(p, w_int)
-    assert verts == ((0, 2, 0),)        # dx1^2 vertex maximizes
+    assert face_of(p, w_int) == ((0, 2, 0),)  # dx1^2 vertex maximizes
     cone = normal_cone([p], w_int)
     assert cone.contains((-2, 3)) and not cone.contains((0, 1))
     # on u = 0 the x-ray enters the face
     w_u0 = Weight.make((0,), (1,))
-    verts0, rays0 = face_of(p, w_u0)
-    assert verts0 == ((0, 2, 0),) and rays0 == ((1, 0, 0),)
+    assert face_of(p, w_u0) == ((0, 2, 0),)
+    assert face_rays(1, w_u0) == ((1, 0, 0),)
     cone0 = normal_cone([p], w_u0)
     assert cone0.contains((0, 2)) and not cone0.contains((-1, 2))
     assert not same_cone(cone, cone0)
@@ -246,27 +270,28 @@ def test_face_of_matches_fraction_argmax():
     checked = 0
     for n, polys in _criterion_4_polyhedra():
         for w in grid_weights(n, denominators=(1, 2, 3)):
-            rays = tuple(r for r in wstar_rays(n) if dot(w, r) == 0)
             for poly in polys:
                 vals = [dot(w, v) for v in poly.vertices]
                 top = max(vals)
                 verts = tuple(v for v, x in zip(poly.vertices, vals) if x == top)
-                assert face_of(poly, w) == (verts, rays)
+                assert face_of(poly, w) == verts
                 checked += 1
     assert checked > 20000
 
 
 def normal_cone_with_w_loop(poly, w):
     """`normal_cone` as it was while a second loop added the W activity at w
-    after the rays of W* had added the same forms."""
+    after the rays of W* had added the same forms, each an equality where
+    it is a ray of the w-face.  The generators and face rays are the
+    literal ones above."""
     n = poly.n
     dim = 2 * n
-    verts, frays = face_of(poly, w)
+    verts, frays = face_of(poly, w), face_rays(n, w)
     p0 = verts[0]
     eqs = [tuple(a - b for a, b in zip(p0[:dim], p)) for p in verts[1:]]
     strict = [tuple(a - b for a, b in zip(p0[:dim], q))
               for q in poly.vertices if q not in verts]
-    for r in wstar_rays(n):
+    for r in wstar_generators(n):
         if r in frays:
             eqs.append(r[:dim])
         else:
@@ -329,7 +354,7 @@ def assert_summand_route_matches_hull(polys, w):
     cone forms too."""
     total = minkowski_sum_by_hull(polys)
     got, ref = normal_cone(polys, w), normal_cone([total], w)
-    assert face_of_sum(polys, w) == face_of(total, w)[0]
+    assert face_of_sum(polys, w) == face_of(total, w)
     assert same_cone(got, ref)
     if len(polys) == 1:
         assert (got.equalities, got.strict) == (ref.equalities, ref.strict)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import admissible_by_fractions, compare_by_rules, qop
 from dfan.errors import NotAdmissible, ZeroOperator
 from dfan.operators import Exponent, exponent
-from dfan.orders import OrderSpec, Weight, leading_data
+from dfan.orders import (OrderSpec, Weight, in_w, leading_data, w_forms,
+                         w_values)
 from dfan.params import ParamField, ParamIdeal, ParamPoly
 
 
@@ -193,6 +194,26 @@ def test_weight_over_matches_make(vec, den, k):
         assert all(type(c) is int for c in (*x.ivec, x.den))
         assert x.den > 0 and gcd(x.den, *x.ivec) == 1
         assert x.as_tuple() == tuple(coords)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+           st.integers(-3, 3), min_size=2 * n, max_size=2 * n)))
+def test_w_forms_state_in_w_and_activity(vec):
+    """The 2n forms of W are -u_i, then u_i + v_i, and `w_values` gives
+    their values: a vector is in W exactly when none is negative, and the
+    W constraints active at a weight are the forms that vanish on it, -u_i
+    for the first set and u_i + v_i for the second."""
+    n = len(vec) // 2
+    forms = w_forms(n)
+    assert len(forms) == 2 * n and all(len(g) == 2 * n for g in forms)
+    vals = [sum(a * x for a, x in zip(g, vec)) for g in forms]
+    assert vals == [-a for a in vec[:n]] + [a + b for a, b in zip(vec[:n], vec[n:])]
+    assert w_values(vec) == vals
+    assert in_w(vec) == all(x >= 0 for x in vals)
+    assert Weight.over(vec, 1).activity() == (
+        frozenset(i for i in range(n) if not vals[i]),
+        frozenset(i for i in range(n) if not vals[n + i]))
 
 
 @st.composite

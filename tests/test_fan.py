@@ -550,3 +550,69 @@ def test_step_off_matches_the_fraction_oracle_on_random_steps(step):
                                  tuple(Fraction(a, den) for a in d), nowhere,
                                  Fraction(1, 2 ** first), 200)
     assert got == want
+
+
+coords = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(-1, 3), Fraction(0),
+                          Fraction(1, 2), Fraction(1), Fraction(3)])
+
+
+def on_one_denominator(pt, d):
+    """(p, d, den): the Fraction vectors pt and d as integer vectors over
+    their least common denominator den."""
+    den = 1
+    for x in (*pt, *d):
+        den = den * x.denominator // gcd(den, x.denominator)
+    return ([int(x * den) for x in pt], [int(x * den) for x in d], den)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=2).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(coords, min_size=2 * n, max_size=2 * n),
+                        st.lists(coords, min_size=2 * n, max_size=2 * n))))
+def test_leaves_w_is_exact(args):
+    """When `_step_off` finds that d leaves W no halved step pt + 2^-k d
+    (k < 60) is admissible; when it finds a step from an admissible pt, that
+    step is admissible and so is a small one."""
+    n, pt, d = args
+    steps = [weight_at([p + Fraction(1, 2 ** k) * di for p, di in zip(pt, d)])
+             for k in range(60)]
+    got = fan_module._step_off(*on_one_denominator(pt, d), 0)
+    if got is None:
+        assert not any(w.is_admissible() for w in steps)
+    elif weight_at(pt).is_admissible():
+        assert got.is_admissible() and got in steps
+        assert steps[-1].is_admissible()
+
+
+def _fan_doc(fan):
+    return [[c.cone.to_doc(), str(c.witness), [str(e) for e in c.staircase],
+             [list(v) for v in c.face_vertices]] for c in fan.cells]
+
+
+@pytest.mark.parametrize("gens", [
+    [qop(1, {((0,), (2,), 0): 1, ((1,), (0,), 2): 1})],
+    [qop(2, {((1, 0), (1, 0), 0): 1, ((0, 1), (0, 1), 0): 1}),
+     qop(2, {((0, 0), (1, 1), 0): 1, ((0, 0), (0, 0), 2): 1})],
+])
+def test_w_boundary_exit_keeps_the_fan(gens, monkeypatch):
+    """The traversal's steps that leave W exactly, found in closed form by
+    `_step_off`, give the fan that a plain halving loop with no W exit
+    test, which gives up after 200 halvings, gives."""
+    fired = []
+    step_off = fan_module._step_off
+
+    def recording(*args):
+        fired.append(step_off(*args) is None)
+        return step_off(*args)
+
+    def halving(p, d, den, first):
+        nowhere = RelOpenCone(len(p), [], [(0,) * len(p)])
+        return step_off_by_fractions(tuple(Fraction(a, den) for a in p),
+                                     tuple(Fraction(a, den) for a in d), nowhere,
+                                     Fraction(1, 2 ** first), 200)
+
+    monkeypatch.setattr(fan_module, "_step_off", recording)
+    with_exit = _fan_doc(enumerate_fan(gens, cap=8))
+    assert any(fired)
+    monkeypatch.setattr(fan_module, "_step_off", halving)
+    assert _fan_doc(enumerate_fan(gens, cap=8)) == with_exit

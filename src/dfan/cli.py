@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .division import divide, denominator_certificate
 from .errors import DfanError, OperatorSyntaxError
-from .fan import (fan_of_ideal, grid_weights, oracle_classify,
+from .fan import (MAX_CELLS, fan_of_ideal, grid_weights, oracle_classify,
                   homogenized_generators)
 from .parametric import (comprehensive_fan, constant_fan_certificate,
                          specialize_ideal)
@@ -124,7 +124,8 @@ def run_command(verb, problem, args):
     if verb == "certify":
         if not problem.params:
             raise OperatorSyntaxError("certify needs parameters")
-        cert = constant_fan_certificate(problem.generators, problem.q_ideal, cap)
+        cert = constant_fan_certificate(problem.generators, problem.q_ideal, cap,
+                                        max_cells=args.max_cells)
         return {"h": poly_str(cert.h),
                 "h_factors": [poly_str(f) for f in cert.h_factors],
                 "q_ideal": [poly_str(g) for g in cert.q_ideal.gb],
@@ -137,7 +138,8 @@ def run_command(verb, problem, args):
         if not problem.params:
             raise OperatorSyntaxError("compfan needs parameters")
         comp = comprehensive_fan(problem.generators, problem.q_ideal, cap,
-                                 max_depth=args.max_depth)
+                                 max_depth=args.max_depth,
+                                 max_cells=args.max_cells)
         strata = []
         for s in comp.strata():
             strata.append({
@@ -203,7 +205,7 @@ def build_parser():
     ap.add_argument("--cap", type=int, default=None, help="x-degree cap override")
     ap.add_argument("--samples", type=int, default=0,
                     help="grid size limit for oracle-fan")
-    ap.add_argument("--max-cells", type=int, default=4096,
+    ap.add_argument("--max-cells", type=int, default=MAX_CELLS,
                     help="most cells a fan traversal may find")
     ap.add_argument("--max-depth", type=int, default=6,
                     help="stratification depth budget")

@@ -63,11 +63,12 @@ among those of the element of G it specializes, so it keeps its leading
 exponent at w, and the argument above makes G(y0) the reduced basis at w.  An untainted G is exact, and so is the
 reused cell; a tainted G taints it.
 
-Inputs that do not involve z are first completed with respect to the
-dx-degree weight order in the z = 1 quotient (`standard.standard_basis` run
-with the z = 1 product), then homogenized; this yields generators of the
-homogenized ideal, which is what the fan is attached to.
-`homogenized_generators` is the one place that makes this choice.
+Inputs that do not involve z are first completed in the z = 1 quotient
+(`standard.standard_basis` run with the z = 1 product) under `OrderSpec(n)`,
+which there compares the dx-degree first, since every exponent has k = 0,
+then homogenized; this yields generators of the homogenized ideal, which is
+what the fan is attached to.  `homogenized_generators` is the one place
+that makes this choice.
 
 Over a parameter field Frac(C/Q) each cell holds the generic standard basis
 and its multiplier h, both from the one `standard.standard_basis` that found
@@ -90,24 +91,22 @@ from .operators import homogenize, term_product
 from .orders import OrderSpec, Weight, leading_data, w_values
 from .standard import standard_basis
 
-
-def t_order(n):
-    """dx-degree weight order for computing in the z = 1 quotient."""
-    t = Weight.make((0,) * n, (1,) * n)
-    return OrderSpec(n, weights=(t,), homogenized=False)
+# the most cells one traversal may find, unless its caller says otherwise
+MAX_CELLS = 4096
 
 
 def homogenized_generators(gens, cap):
     """Generators of the homogenized ideal of gens, and the factors of the
     multiplier h' of the basis they come from.
 
-    z-free input is completed with respect to the dx-degree weight in the
-    z = 1 quotient, then homogenized elementwise; over Frac(C/Q) the
+    z-free input is completed under `OrderSpec(n)` in the z = 1 quotient,
+    where every exponent has k = 0 and the order compares the dx-degree
+    first, then homogenized elementwise; over Frac(C/Q) the
     construction commutes with any specialization of V(Q) off V(h').  Input
     involving z is taken as given, with no factors."""
     if not gens or not all(g.z_free() for g in gens):
         return list(gens), ()
-    sb = standard_basis(gens, t_order(gens[0].n), cap=cap,
+    sb = standard_basis(gens, OrderSpec(gens[0].n), cap=cap,
                         mul=partial(term_product, z_one=True))
     return [homogenize(g) for g in sb.basis], sb.h_factors
 
@@ -227,7 +226,7 @@ def _step_off(p, d, den, first):
     return Weight.over([(a << k) + b for a, b in zip(p, d)], den << k)
 
 
-def enumerate_fan(gens, cap, max_cells=4096):
+def enumerate_fan(gens, cap, max_cells=MAX_CELLS):
     """All cells of the Groebner fan by facet traversal from stratum seeds;
     more than max_cells cells raise NonConvergentTraversal.  Weights are
     queued only when a cell is added, so the cell bound bounds the loop.
@@ -281,9 +280,9 @@ def enumerate_fan(gens, cap, max_cells=4096):
     return GroebnerFan(n, cells, cap)
 
 
-def fan_of_ideal(gens, cap, max_cells=4096):
-    """Fan of an ideal of plain operators: homogenize (via the dx-degree
-    completion in the z = 1 quotient) if needed, then enumerate."""
+def fan_of_ideal(gens, cap, max_cells=MAX_CELLS):
+    """Fan of an ideal of plain operators: homogenize (via the completion in
+    the z = 1 quotient) if needed, then enumerate."""
     return enumerate_fan(homogenized_generators(gens, cap)[0], cap,
                          max_cells=max_cells)
 
@@ -314,23 +313,3 @@ def oracle_classify(gens, w, cap):
     sb = _basis_at(gens, w, cap)
     face = face_of(minkowski_sum_by_hull([newton(g) for g in sb.basis]), w)
     return (tuple(sb.staircase), face, w.activity())
-
-
-def check_fan_against_grid(fan, gens, weights, cap):
-    """Each grid weight must land in exactly one enumerated cell, and that
-    cell's stored data must match the independent classification at w."""
-    mismatches = []
-    for w in weights:
-        holders = [c for c in fan.cells if c.contains(w)]
-        if len(holders) != 1:
-            mismatches.append((w, f"{len(holders)} containing cells"))
-            continue
-        cell = holders[0]
-        stair, face, act = oracle_classify(gens, w, cap)
-        if tuple(cell.staircase) != stair:
-            mismatches.append((w, "staircase differs"))
-        elif cell.face_vertices != face:
-            mismatches.append((w, "face differs"))
-        elif cell.witness.activity() != act:
-            mismatches.append((w, "activity differs"))
-    return mismatches

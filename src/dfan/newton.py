@@ -33,11 +33,6 @@ from .errors import ZeroOperator, NotAdmissible
 from .orders import w_forms, w_values
 
 
-def wstar_rays(n):
-    """The 2n generators of W* in Z^{2n+1}: the forms of W negated."""
-    return tuple(tuple(-c for c in g) + (0,) for g in w_forms(n))
-
-
 def in_wstar(n, d):
     """Is the 2n+1 vector d in the cone W*?"""
     if d[2 * n] != 0:

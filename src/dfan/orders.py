@@ -3,9 +3,10 @@
 Orders must satisfy x_i < 1 and x_i*dx_i > 1.  The one built-in base
 comparison takes the total dx-degree first (descending), then the x-part
 antigraded lexicographically (lower total x-degree is greater, the local
-direction), then lexicographically on dx.  Weight vectors refine in front of
-the base; the homogenized variant compares |beta| + k before everything
-else.
+direction), then lexicographically on dx.  Every order compares the level
+|beta| + k first; weight vectors refine after it, in front of the base.  In
+the z = 1 quotient every exponent has k = 0, so there the level is the
+dx-degree.
 
 The key is the order: `OrderSpec.key()` is a function, compiled once per
 order, that maps an exponent to a tuple of integers, and two exponents
@@ -135,19 +136,18 @@ class Weight:
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """Admissible order: weight refinements in front of the built-in base
-    (total dx-degree, then antigraded lex on x, then lex on dx).
+    """Admissible order: the level |beta| + k, then weight refinements,
+    then the built-in base (total dx-degree, then antigraded lex on x, then
+    lex on dx).
 
     xprio: x-variable priority for the lex tie-breaks (index tuple, highest
     priority first).
     weights: refinement chain, outermost first.
-    homogenized: compare |beta| + k before anything else.
     """
 
     n: int
     xprio: tuple = ()
     weights: tuple = ()
-    homogenized: bool = True
 
     def __post_init__(self):
         if not self.xprio:
@@ -158,14 +158,13 @@ class OrderSpec:
 
     def with_weight(self, w):
         """Refine by w in front of the existing chain."""
-        return OrderSpec(self.n, self.xprio, (w,) + tuple(self.weights),
-                         self.homogenized)
+        return OrderSpec(self.n, self.xprio, (w,) + tuple(self.weights))
 
     def key(self):
         """Sort key for exponents, ascending in this order.
 
         The key of (alpha, beta, k) is the integer tuple
-        (|beta| + k if homogenized, each weight's value with its
+        (|beta| + k, each weight's value with its
         denominators cleared, |beta|, -|alpha|, alpha and then beta in xprio
         order, k), built once per OrderSpec.
         """
@@ -173,14 +172,13 @@ class OrderSpec:
 
     @cached_property
     def _key(self):
-        homogenized = self.homogenized
         forms = tuple(w.integer_form() for w in self.weights)
         perm = None if self.xprio == tuple(range(self.n)) else self.xprio
 
         def key(e):
             alpha, beta, k = e
             dx = sum(beta)
-            out = [dx + k] if homogenized else []
+            out = [dx + k]
             for u, v in forms:
                 out.append(sum(map(mul, u, alpha)) + sum(map(mul, v, beta)))
             out.append(dx)

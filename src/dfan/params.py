@@ -4,7 +4,9 @@ Coefficients of operators are either plain `fractions.Fraction` (ground field Q,
 domain `QQ_FIELD`) or `ParamFraction` over a `ParamField`.  A `ParamField`
 carries a `ParamIdeal` q; fraction numerators are kept normal-form reduced
 modulo q, so the zero test is a stored-zero test and the field models
-Frac(C/q).  The plain fraction field of C is the q = (0) case.
+Frac(C/q).  The plain fraction field of C is the q = (0) case.  Frac(C/q) is
+a field only for a prime q: a product of two nonzero elements that falls
+into q raises `NotPrime`.
 
 A parameter polynomial is an element of sympy's sparse `PolyRing` over QQ
 with grevlex order, built by `param_ring`; its arithmetic, Groebner bases,
@@ -109,14 +111,15 @@ def poly_divides(a, b):
 
 
 def factor_squarefree(p):
-    """Irreducible factors for m = 1, square-free factors otherwise.
+    """The distinct irreducible factors of p, for any number of parameters.
 
     Returns a list of primitive non-constant factors (multiplicity dropped),
-    in the order sympy lists them.
+    in the order sympy lists them; their product is the square-free part of
+    p, up to a constant.
     """
     if p.is_ground:
         return []
-    _, factors = p.factor_list() if p.ring.ngens == 1 else p.sqf_list()
+    _, factors = p.factor_list()
     return list(dict.fromkeys(poly_primitive(f) for f, _mult in factors
                               if not f.is_ground))
 
@@ -159,12 +162,11 @@ class ParamIdeal:
     are scaled, so `normal_form` divides by `gb` as it is.
     """
 
-    __slots__ = ("ring", "generators", "gb", "claimed_prime")
+    __slots__ = ("ring", "generators", "gb")
 
-    def __init__(self, ring, generators, claimed_prime=False):
+    def __init__(self, ring, generators):
         self.ring = R = param_ring(ring)
         self.generators = list(generators)
-        self.claimed_prime = claimed_prime
         gens = [g for g in self.generators if g]
         if any(g.ring != R for g in gens):
             raise ValueError("generators lie in another parameter ring")
@@ -181,8 +183,8 @@ class ParamIdeal:
         self.gb = [poly_primitive(g) for g in gb]
 
     @classmethod
-    def zero(cls, ring, claimed_prime=True):
-        return cls(ring, [], claimed_prime=claimed_prime)
+    def zero(cls, ring):
+        return cls(ring, [])
 
     def is_zero_ideal(self):
         return not self.gb
@@ -460,8 +462,9 @@ class ParamFraction:
     def __mul__(self, other):
         other = self._coerce(other)
         r = ParamFraction(self.field, self.num * other.num, self.den * other.den)
-        if (self.field.q.claimed_prime and not self.field.q.is_zero_ideal()
-                and bool(self) and bool(other) and not bool(r)):
+        # nonzero factors with a zero product: q is not prime (C is a
+        # domain, so this never happens for q = (0))
+        if not r and self and other:
             raise NotPrime(f"{self.field.q} is not prime: ({poly_str(self.num)})"
                            f"*({poly_str(other.num)}) fell into it")
         return r

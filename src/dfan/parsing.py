@@ -87,23 +87,19 @@ class _Parser:
         return t
 
     def parse(self):
-        v = self.expr()
+        try:
+            v = self.expr()
+        except RecursionError:
+            first = self.toks[0]
+            raise OperatorSyntaxError("expression nested too deeply",
+                                      first[2], first[3]) from None
         t = self._peek()
         if t is not None:
             raise OperatorSyntaxError(f"unexpected {t[1]!r}", t[2], t[3])
         return v
 
     def expr(self):
-        t = self._peek()
-        neg = False
-        if t and t[:2] == ("op", "-"):
-            self._next()
-            neg = True
-        elif t and t[:2] == ("op", "+"):
-            self._next()
         v = self.term()
-        if neg:
-            v = -v
         while True:
             t = self._peek()
             if t and t[0] == "op" and t[1] in "+-":
@@ -153,8 +149,11 @@ class _Parser:
             if t2[:2] != ("op", ")"):
                 raise OperatorSyntaxError("expected ')'", t2[2], t2[3])
             return v
+        # a unary sign applies to the factor after it, power included
         if t[:2] == ("op", "-"):
-            return -self.atom()
+            return -self.factor()
+        if t[:2] == ("op", "+"):
+            return self.factor()
         raise OperatorSyntaxError(f"unexpected {t[1]!r}", t[2], t[3])
 
 
@@ -413,16 +412,17 @@ def parse_problem(text):
     weights = [_parse_weight_line(v, n, ln) for v, ln in weight_lines]
     q_gens = [parse_param_poly(t, params, line=ln, col=c) for t, ln, c in q_texts]
     ring = param_ring(params)
-    q_ideal = ParamIdeal(ring, q_gens, claimed_prime=True)
+    q_ideal = ParamIdeal(ring, q_gens)
     if q_ideal.is_unit_ideal():
         raise NotPrime(f"qideal {q_ideal} is the unit ideal")
-    if len(params) == 1 and q_ideal.gb:
-        # one parameter: Q = (g) is prime iff g is irreducible
+    if len(q_ideal.gb) == 1:
+        # a principal Q = (g) is prime iff g is irreducible; a Q with more
+        # generators is not checked
         g = q_ideal.gb[0]
         if factor_squarefree(g) != [g]:
             raise NotPrime(f"qideal {q_ideal} is not prime")
     field = QQ_FIELD if not params else ParamField(ring, q_ideal)
-    order = OrderSpec(n, xprio=xprio, weights=tuple(weights), homogenized=True)
+    order = OrderSpec(n, xprio=xprio, weights=tuple(weights))
     gens = [parse_operator(t, var_names, params, field=field, line=ln, col=c)
             for t, ln, c in gen_texts]
     dividend = None

@@ -19,19 +19,17 @@ coefficients they return (see `division`).
 Over Frac(C/Q) the same loop computes the generic standard basis.  The field
 is the only place Q enters: a coefficient whose numerator lies in Q is zero
 there, so neither completion nor division treats Q specially.  The
-multiplier h is a value of the result: the product of the square-free
-numerator factors of the leading coefficients of the list `completion`
-returns.  Those are all the coefficients the computation divides by
-(reduction only rescales elements of that list), so any specialization with
-h(y0) != 0 replays the whole trace verbatim.
+multiplier h is a value of the result: the product of the distinct
+irreducible numerator factors of the leading coefficients of the list
+`completion` returns.  Those are all the coefficients the computation
+divides by (reduction only rescales elements of that list), so any
+specialization with h(y0) != 0 replays the whole trace verbatim.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 
@@ -80,7 +78,7 @@ class StandardBasis:
     """A standard basis, and over Frac(C/Q) its multiplier h.
 
     `completed` is the list `completion` returned, before any reduction.
-    `h_factors` are the distinct square-free numerator factors of its leading
+    `h_factors` are the distinct irreducible numerator factors of its leading
     coefficients, sorted as `params.multiplier` sorts them, and `h` is their
     product; both are computed on first read.  Over QQ, h is None and there
     are no factors.
@@ -241,24 +239,3 @@ def certified_standard_basis(gens, ord_spec, caps, reduced=True):
             certified = all(x.truncated(w) == y.truncated(w)
                             for x, y in zip(a.basis, b.basis))
     return runs[-1], certified, [r.staircase for r in runs]
-
-
-def uniqueness_check(gens, ord_spec, cap, shuffles=5, seed=0):
-    """Reduced standard bases from shuffled and rescaled generator lists must
-    coincide."""
-    rng = random.Random(seed)
-    ref = standard_basis(gens, ord_spec, cap=cap, reduced=True)
-    for _ in range(shuffles):
-        perm = list(gens)
-        rng.shuffle(perm)
-        field = perm[0].field
-        perm = [g.scale(field.coerce(Fraction(rng.randint(1, 7),
-                                              rng.randint(1, 7))
-                                     * rng.choice((1, -1))))
-                for g in perm]
-        other = standard_basis(perm, ord_spec, cap=cap, reduced=True)
-        if len(other.basis) != len(ref.basis):
-            return False
-        if any(a != b for a, b in zip(ref.basis, other.basis)):
-            return False
-    return True

@@ -7,21 +7,23 @@ with `pytest -v` as the test verdict) and enforces its own time budget.
 import time
 from fractions import Fraction
 
-from conftest import qop, random_qop, reconstruct_window, same_cone
+from conftest import (check_fan_against_grid, h_vanishes_at, qop, random_qop,
+                      reconstruct_window, same_cone, sample_points,
+                      uniqueness_check)
 from dfan.division import denominator_certificate, divide, partition
 from dfan.errors import DenominatorVanishes
-from dfan.fan import (check_fan_against_grid, enumerate_fan, fan_of_ideal,
-                      grid_weights, homogenized_generators)
+from dfan.fan import (enumerate_fan, fan_of_ideal, grid_weights,
+                      homogenized_generators)
 from dfan.newton import in_wstar, newton
 from dfan.operators import HOperator, exponent
 from dfan.orders import OrderSpec, Weight, leading_data
 from dfan.params import (ParamField, ParamIdeal, ParamPoly, ParamFraction, multiplier,
                          param_ring, poly_eval)
 from dfan.parametric import (comprehensive_fan, constant_fan_certificate,
-                             sample_points, specialize_ideal)
-from dfan.standard import standard_basis, uniqueness_check
+                             specialize_ideal)
+from dfan.standard import standard_basis
 
-Q0 = ParamIdeal(1, [], claimed_prime=True)
+Q0 = ParamIdeal(1, [])
 F1 = ParamField(1, Q0)
 Y = ParamPoly.var(1, 0)
 
@@ -176,7 +178,7 @@ def test_criterion_5_constancy_certificates():
         # either differ or the comparison must be inapplicable; if it happens
         # to coincide we still only report inapplicability of the certificate
         for y0 in ((Fraction(0),),):
-            assert cert.h_vanishes_at(y0)
+            assert h_vanishes_at(cert, y0)
             verdict = _fan_matches_specialization(cert, gens, y0, 8)
             assert verdict in ("differs", "inapplicable", "match")
             if verdict == "match":
@@ -250,7 +252,7 @@ def test_criterion_8_comprehensive_fan_two_strata():
     for y0 in pts:
         holders = [s for s in strata
                    if all(poly_eval(p, y0) == 0 for p in s.q_ideal.gb)
-                   and not s.certificate.h_vanishes_at(y0)]
+                   and not h_vanishes_at(s.certificate, y0)]
         assert len(holders) == 1
         s = holders[0]
         # constancy on the stratum: the specialized fan coincides cellwise
@@ -299,7 +301,7 @@ def test_criterion_9_algebraic_invariants(rng):
         if in_wstar(2, d):
             assert _dot(w, d) <= 0
     # field axioms in Frac(Q[y]/(y^2 - 2))
-    Q = ParamIdeal(1, [Y * Y - ParamPoly.const(1, 2)], claimed_prime=True)
+    Q = ParamIdeal(1, [Y * Y - ParamPoly.const(1, 2)])
     F = ParamField(1, Q)
     def relt():
         num = param_ring(1)({(0,): Fraction(rng.randint(-3, 3)),

@@ -173,6 +173,36 @@ def test_one_parameter_qideal_must_be_prime():
     assert proc.returncode == 0
 
 
+def test_principal_qideal_must_be_prime_for_any_number_of_parameters():
+    """A Q with one generator is prime exactly when the generator is
+    irreducible, whatever the number of parameters; a Q with more
+    generators is not checked."""
+    body = "vars: x1\nideal: dx1^2 - a*x1*z^2\n"
+    for q in ("a*b", "a^2", "a^2*b - b"):
+        proc = run_cli(["gensb"], f"params: a b\nqideal: {q}\n" + body)
+        assert proc.returncode == 1 and not proc.stdout, q
+        assert "NotPrime" in proc.stderr and "is not prime" in proc.stderr, q
+    for q in ("a*b - 1", "b - 1; a - 2"):
+        proc = run_cli(["gensb"], f"params: a b\nqideal: {q}\n" + body)
+        assert proc.returncode == 0, q
+
+
+def test_max_cells_bounds_every_traversal():
+    """--max-cells reaches the traversals of certify and compfan too."""
+    compfan = "params: y\nvars: x1\ncap: 8\nideal: dx1^2 - y*x1*z^2\n"
+    for verb, text in (("fan", AIRY), ("certify", compfan), ("compfan", compfan)):
+        proc = run_cli([verb, "--max-cells", "1"], text)
+        assert proc.returncode == 1 and not proc.stdout, verb
+        assert "NonConvergentTraversal" in proc.stderr, verb
+        assert run_cli([verb, "--max-cells", "4"], text).returncode == 0, verb
+
+
+def test_deep_nesting_exits_2_at_the_expression():
+    proc = run_cli(["sb"], "vars: x1\nideal: " + "(" * 2000 + "x1"
+                   + ")" * 2000 + "\n")
+    _usage_error(proc, "nested too deeply", "line 2, column 8")
+
+
 def _usage_error(proc, *words):
     assert proc.returncode == 2 and not proc.stdout
     assert "Traceback" not in proc.stderr

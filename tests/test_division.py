@@ -151,7 +151,7 @@ def test_divide_mod_q_routes_t_part(F1):
     """The old route sends the y-multiples to T; over Frac(C/Q) they are
     zero, and plain division gives the old remainder."""
     y = ParamPoly.var(1, 0)
-    Q = ParamIdeal(1, [y], claimed_prime=True)
+    Q = ParamIdeal(1, [y])
     FQ = ParamField(1, Q)
     order = OrderSpec(1)
     g = HOperator(1, F1, {exponent(1, beta=[1]): F1.from_poly(y + 1),
@@ -169,7 +169,7 @@ def test_divide_mod_q_routes_t_part(F1):
 def test_divisor_in_q_raises(F1):
     """A divisor whose coefficients all lie in Q is zero over Frac(C/Q)."""
     y = ParamPoly.var(1, 0)
-    FQ = ParamField(1, ParamIdeal(1, [y], claimed_prime=True))
+    FQ = ParamField(1, ParamIdeal(1, [y]))
     g = HOperator(1, F1, {exponent(1, beta=[1]): F1.from_poly(y)}).to_field(FQ)
     P = HOperator(1, FQ, {exponent(1, beta=[2]): FQ.one})
     with pytest.raises(ZeroDivisor):
@@ -293,7 +293,7 @@ def test_heap_division_matches_max_scan(rng):
     for _ in range(150):
         n = rng.randint(1, 2)
         cap = rng.choice((4, 6, 8))
-        order = OrderSpec(n, homogenized=rng.random() < 0.7)
+        order = OrderSpec(n)
         P = random_qop(rng, n, rng.randint(1, 6)).truncated(cap)
         G = [random_qop(rng, n, rng.randint(1, 4)).truncated(cap)
              for _ in range(rng.randint(1, 3))]
@@ -314,7 +314,7 @@ def test_tainted_divisors_match_max_scan(rng):
     for _ in range(100):
         n = rng.randint(1, 2)
         cap = rng.choice((1, 2, 3))
-        order = OrderSpec(n, homogenized=rng.random() < 0.7)
+        order = OrderSpec(n)
         P = random_qop(rng, n, rng.randint(1, 6)).truncated(cap + 2)
         G = [random_qop(rng, n, rng.randint(3, 5)).truncated(cap)
              for _ in range(rng.randint(1, 2))]
@@ -330,7 +330,7 @@ def test_tainted_divisors_match_max_scan(rng):
 def test_heap_division_matches_max_scan_mod_q(F1):
     """Over Frac(C/Q), on operators that had coefficients in Q."""
     y = ParamPoly.var(1, 0)
-    Q = ParamIdeal(1, [y * y - 2], claimed_prime=True)
+    Q = ParamIdeal(1, [y * y - 2])
     FQ = ParamField(1, Q)
     c = F1.from_poly
     order = OrderSpec(1)
@@ -377,14 +377,14 @@ def test_frac_c_mod_q_division_matches_old_route(q_text):
     F1 = ParamField(1)
     y = F1.ring.gens[0]
     q = {"y^2 - 2": y ** 2 - 2, "y^3 - y - 1": y ** 3 - y - 1, "y": y}[q_text]
-    Q = ParamIdeal(F1.ring, [q], claimed_prime=True)
+    Q = ParamIdeal(F1.ring, [q])
     FQ = ParamField(F1.ring, Q)
     rng = random.Random(7)
     checked = with_t = steps = 0
-    for _ in range(150):
+    for _ in range(200):
         n = rng.randint(1, 2)
         cap = rng.choice((3, 5))
-        order = OrderSpec(n, homogenized=rng.random() < 0.7)
+        order = OrderSpec(n)
         P = _random_param_op(rng, F1, n, q, rng.randint(2, 6), cap, 2)
         G = [_random_param_op(rng, F1, n, q, rng.randint(1, 3), cap, 1)
              for _ in range(rng.randint(1, 2))]

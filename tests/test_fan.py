@@ -10,17 +10,16 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import admissible_by_fractions, op, qop, random_ideal, same_cone
+from conftest import (admissible_by_fractions, check_fan_against_grid, op, qop,
+                      random_ideal, same_cone, sample_points)
 import dfan.fan as fan_module
 from dfan.cones import RelOpenCone
 from dfan.errors import NonConvergentTraversal
-from dfan.fan import (cell_at, check_fan_against_grid, enumerate_fan,
-                      fan_of_ideal, grid_weights, homogenized_generators,
-                      oracle_classify, t_order)
+from dfan.fan import (cell_at, enumerate_fan, fan_of_ideal, grid_weights,
+                      homogenized_generators, oracle_classify)
 from dfan.operators import HOperator, exponent, homogenize, term_product
-from dfan.orders import Weight
-from dfan.parametric import (constant_fan_certificate, sample_points,
-                             specialize_ideal)
+from dfan.orders import OrderSpec, Weight
+from dfan.parametric import constant_fan_certificate, specialize_ideal
 from dfan.params import ParamField, ParamIdeal, poly_str
 from dfan.parsing import parse_problem
 from dfan.standard import standard_basis
@@ -30,7 +29,7 @@ def test_dn_standard_basis_euler_pair():
     """x1 dx1 and dx1^2 generate dx1 in the z = 1 quotient (the one
     `standard_basis` run with the z = 1 product):
     dx1 (x1 dx1) - x1 dx1^2 = dx1."""
-    order = t_order(1)
+    order = OrderSpec(1)
     a = qop(1, {((1,), (1,), 0): 1})
     b = qop(1, {((0,), (2,), 0): 1})
     basis = standard_basis([a, b], order, cap=8,
@@ -70,7 +69,7 @@ def test_cell_at_takes_q_from_the_coefficient_field(F1):
     g = HOperator(1, F1, {exponent(1, beta=[2]): F1.from_poly(y),
                           exponent(1, alpha=[1], k=2): -F1.one,
                           exponent(1, alpha=[2], k=2): F1.from_poly(y * y - 2)})
-    FQ = ParamField(1, ParamIdeal(1, [y * y - 2], claimed_prime=True))
+    FQ = ParamField(1, ParamIdeal(1, [y * y - 2]))
     w = Weight.make((-1,), (2,))
     cell = cell_at([g.to_field(FQ)], w, cap=8)
     assert [str(b) for b in cell.basis] == ["dx1^2 - 1/y1*x1*z^2"]

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as hs
 import dfan.standard as st
 from dfan.division import GUARD_SLACK, divide, partition
 from dfan.errors import LeadingTermNotCancelled
-from dfan.fan import t_order
 from dfan.operators import Exponent, HOperator, term_product
 from dfan.orders import OrderSpec, Weight, leading_data
 from dfan.params import QQ_FIELD, ParamField, ParamIdeal
@@ -191,19 +190,15 @@ def check_standard_basis(gens, order, cap, mul=None):
 # Hypothesis cases over QQ
 # ---------------------------------------------------------------------------
 
-def orders_for(n, z_one):
+def orders_for(n):
     """Admissible orders whose leading exponents differ on many operators:
-    the base order, a reversed x priority, and weight refinements; in the
-    z = 1 quotient none compares |beta| + k first."""
-    h = not z_one
-    out = [OrderSpec(n, homogenized=h),
-           OrderSpec(n, homogenized=False),
-           OrderSpec(n, weights=(Weight.make((-1,) * n, (2,) * n),), homogenized=h),
-           OrderSpec(n, weights=(Weight.make((0,) * n, (1,) * n),), homogenized=h),
-           t_order(n)]
+    the base order, a reversed x priority, and weight refinements."""
+    out = [OrderSpec(n),
+           OrderSpec(n, weights=(Weight.make((-1,) * n, (2,) * n),)),
+           OrderSpec(n, weights=(Weight.make((0,) * n, (1,) * n),))]
     if n == 2:
-        out += [OrderSpec(2, xprio=(1, 0), homogenized=h),
-                OrderSpec(2, weights=(Weight.make((-1, 0), (1, 2)),), homogenized=h)]
+        out += [OrderSpec(2, xprio=(1, 0)),
+                OrderSpec(2, weights=(Weight.make((-1, 0), (1, 2)),))]
     return out
 
 
@@ -230,7 +225,7 @@ def qq_case(draw):
     G = [operator(4).truncated(draw(hs.sampled_from((cap, cap - 1, cap - 2))))
          for _ in range(draw(hs.integers(1, 3)))]
     G = [g for g in G if not g.is_zero()]
-    orders = draw(hs.lists(hs.sampled_from(orders_for(n, z_one)), min_size=2,
+    orders = draw(hs.lists(hs.sampled_from(orders_for(n)), min_size=2,
                            max_size=3, unique=True))
     mul = partial(term_product, z_one=True) if z_one else None
     return P, G, orders, mul, cap
@@ -283,7 +278,7 @@ def test_the_cases_divide():
                          for _ in range(rng.randint(1, 3))) if not g.is_zero()]
         if P.is_zero() or not G:
             continue
-        for order in orders_for(n, False)[:3]:
+        for order in orders_for(n)[:3]:
             res = divide(P, G, order)
             leads = [g.cleared().terms[leading_data(g, order)[0]] for g in G]
             rescaled += sum(d > 1 and abs(l) > 1
@@ -313,8 +308,7 @@ def test_parametric_division_keeps_the_oracle_representatives(q_text):
     F1 = ParamField(1)
     y = F1.ring.gens[0]
     q = {"0": None, "y^2 - 2": y ** 2 - 2, "y^3 - y - 1": y ** 3 - y - 1}[q_text]
-    F = F1 if q is None else ParamField(F1.ring, ParamIdeal(F1.ring, [q],
-                                                            claimed_prime=True))
+    F = F1 if q is None else ParamField(F1.ring, ParamIdeal(F1.ring, [q]))
     rng = random.Random(3)
 
     def operator(size, cap, n):
@@ -336,7 +330,7 @@ def test_parametric_division_keeps_the_oracle_representatives(q_text):
                          for _ in range(rng.randint(1, 2))) if not g.is_zero()]
         if P.is_zero() or not G:
             continue
-        for order in orders_for(n, False)[:2]:
+        for order in orders_for(n)[:2]:
             steps += check_division(P, G, order)
             check_spairs(G + [P], order)
     assert steps > 30

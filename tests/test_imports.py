@@ -6,6 +6,7 @@ reachable under its own name."""
 
 import ast
 import dataclasses
+import inspect
 import re
 import types
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import dfan
 import dfan.newton
 from dfan.orders import OrderSpec
+from dfan.params import ParamIdeal
 
 
 def unused_imports(source):
@@ -201,7 +203,14 @@ def test_no_retired_cone_api_in_src():
     its cell's witness: cones take and return integer vectors, and a weight
     is its integer vector over its denominator.  Nor may the fan's own
     W-exit test or its one-line base-order wrapper: the forms of W live in
-    `orders`, and a step off a cell is computed from them."""
+    `orders`, and a step off a cell is computed from them, nor the rays of
+    W*, which only a test read.  Nor may the options product code set one
+    way only: an order that skips the level |beta| + k (every order
+    compares it first, and in the z = 1 quotient it is the dx-degree, so
+    no separate z = 1 order is needed) and an ideal's claim to be prime
+    (the zero-divisor test runs for every q).  Nor may the helpers only the
+    tests read: the grid check of a fan, the uniqueness check of reduced
+    bases, the rational samplers and the stratum lookups."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
              "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
@@ -215,7 +224,11 @@ def test_no_retired_cone_api_in_src():
              "_vertex_cones", "_satisfies", "same_cone", "included_in",
              "_implies", "intersect", "feasible", "common_refinement",
              "_constraints", "lo_strict", "contains_integer", "clear_form",
-             "_clear_denominators", "_as_weight", "_leaves_w", "base_fan_order")
+             "_clear_denominators", "_as_weight", "_leaves_w", "base_fan_order",
+             "wstar_rays", ".homogenized", "homogenized=", "claimed_prime",
+             "t_order", "check_fan_against_grid", "uniqueness_check",
+             "sample_points", "rationals_by_height", "stratum_for",
+             "stratum_contains", "h_vanishes_at")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"
@@ -224,7 +237,8 @@ def test_no_retired_cone_api_in_src():
     assert not hasattr(dfan.cones.RelOpenCone, "make")
     assert dfan.cones.RelOpenCone.__slots__ == ("dim", "equalities", "strict")
     assert [f.name for f in dataclasses.fields(dfan.orders.Weight)] == ["ivec", "den"]
-    assert "base" not in {f.name for f in dataclasses.fields(OrderSpec)}
+    assert [f.name for f in dataclasses.fields(OrderSpec)] == ["n", "xprio", "weights"]
+    assert list(inspect.signature(ParamIdeal).parameters) == ["ring", "generators"]
     orders = (Path(dfan.__file__).parent / "orders.py").read_text()
     assert "from .operators" not in orders
 

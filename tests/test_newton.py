@@ -13,7 +13,7 @@ from dfan.errors import ZeroOperator
 from dfan.fan import enumerate_fan, fan_of_ideal, grid_weights
 from dfan.newton import (_conv_redundant, face_of, face_of_sum, in_wstar,
                          minkowski_sum_by_hull, newton, normal_cone,
-                         vertex_set, wstar_rays)
+                         vertex_set)
 from dfan.orders import Weight
 from dfan.parsing import parse_problem
 
@@ -27,8 +27,8 @@ def dot(w, vec):
 
 def wstar_generators(n):
     """The 2n generators of W* in Z^{2n+1}, written out: e_i (1 in the x_i
-    slot), then e'_i (-1 in the x_i and dx_i slots).  The oracle of
-    `wstar_rays`, which reads them off the forms of W."""
+    slot), then e'_i (-1 in the x_i and dx_i slots): the forms of W
+    negated, with a z-slot of 0."""
     rays = []
     for i in range(n):
         r = [0] * (2 * n + 1)
@@ -48,21 +48,13 @@ def face_rays(n, w):
     return tuple(r for r in wstar_generators(n) if dot(w, r) == 0)
 
 
-def test_wstar_rays_shape():
-    rays = wstar_rays(2)
-    assert len(rays) == 4
-    assert (1, 0, 0, 0, 0) in rays and (-1, 0, -1, 0, 0) in rays
-    for r in rays:
-        assert in_wstar(2, r)
-    for n in range(1, 5):
-        assert wstar_rays(n) == wstar_generators(n)
-
-
 def test_wstar_membership_closed_form():
     assert in_wstar(1, (5, -2, 0))       # 5e1 + 2e'1... check: (5,-2): a-c=5? c=2,a=7 ok
     assert not in_wstar(1, (0, 1, 0))    # positive dx slot
     assert not in_wstar(1, (-1, 0, 0))   # alpha below the dx slot
     assert not in_wstar(1, (0, 0, 1))    # z slot must vanish
+    for n in range(1, 5):
+        assert all(in_wstar(n, r) for r in wstar_generators(n))
 
 
 def test_w_wstar_duality_random(rng):

@@ -157,7 +157,7 @@ def test_str_roundtrip_through_parser():
 
 _Y = ParamPoly.var(1, 0)
 KERNEL_FIELDS = (QQ_FIELD, ParamField(1),
-                 ParamField(1, ParamIdeal(1, [_Y * _Y - 2], claimed_prime=True)))
+                 ParamField(1, ParamIdeal(1, [_Y * _Y - 2])))
 
 
 @st.composite

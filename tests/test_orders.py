@@ -83,7 +83,7 @@ def test_homogenized_order_compares_level_first(rng):
 
 
 def test_weight_refinement_changes_leader():
-    order = OrderSpec(1, homogenized=False)
+    order = OrderSpec(1)
     p = qop(1, {((0,), (1,), 0): 1, ((2,), (1,), 0): 1})   # dx1 + x1^2 dx1
     assert leading_data(p, order)[0] == exponent(1, beta=[1])
     w = Weight.make((-1,), (1,))
@@ -107,7 +107,7 @@ def test_xprio_controls_lex_tiebreak():
 def test_leading_data_and_mod_q():
     from dfan.operators import HOperator
     y = ParamPoly.var(1, 0)
-    Q = ParamIdeal(1, [y], claimed_prime=True)
+    Q = ParamIdeal(1, [y])
     F = ParamField(1)  # q = (0): the y-coefficient stays visible
     order = OrderSpec(1)
     # y*dx1 + x1: the dx1 term leads over Frac(C) and vanishes modulo Q
@@ -218,9 +218,9 @@ def test_w_forms_state_in_w_and_activity(vec):
 
 @st.composite
 def _order_and_exponents(draw):
-    """An order on n in {1, 2, 3} variables (either homogenization, any
-    xprio, 0-2 admissible refinement weights with fractional entries) and a
-    few small exponents, so that weight values often tie."""
+    """An order on n in {1, 2, 3} variables (any xprio, 0-2 admissible
+    refinement weights with fractional entries) and a few small exponents,
+    so that weight values often tie."""
     n = draw(st.integers(min_value=1, max_value=3))
     small = st.integers(min_value=0, max_value=3)
     weights = []
@@ -229,7 +229,7 @@ def _order_and_exponents(draw):
         v = [Fraction(draw(small), draw(st.integers(1, 6))) - a for a in u]
         weights.append(Weight.make(u, v))
     order = OrderSpec(n, xprio=tuple(draw(st.permutations(range(n)))),
-                      weights=tuple(weights), homogenized=draw(st.booleans()))
+                      weights=tuple(weights))
     vec = st.lists(small, min_size=n, max_size=n).map(tuple)
     exps = draw(st.lists(st.builds(Exponent, vec, vec, small),
                          min_size=2, max_size=8))
@@ -250,6 +250,35 @@ def test_integer_key_matches_compare(args):
             assert (ka > kb) - (ka < kb) == compare_by_rules(order, a, b)
     assert (sorted(exps, key=key)
             == sorted(exps, key=cmp_to_key(partial(compare_by_rules, order))))
+
+
+@st.composite
+def _z_free_exponents(draw):
+    """n in {1, 2, 3}, an xprio, and a list of exponents with k = 0, as
+    every exponent of the z = 1 quotient has."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    vec = st.lists(st.integers(min_value=0, max_value=3),
+                   min_size=n, max_size=n).map(tuple)
+    exps = draw(st.lists(st.builds(Exponent, vec, vec, st.just(0)),
+                         min_size=2, max_size=10))
+    return n, tuple(draw(st.permutations(range(n)))), exps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_z_free_exponents())
+def test_level_is_the_dx_degree_weight_on_z_free_exponents(args):
+    """With k = 0 the level |beta| + k is the dx-degree, the value of the
+    weight (0, 1): the plain order and the order refined by that weight
+    sort every list of z-free exponents the same way, so the z = 1
+    completion needs no order of its own."""
+    n, xprio, exps = args
+    plain = OrderSpec(n, xprio=xprio).key()
+    dx_degree = OrderSpec(n, xprio=xprio,
+                          weights=(Weight.make((0,) * n, (1,) * n),)).key()
+    assert sorted(exps, key=plain) == sorted(exps, key=dx_degree)
+    for a in exps:
+        for b in exps:
+            assert (plain(a) < plain(b)) == (dx_degree(a) < dx_degree(b))
 
 
 def test_leading_data_memo_follows_the_order():

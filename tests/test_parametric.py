@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import qop, same_cone
+from conftest import (h_vanishes_at, qop, rationals_by_height, same_cone,
+                      sample_points, stratum_contains, stratum_for)
 import dfan.newton as newton_module
 import dfan.parametric as parametric_module
 from dfan.errors import DenominatorVanishes, ZeroOperator
 from dfan.fan import enumerate_fan
 from dfan.operators import HOperator, exponent
 from dfan.orders import OrderSpec
-from dfan.params import ParamField, ParamIdeal, ParamPoly, multiplier, poly_eval
+from dfan.params import (ParamField, ParamIdeal, ParamPoly, factor_squarefree,
+                         multiplier, poly_eval, poly_primitive, poly_str)
 from dfan.parametric import (comprehensive_fan, constant_fan_certificate,
-                             newton_stability_multiplier, rationals_by_height,
-                             sample_points, specialize_ideal)
+                             newton_stability_multiplier, specialize_ideal)
 from dfan.parsing import parse_problem
 
 
@@ -33,13 +34,13 @@ def test_newton_stability_multiplier_vertex_coeffs(F1):
 
 def test_certificate_for_parametric_airy(F1):
     y = ParamPoly.var(1, 0)
-    Q = ParamIdeal(1, [], claimed_prime=True)
+    Q = ParamIdeal(1, [])
     g = _param_airy(F1, y)
     cert = constant_fan_certificate([g], Q, cap=8)
     assert cert.h == y
     assert len(cert.fan.cells) == 4
-    assert cert.stratum_contains((Fraction(2),))
-    assert not cert.stratum_contains((Fraction(0),))
+    assert stratum_contains(cert, (Fraction(2),))
+    assert not stratum_contains(cert, (Fraction(0),))
     # off V(h): specialized fans agree cellwise with the certified fan
     for y0 in ((Fraction(1),), (Fraction(-1, 2),), (Fraction(3),)):
         spec = enumerate_fan([g.specialize(y0)], cap=8)
@@ -138,7 +139,7 @@ def test_homogenization_commutes_staircase(F1):
 def test_comprehensive_fan_two_strata(F1):
     y = ParamPoly.var(1, 0)
     g = _param_airy(F1, y)
-    Q = ParamIdeal(1, [], claimed_prime=True)
+    Q = ParamIdeal(1, [])
     comp = comprehensive_fan([g], Q, cap=8)
     strata = comp.strata()
     assert len(strata) == 2
@@ -151,9 +152,33 @@ def test_comprehensive_fan_two_strata(F1):
                               Fraction(1, 3))]:
         holders = [s for s in strata
                    if all(poly_eval(p, y0) == 0 for p in s.q_ideal.gb)
-                   and not s.certificate.h_vanishes_at(y0)]
+                   and not h_vanishes_at(s.certificate, y0)]
         assert len(holders) == 1
-        assert comp.stratum_for(y0) is holders[0]
+        assert stratum_for(comp, y0) is holders[0]
+
+
+def _is_squarefree(h):
+    return poly_primitive(h.sqf_part()) == poly_primitive(h)
+
+
+def test_two_parameter_strata_are_prime_and_every_h_squarefree():
+    """With two parameters the root's h = a*b*(b - 1) opens the three prime
+    strata (a), (b) and (b - 1), where square-free factoring once opened
+    the stratum (a*b - a), which is not prime.  Each child from Q = (0) is
+    principal with an irreducible generator, and every multiplier, of a
+    stratum or of a cell, is square-free."""
+    prob = parse_problem("params: a b\nvars: x1\ncap: 8\n"
+                         "ideal: (a*b - a)*dx1^2 - b*x1*z^2 + x1*z\n")
+    comp = comprehensive_fan(prob.generators, prob.q_ideal, prob.cap)
+    root = comp.root
+    assert poly_str(root.h) == "a*b^2 - a*b"
+    children = [c.q_ideal.gb for c in root.children]
+    assert sorted(poly_str(g) for g, in children) == ["a", "b", "b - 1"]
+    for (g,) in children:
+        assert factor_squarefree(g) == [g]
+    for s in comp.strata():
+        assert _is_squarefree(s.h)
+        assert all(_is_squarefree(c.h) for c in s.certificate.fan.cells)
 
 
 def test_specialize_ideal_and_denominator_guard(F1):

@@ -70,7 +70,7 @@ def test_param_ideal_membership():
 
 def test_fraction_normalization_and_zero_test():
     y = ParamPoly.var(1, 0)
-    Q = ParamIdeal(1, [y], claimed_prime=True)
+    Q = ParamIdeal(1, [y])
     F = ParamField(1, Q)
     # numerator reduced mod Q: y/(y+1) is zero in Frac(C/(y))
     f = ParamFraction(F, y, y + 1)
@@ -86,7 +86,7 @@ def test_constant_denominators_skip_the_normal_form(monkeypatch):
     reduced, then cancelled), and the unit ideal still rejects every
     denominator."""
     y = ParamPoly.var(1, 0)
-    F = ParamField(1, ParamIdeal(1, [y * y - 2], claimed_prime=True))
+    F = ParamField(1, ParamIdeal(1, [y * y - 2]))
     calls = []
     normal_form = ParamIdeal.normal_form
     monkeypatch.setattr(ParamIdeal, "normal_form",
@@ -118,7 +118,7 @@ def test_fraction_cancellation():
 
 def test_not_prime_detection_is_lazy():
     y = ParamPoly.var(1, 0)
-    Q = ParamIdeal(1, [y * (y - 1)], claimed_prime=True)
+    Q = ParamIdeal(1, [y * (y - 1)])
     F = ParamField(1, Q)
     a = F.from_poly(y)
     b = F.from_poly(y - 1)
@@ -162,7 +162,7 @@ def test_poly_ring_axioms(a, b, c):
 def test_fraction_field_axioms_mod_q(a, b, which):
     """Field axioms in Frac(Q[y]/(y^2 - 2)) on non-degenerate inputs."""
     y = ParamPoly.var(1, 0)
-    Q = ParamIdeal(1, [y * y - 2], claimed_prime=True)
+    Q = ParamIdeal(1, [y * y - 2])
     F = ParamField(1, Q)
     try:
         fa = ParamFraction(F, a, ParamPoly.const(1, 1))
@@ -254,17 +254,13 @@ def ref_exact_div(b, a):
 
 
 def ref_factor_squarefree(p):
-    """Non-constant primitive factors in sympy's order, each once."""
+    """Non-constant primitive irreducible factors in sympy's order, each
+    once, for any number of parameters."""
     import sympy
     m = p.ring.ngens
-    if m == 1:
-        _, fs = sympy.factor_list(_to_expr(p), *_syms(1), domain="QQ")
-        fs = [f for f, _ in fs]
-    else:
-        _, fs = sympy.sqf_list(sympy.Poly(_to_expr(p), *_syms(m), domain="QQ"))
-        fs = [f.as_expr() for f, _ in fs]
+    _, fs = sympy.factor_list(_to_expr(p), *_syms(m), domain="QQ")
     out = []
-    for f in fs:
+    for f, _mult in fs:
         f = poly_primitive(_from_expr(f, m))
         if not f.is_ground and f not in out:
             out.append(f)

@@ -21,6 +21,36 @@ def test_parse_operator_arithmetic():
     assert p == expect
 
 
+def test_unary_sign_takes_the_factor_with_its_power():
+    """A unary sign negates the factor after it, power included, wherever
+    it stands: after an operator as at the start of the expression."""
+    minus_sq = qop(1, {((2,), (0,), 0): -1})
+    assert parse_operator("-x1^2", ["x1"]) == minus_sq
+    assert parse_operator("1*-x1^2", ["x1"]) == minus_sq
+    assert parse_operator("+x1^2", ["x1"]) == -minus_sq
+    assert parse_operator("x1 - -x1^2", ["x1"]) == qop(
+        1, {((1,), (0,), 0): 1, ((2,), (0,), 0): 1})
+    assert parse_operator("-x1^2*dx1", ["x1"]) == qop(1, {((2,), (1,), 0): -1})
+    assert parse_operator("(-x1)^2", ["x1"]) == -minus_sq
+    # the forms the benchmark's problem texts use
+    assert parse_operator("-1*x1 - -1", ["x1"]) == qop(
+        1, {((1,), (0,), 0): -1, ((0,), (0,), 0): 1})
+
+
+def test_deep_nesting_is_a_syntax_error():
+    """Nesting beyond the interpreter's recursion limit is reported at the
+    expression's position, not as a RecursionError."""
+    deep = "(" * 2000 + "x1" + ")" * 2000
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_problem("vars: x1\nideal: " + deep + "\n")
+    assert "nested too deeply" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (2, 8)
+    with pytest.raises(OperatorSyntaxError):
+        parse_operator("-" * 2000 + "x1", ["x1"])
+    assert parse_operator("(" * 50 + "x1" + ")" * 50, ["x1"]) == qop(
+        1, {((1,), (0,), 0): 1})
+
+
 def test_parse_operator_is_noncommutative():
     assert (parse_operator("dx1*x1", ["x1"])
             == qop(1, {((1,), (1,), 0): 1, ((0,), (0,), 1): 1}))
@@ -83,7 +113,7 @@ def test_powers_by_repeated_squaring(monkeypatch):
     assert p == HOperator.monomial(1, p.field, exponent(1, alpha=[k]))
     assert len(products) <= 2 * ceil(log2(k))
     monkeypatch.setattr(HOperator, "__mul__", mul)
-    FQ = ParamField(1, ParamIdeal(1, [ParamPoly.var(1, 0) ** 2 - 2], claimed_prime=True))
+    FQ = ParamField(1, ParamIdeal(1, [ParamPoly.var(1, 0) ** 2 - 2]))
     for text, names, params, field in (("dx1 + x1*z", ["x1"], [], None),
                                        ("x2*dx1 - 1/2*dx2*x1", ["x1", "x2"], [], None),
                                        ("y*dx1 + x1 - 1", ["x1"], ["y"], FQ)):

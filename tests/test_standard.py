@@ -4,16 +4,15 @@ import random
 from fractions import Fraction
 from functools import cache, cmp_to_key, partial
 
-from conftest import compare_by_rules, qop, random_ideal
+from conftest import compare_by_rules, qop, random_ideal, uniqueness_check
 import dfan.params as params_module
 import dfan.standard as st
 from dfan.division import divide
-from dfan.fan import t_order
 from dfan.operators import HOperator, exponent, term_product
 from dfan.orders import OrderSpec, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
 from dfan.standard import (_join, certified_standard_basis, completion,
-                           reduce_basis, spair, standard_basis, uniqueness_check)
+                           reduce_basis, spair, standard_basis)
 
 
 def test_spair_cancels_leading_terms():
@@ -83,7 +82,7 @@ def test_a_leader_above_another_elements_cap_is_kept():
     g = qop(2, {((2, 2), (1, 0), 0): 1, ((2, 2), (0, 0), 0): 1}).truncated(4)
     h = qop(2, {((0, 0), (0, 1), 0): 1}).truncated(2)
     for mul in (None, partial(term_product, z_one=True)):
-        sb = standard_basis([g, h], OrderSpec(2, homogenized=False), cap=4, mul=mul)
+        sb = standard_basis([g, h], OrderSpec(2), cap=4, mul=mul)
         assert [str(b) for b in sb.basis] == ["x1^2*x2^2*dx1", "dx2"]
         assert [b.cap for b in sb.basis] == [4, 2] and sb.tainted
 
@@ -121,7 +120,7 @@ def test_uniqueness_under_shuffles_and_scalings():
 def test_generic_basis_series_example():
     """y x2 - x1 x2 + x1 over Q[y]: the reduced generic basis is the
     geometric series x2 + sum_i x1^i / y^i and h = y."""
-    Q = ParamIdeal(1, [], claimed_prime=True)
+    Q = ParamIdeal(1, [])
     F = ParamField(1, Q)
     y = ParamPoly.var(1, 0)
     order = OrderSpec(2, xprio=(1, 0))
@@ -160,7 +159,7 @@ def test_generic_basis_specializes_off_h(F1):
 
 def test_generic_basis_collects_reduction_denominators():
     """h must cover leading coefficients met during tail reduction too."""
-    Q = ParamIdeal(1, [], claimed_prime=True)
+    Q = ParamIdeal(1, [])
     F = ParamField(1, Q)
     y = ParamPoly.var(1, 0)
     order = OrderSpec(1)
@@ -359,9 +358,9 @@ def test_chain_criterion_matches_the_oracle():
         n = rng.randint(1, 2)
         gens = random_ideal(rng, n, maxk=0, most=3)
         if gens:
-            cases.append((gens, t_order(n), rng.choice((4, 6)), z_one))
+            cases.append((gens, OrderSpec(n), rng.choice((4, 6)), z_one))
     y = ParamPoly.var(1, 0)
-    F = ParamField(1, ParamIdeal(1, [y * y - 2], claimed_prime=True))
+    F = ParamField(1, ParamIdeal(1, [y * y - 2]))
     c = F.from_poly
     cases.append(([HOperator(2, F, {exponent(2, alpha=[1], beta=[1]): c(y),
                                     exponent(2, alpha=[0, 1], beta=[0, 1]): F.one,

@@ -7,6 +7,10 @@ document (sorted keys, exact rationals as strings) on stdout.  Exit codes:
 The parser reads every operator of a problem with parameters into Frac(C/Q),
 so the verbs pass no Q of their own.  `div` keeps its `t_part` key, always
 "0", so that its JSON is unchanged.
+
+`_to_json` prints the document in one pass, byte for byte as `json.dumps(doc,
+sort_keys=True, indent=2)`, whose `indent` makes json run its pure-Python
+encoder; a list of only ints or only strings is joined in one call.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .division import divide, denominator_certificate
 from .errors import DfanError, OperatorSyntaxError
@@ -30,10 +35,6 @@ VERBS = ("div", "sb", "reduce", "gensb", "fan", "compfan", "certify",
          "oracle-fan", "specialize")
 
 
-def _rat(x):
-    return str(Fraction(x))
-
-
 def _exp_doc(e):
     return {"alpha": list(e.alpha), "beta": list(e.beta), "k": e.k}
 
@@ -43,23 +44,52 @@ def _basis_doc(basis):
 
 
 def _weight_doc(w):
-    return {"u": [_rat(a) for a in w.u], "v": [_rat(b) for b in w.v]}
+    coords = [str(Fraction(c, w.den)) for c in w.ivec]
+    return {"u": coords[:w.n], "v": coords[w.n:]}
 
 
 def _cell_doc(cell):
+    witness = _weight_doc(cell.witness)
+    u_zero, uv_zero = cell.witness.activity()
     return {
-        "cone": {**cell.cone.to_doc(),
-                 "witness": [_rat(x) for x in cell.witness.as_tuple()]},
+        "cone": {**cell.cone.to_doc(), "witness": witness["u"] + witness["v"]},
         "dim": cell.dim(),
-        "witness": _weight_doc(cell.witness),
-        "grading": {"u_zero": sorted(cell.witness.activity()[0]),
-                    "uv_zero": sorted(cell.witness.activity()[1])},
+        "witness": witness,
+        "grading": {"u_zero": sorted(u_zero), "uv_zero": sorted(uv_zero)},
         "staircase": [_exp_doc(e) for e in cell.staircase],
         "basis": _basis_doc(cell.basis),
         "face_vertices": [list(v) for v in cell.face_vertices],
         "h": poly_str(cell.h) if cell.h is not None else None,
         "tainted": cell.tainted,
     }
+
+
+def _to_json(doc, indent="\n"):
+    """json.dumps(doc, sort_keys=True, indent=2) for a doc of dicts with
+    string keys, lists, strings, ints, booleans and None; TypeError on any
+    other value."""
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None or doc is True or doc is False:
+        return "null" if doc is None else "true" if doc else "false"
+    if type(doc) is int:
+        return int.__repr__(doc)
+    inner = indent + "  "
+    if type(doc) is dict:
+        if not all(isinstance(k, str) for k in doc):
+            raise TypeError("a dfan JSON document has string keys only")
+        items = (encode_basestring_ascii(k) + ": " + _to_json(doc[k], inner)
+                 for k in sorted(doc))
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if doc else "{}"
+    if type(doc) is list:
+        if all(type(x) is int for x in doc):
+            items = map(int.__repr__, doc)
+        elif all(type(x) is str for x in doc):
+            items = map(encode_basestring_ascii, doc)
+        else:
+            items = (_to_json(x, inner) for x in doc)
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if doc else "[]"
+    raise TypeError(f"{type(doc).__name__} is not part of a dfan JSON document")
 
 
 def _fraction(text, flag):
@@ -189,7 +219,7 @@ def run_command(verb, problem, args):
         except KeyError as exc:
             raise OperatorSyntaxError(f"missing value for parameter {exc}")
         spec = specialize_ideal(problem.generators, y0)
-        return {"at": {p: _rat(assign[p]) for p in problem.params},
+        return {"at": {p: str(assign[p]) for p in problem.params},
                 "ideal": _basis_doc(spec)}
 
     raise OperatorSyntaxError(f"unknown verb {verb!r}")
@@ -233,7 +263,7 @@ def main(argv=None):
     except DfanError as exc:
         print(f"dfan: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(_to_json(doc))
     return 0
 
 

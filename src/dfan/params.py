@@ -8,6 +8,12 @@ Frac(C/q).  The plain fraction field of C is the q = (0) case.  Frac(C/q) is
 a field only for a prime q: a product of two nonzero elements that falls
 into q raises `NotPrime`.
 
+Reduction modulo a Groebner basis is unique and QQ-linear, so an ideal
+reduces each monomial once, into its `nf_table`.  Arithmetic skips a
+renormalization only where the full one gives the same (num, den): -num is
+reduced and prime to den when num is, a product with 1/1 is the other
+operand, and a fraction over 1 has nothing to cancel.
+
 A parameter polynomial is an element of sympy's sparse `PolyRing` over QQ
 with grevlex order, built by `param_ring`; its arithmetic, Groebner bases,
 remainders, gcds and factoring are the ring's own.  The parameter names are
@@ -64,7 +70,8 @@ def poly_str(f):
         return "0"
     names = [str(s) for s in f.ring.symbols]
     parts = []
-    for e, c in f.terms():
+    # one term needs no grevlex sort
+    for e, c in f.items() if len(f) == 1 else f.terms():
         mono = "*".join(name + (f"^{p}" if p > 1 else "")
                         for name, p in zip(names, e) if p)
         if not mono:
@@ -119,6 +126,9 @@ def factor_squarefree(p):
     """
     if p.is_ground:
         return []
+    used = [i for i, k in enumerate(next(iter(p))) if k] if len(p) == 1 else ()
+    if len(used) == 1:  # c*y_i^k; sympy orders the factors of a*b its own way
+        return [p.ring.gens[used[0]]]
     _, factors = p.factor_list()
     return list(dict.fromkeys(poly_primitive(f) for f, _mult in factors
                               if not f.is_ground))
@@ -162,7 +172,7 @@ class ParamIdeal:
     are scaled, so `normal_form` divides by `gb` as it is.
     """
 
-    __slots__ = ("ring", "generators", "gb")
+    __slots__ = ("ring", "generators", "gb", "nf_table")
 
     def __init__(self, ring, generators):
         self.ring = R = param_ring(ring)
@@ -181,6 +191,7 @@ class ParamIdeal:
             if any(g.is_ground for g in gb):
                 gb = [R.one]
         self.gb = [poly_primitive(g) for g in gb]
+        self.nf_table = {}
 
     @classmethod
     def zero(cls, ring):
@@ -193,10 +204,30 @@ class ParamIdeal:
         return len(self.gb) == 1 and self.gb[0].is_ground
 
     def normal_form(self, p):
-        """Remainder of p on division by the reduced GB."""
+        """Remainder of p on division by the reduced GB: the QQ-linear
+        combination of its monomials' entries in `nf_table`, each the
+        monomial's normal form, or the monomial (a tuple) when no leading
+        monomial of `gb` divides it.  p itself when no monomial reduces."""
         if not p or not self.gb:
             return p
-        return p.rem(self.gb)
+        R, gb, table, r = self.ring, self.gb, self.nf_table, None
+        for m in p:
+            f = table.get(m)
+            if f is None:
+                f = table[m] = (m if all(R.monomial_div(m, g.LM) is None for g in gb)
+                                else R.term_new(m, R.domain.one).rem(gb))
+            if f.__class__ is tuple:
+                continue
+            r = p.copy() if r is None else r
+            c = r.pop(m)
+            # f's monomials are normal, so none of them is popped later
+            for fm, fc in f.items():
+                v = r.get(fm, R.domain.zero) + c * fc
+                if v:
+                    r[fm] = v
+                else:
+                    del r[fm]
+        return p if r is None else r
 
     def contains(self, p):
         return not self.normal_form(p)
@@ -436,7 +467,7 @@ class ParamFraction:
         return self.field.q.contains(diff)
 
     def __neg__(self):
-        return ParamFraction(self.field, -self.num, self.den)
+        return ParamFraction.normalized(self.field, -self.num, self.den)
 
     def _coerce(self, other):
         if isinstance(other, ParamFraction):
@@ -461,6 +492,11 @@ class ParamFraction:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if self.field is other.field:
+            if self.num.is_one and self.den.is_one:
+                return other
+            if other.num.is_one and other.den.is_one:
+                return self
         r = ParamFraction(self.field, self.num * other.num, self.den * other.den)
         # nonzero factors with a zero product: q is not prime (C is a
         # domain, so this never happens for q = (0))
@@ -505,6 +541,8 @@ class ParamFraction:
 
 def _cancel(num, den):
     """Cancel common factors; normalize den primitive with positive lc."""
+    if den.is_one:
+        return num, den
     R = den.ring
     # monomial fast path for the denominator
     if len(den) == 1:

@@ -1,8 +1,10 @@
 """The dfan command line: verbs, exit codes, and deterministic output."""
 
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 SERIES = """params: y
 vars: x1 x2
@@ -273,3 +275,40 @@ def test_bad_names_are_usage_errors():
                  "'dx1' is the dx-partner of variable 'x1'", "line 1, column 10")
     _usage_error(run_cli(["reduce"], "params: y.\nvars: x1\nideal: x1\n"),
                  "'y.' is not a name", "line 1, column 9")
+
+
+SERIES_I = """params: y
+vars: x1 x2
+order: antigraded_lex x2 > x1
+cap: 3
+qideal: y^2 + 1
+ideal: y*x2 - x1*x2 + x1
+dividend: dx1*x2
+"""
+
+
+def test_div_reduces_each_monomial_once(monkeypatch, capsys):
+    """Normal forms modulo y^2 + 1 come from the ideal's monomial table:
+    `div` calls sympy's `rem` once per reducible monomial it meets (33),
+    not once per coefficient it builds (310 by the whole-basis route)."""
+    from sympy.polys.rings import PolyElement
+    from dfan import cli
+    calls = []
+    rem = PolyElement.rem
+    monkeypatch.setattr(PolyElement, "rem",
+                        lambda self, G: calls.append(self) or rem(self, G))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(SERIES_I))
+    assert cli.main(["div", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["remainder"]
+    assert len(calls) <= 40
+
+
+def test_weight_doc_matches_the_fraction_route():
+    """A weight's coordinates print from its integer vector as the
+    Fractions of `Weight.u` and `Weight.v` print."""
+    from dfan.cli import _weight_doc
+    from dfan.orders import Weight
+    for u, v in (((0, 1), (2, -3)), ((Fraction(1, 2), Fraction(-3, 4)), (1, 0)),
+                 ((Fraction(2, 6),), (Fraction(-4, 3),)), ((0,), (0,))):
+        w = Weight.make(u, v)
+        assert _weight_doc(w) == {"u": [str(a) for a in w.u], "v": [str(b) for b in w.v]}

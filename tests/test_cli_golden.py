@@ -1,6 +1,8 @@
 """Golden CLI output: every verb on a fixed set of problems over QQ and over
 parameter fields must print exactly the stdout (sha256) and exit code stored
-in tests/data/cli_golden.json.
+in tests/data/cli_golden.json.  The CLI's JSON printer must print each of
+these documents, and any other document of its value types, exactly as
+`json.dumps(doc, sort_keys=True, indent=2)` does.
 
 Re-record (only for an intended output change, named in CHANGES.md) with
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -12,11 +14,15 @@ import io
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfan import cli
+from dfan.errors import DfanError
+from dfan.parsing import parse_problem
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -98,6 +104,48 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("problem,verb", cases())
 def test_cli_output_matches_golden(golden, problem, verb):
     assert record(problem, verb) == golden[f"{problem}|{verb}"]
+
+
+def doc_of(problem, verb):
+    """The JSON document `run_command` returns for the case, or None where
+    the case exits with an error."""
+    args = cli.build_parser().parse_args(argv(problem, verb) + ["-"])
+    try:
+        return cli.run_command(verb, parse_problem(PROBLEMS[problem]), args)
+    except DfanError:
+        return None
+
+
+@pytest.mark.parametrize("problem,verb", cases())
+def test_printer_matches_json_dumps_on_golden_docs(problem, verb):
+    doc = doc_of(problem, verb)
+    assert cli._to_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+json_scalars = (st.none() | st.booleans() | st.sampled_from([0, 1, -1])
+                | st.integers() | st.text())
+json_docs = st.recursive(
+    json_scalars,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(st.integers(), max_size=4)
+                  | st.lists(st.text(), max_size=4)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_docs)
+def test_printer_matches_json_dumps(doc):
+    """Nested and empty containers, non-ASCII and escaped characters, and
+    True/False beside 1/0 print as json prints them."""
+    assert cli._to_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, Fraction(1, 2), (1, 2), {1, 2}, {1: "a"},
+                                 b"x", {"a": [1, 2.0]}, [["x", object()]]])
+def test_printer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._to_json(doc)
 
 
 if __name__ == "__main__":

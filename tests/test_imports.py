@@ -1,8 +1,9 @@
 """Lint: every name a dfan module or a test imports is used there, no module
 keeps mutable state at its top level, every error class is raised, the
 retired mod-Q route and cone API stay gone, the hot LP, the elimination and
-the traversal's weight tests stay fraction-free, and each submodule is
-reachable under its own name."""
+the traversal's weight tests stay fraction-free, each submodule is
+reachable under its own name, the CLI prints without `json.dumps(indent=)`
+and sympy's `rem` runs only in a normal form or a divisibility test."""
 
 import ast
 import dataclasses
@@ -307,3 +308,65 @@ def test_submodules_are_not_shadowed():
     re-exports under the same name."""
     assert isinstance(dfan.newton, types.ModuleType)
     assert callable(dfan.newton.newton)
+
+
+def calls_outside(source, attr, allowed):
+    """(line, function) of each call of the attribute attr in source that
+    no function named in allowed ("name" or "Class.name") makes, nested
+    functions included; "<module>" where the call is at the top level."""
+    found = []
+
+    def visit(node, cls, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name + ".", func)
+            elif isinstance(child, ast.FunctionDef) and func is None:
+                visit(child, cls, cls + child.name)
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == attr and func not in allowed):
+                    found.append((child.lineno, func or "<module>"))
+                visit(child, cls, func)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def indented_dumps(source):
+    """Lines of the `json.dumps` (or bare `dumps`) calls in source that
+    pass `indent`."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call)
+            and (n.func.attr if isinstance(n.func, ast.Attribute)
+                 else getattr(n.func, "id", None)) == "dumps"
+            and any(k.arg == "indent" for k in n.keywords)]
+
+
+def test_call_lints_detect_and_ignore():
+    src = ("import json\nx = p.rem(g)\n"
+           "def poly_divides(a, b):\n    return b.rem(a)\n"
+           "class K:\n    def normal_form(self, p):\n"
+           "        def inner(q):\n            return q.rem(self.gb)\n"
+           "        return p.rem(self.gb)\n"
+           "    def other(self, p):\n        return p.rem(self.gb)\n"
+           "def f(doc):\n    json.dumps(doc, sort_keys=True)\n"
+           "    return json.dumps(doc, indent=2), dumps(doc, indent=1)\n")
+    allowed = ("K.normal_form", "poly_divides")
+    assert calls_outside(src, "rem", allowed) == [(2, "<module>"), (11, "K.other")]
+    assert indented_dumps(src) == [14, 14]
+
+
+def test_output_and_normal_forms_take_their_fast_routes():
+    """The CLI prints with its one-pass printer, not `json.dumps` with
+    `indent` (which runs json's pure-Python encoder), and sympy's `rem`
+    runs only where a normal form or a divisibility test needs it, so that
+    every coefficient reduces through the ideal's monomial table."""
+    found = []
+    for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        found += [f"{path.name}:{line}: json.dumps with indent"
+                  for line in indented_dumps(source)]
+        found += [f"{path.name}:{line}: .rem( in {where}" for line, where in
+                  calls_outside(source, "rem", ("ParamIdeal.normal_form",
+                                                "poly_divides"))]
+    assert not found, "\n".join(found)

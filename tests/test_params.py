@@ -11,7 +11,7 @@ import dfan
 from dfan.errors import DenominatorVanishes, DivisionByZeroModQ, NotPrime
 from dfan.params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
                          _cancel, factor_squarefree, multiplier, param_ring,
-                         poly_divides, poly_eval, poly_primitive)
+                         poly_divides, poly_eval, poly_primitive, poly_str)
 
 
 def test_poly_arithmetic_basics():
@@ -412,3 +412,150 @@ def test_foreign_ring_polynomial_is_rejected():
     with pytest.raises(ValueError, match="parameter ring mismatch"):
         ParamFraction(ParamField(1), param_ring(["a"]).gens[0], ParamField(1).ring.one)
     assert F.from_poly(param_ring(1).gens[0]) == F.coerce(ParamPoly.var(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the normalization fast paths.  The oracles are the
+# routes they replaced: sympy's `rem` by the whole basis for a normal form,
+# the full constructor for negation and products with one, the general
+# `_cancel` for a denominator 1, sympy's `factor_list` for a one-term
+# polynomial and the grevlex-sorted `terms()` for printing one term.
+# ---------------------------------------------------------------------------
+
+def ref_cancel(num, den):
+    """`_cancel` without its den = 1 return."""
+    R = den.ring
+    if len(den) == 1:
+        (de, dc), = den.items()
+        shift = de
+        for e in num:
+            shift = R.monomial_gcd(shift, e)
+            if not any(shift):
+                break
+        if any(shift):
+            num = num.new([(R.monomial_ldiv(e, shift), c) for e, c in num.items()])
+            de = R.monomial_ldiv(de, shift)
+        return num.quo_ground(dc), R.term_new(de, R.domain.one)
+    _, num, den = num.cofactors(den)
+    cont, den = den.primitive()
+    if den.LC < 0:
+        cont, den = -cont, -den
+    return num.quo_ground(cont), den
+
+
+def ref_normalized(field, num, den):
+    """(num, den) as the constructor normalizes them, with the whole-basis
+    remainder and `ref_cancel`."""
+    num = num.rem(field.q.gb) if num and field.q.gb else num
+    return (num, field.ring.one) if not num else ref_cancel(num, den)
+
+
+def _ideals(m):
+    """(0), a principal, a two-generator and the unit ideal of m parameters,
+    built once, so that their monomial tables fill across examples."""
+    y = [_y(m, i) for i in range(m)]
+    gens = ([], [y[0] ** 2 + 1], [y[0] ** 3 - 2 * y[0], y[0] ** 2 - 2],
+            [ParamPoly.const(m, 3)])
+    if m == 2:
+        gens = ([], [y[0] * y[1] - y[1] ** 2 - 2],
+                [y[0] ** 2 - 2, y[1] ** 2 - y[0]], [y[0] - 1, y[0] + 1])
+    return tuple(ParamIdeal(m, g) for g in gens)
+
+
+IDEALS = {1: _ideals(1), 2: _ideals(2)}
+FIELDS = {m: tuple(ParamField(m, Q) for Q in IDEALS[m] if not Q.is_unit_ideal())
+          for m in IDEALS}
+
+
+@settings(max_examples=80, deadline=None)
+@given(m_and_polys, st.integers(min_value=0, max_value=3))
+def test_monomial_table_matches_rem(args, qi):
+    m, a, b, c = args
+    Q = IDEALS[m][qi]
+    for p in (a, b, c, a * b + c, a * b * c):
+        assert Q.normal_form(p) == (p.rem(Q.gb) if Q.gb else p)
+    R, one = Q.ring, Q.ring.domain.one
+    for mono, form in Q.nf_table.items():
+        term = R.term_new(mono, one)
+        normal = all(R.monomial_div(mono, g.LM) is None for g in Q.gb)
+        assert isinstance(form, tuple) == normal
+        assert (term if normal else form) == term.rem(Q.gb)
+        assert not normal or form == mono
+
+
+@settings(max_examples=80, deadline=None)
+@given(m_and_polys, st.integers(min_value=0, max_value=2))
+def test_fraction_fast_paths_give_the_constructor_representative(args, fi):
+    m, a, b, c = args
+    F = FIELDS[m][fi]
+    R = F.ring
+    try:
+        f = ParamFraction(F, a, b)
+        g = ParamFraction(F, c, R.one)
+    except DivisionByZeroModQ:
+        return
+    assert (f.num, f.den) == ref_normalized(F, a, b)
+    assert (g.num, g.den) == ref_normalized(F, c, R.one)
+    assert _cancel(a, R.one) == ref_cancel(a, R.one)
+    for x in (f, g):
+        neg = -x
+        ref = ParamFraction(F, -x.num, x.den)
+        assert neg.field is F and (neg.num, neg.den) == (ref.num, ref.den)
+        ref = ParamFraction(F, x.num * F.one.num, x.den * F.one.den)
+        for prod in (x * F.one, F.one * x, x * 1, 1 * x):
+            assert prod.field is F and (prod.num, prod.den) == (ref.num, ref.den)
+    # the one of another field object over an equal Q: the full route, in
+    # the left operand's field
+    G = ParamField(R, ParamIdeal(R, F.q.generators))
+    assert G == F and G is not F
+    for left, right in ((f, G.one), (G.one, f)):
+        prod = left * right
+        ref = ParamFraction(left.field, left.num * right.num, left.den * right.den)
+        assert prod.field is left.field and (prod.num, prod.den) == (ref.num, ref.den)
+
+
+def sympy_factor_squarefree(p):
+    """`factor_squarefree` without its one-term return."""
+    if p.is_ground:
+        return []
+    _, factors = p.factor_list()
+    return list(dict.fromkeys(poly_primitive(f) for f, _mult in factors
+                              if not f.is_ground))
+
+
+def ref_poly_str(f):
+    """`poly_str` over the grevlex-sorted terms, also for one term."""
+    if not f:
+        return "0"
+    names = [str(s) for s in f.ring.symbols]
+    parts = []
+    for e, c in f.terms():
+        mono = "*".join(name + (f"^{p}" if p > 1 else "")
+                        for name, p in zip(names, e) if p)
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append("-" + mono)
+        else:
+            parts.append(f"{c}*{mono}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+one_term = st.integers(min_value=0, max_value=3).flatmap(
+    lambda m: st.tuples(st.tuples(*[st.integers(min_value=0, max_value=4)] * m),
+                        small_rats.filter(bool)).map(
+        lambda ec: param_ring(m)({ec[0]: ec[1]})))
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_term, m_and_polys)
+def test_one_term_fast_paths_match_sympy(term, args):
+    _m, a, b, _c = args
+    for p in (term, a, b, a * b):
+        assert factor_squarefree(p) == sympy_factor_squarefree(p)
+        assert poly_str(p) == ref_poly_str(p)

@@ -2,7 +2,8 @@
 operators with parametric coefficients, in exact rational arithmetic."""
 
 from .errors import (DenominatorVanishes, DepthExceeded, DfanError,
-                     DivisionByZeroModQ, NonConvergentTraversal, NotAdmissible,
+                     DivisionByZeroModQ, ExponentOverflow,
+                     NonConvergentTraversal, NotAdmissible,
                      NotPrime, OperatorSyntaxError, UnknownName, ZeroDivisor,
                      ZeroOperator)
 from .params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
@@ -12,7 +13,7 @@ from .orders import OrderSpec, Weight, leading_data
 from .cones import RelOpenCone, solve
 from .newton import (NewtonPolyhedron, face_of, face_of_sum, in_wstar,
                      normal_cone, vertex_set)
-from .division import DivisionResult, denominator_certificate, divide, partition
+from .division import DivisionResult, denominator_certificate, divide
 from .standard import (StandardBasis, certified_standard_basis, reduce_basis,
                        spair, standard_basis)
 from .fan import (FanCell, GroebnerFan, cell_at, enumerate_fan, fan_of_ideal,

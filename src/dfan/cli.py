@@ -11,6 +11,10 @@ so the verbs pass no Q of their own.  `div` keeps its `t_part` key, always
 `_to_json` prints the document in one pass, byte for byte as `json.dumps(doc,
 sort_keys=True, indent=2)`, whose `indent` makes json run its pure-Python
 encoder; a list of only ints or only strings is joined in one call.
+
+`build_parser` builds the argument parser on its first call and returns the
+same one afterwards, so an in-process caller of `main` does not rebuild it
+per call; parsing arguments reads the parser and changes nothing in it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .division import divide, denominator_certificate
@@ -225,6 +230,7 @@ def run_command(verb, problem, args):
     raise OperatorSyntaxError(f"unknown verb {verb!r}")
 
 
+@cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="dfan",

@@ -1,4 +1,4 @@
-"""Formal division in the homogenized ring (or, through `mul`, in its z = 1
+"""Formal division in the homogenized ring (or, with z_one, in its z = 1
 quotient).
 
 The classical process: repeatedly pick the largest unresolved term, reduce it
@@ -11,7 +11,17 @@ division modulo Q is plain division there.  Truncation: the requested
 x-degree cap is padded internally by a guard band (max (dx,z)-degree +
 GUARD_SLACK), which makes the reported window exact; quotients keep the
 padded cap, the remainder is truncated back.  A step subtracts the bare
-terms of `operators.term_product`; quotient operators are built on demand.
+terms of the packed product `operators._product`; quotient operators are
+built on demand.
+
+The loop runs on packed exponents (`operators.Codec`), in the codec of the
+order (`OrderSpec.codec`) wide enough for the padded cap and the largest
+level and field of the operands: every term the loop keeps has x-degree at
+most the padded cap and level at most the dividend's, since the order
+compares the level first.  Without a cap the x-degree has no bound known
+in advance, so a division whose terms outgrow the width starts again in a
+codec twice as wide.  Exponents are unpacked into the remainder's terms,
+and into the quotients when they are first read.
 
 Over QQ the loop is fraction-free: the working terms are integers W over
 one denominator D, and each divisor enters as its cleared form (integer
@@ -26,40 +36,26 @@ of plain division, step for step.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .errors import LeadingTermNotCancelled, ZeroDivisor
-from .operators import HOperator, term_product
-from .orders import leading_data
+from .errors import ExponentOverflow, LeadingTermNotCancelled, ZeroDivisor
+from .operators import Codec, HOperator, _product, _z_one
+from .orders import leading_data, packed_leader
 from .params import ParamFraction, poly_divides, poly_primitive
 
 GUARD_SLACK = 4
-
-
-def partition(divisor_exps):
-    """Delta classifier: e -> least j with e in exp_j + N^{2n+1}, else None."""
-    vecs = [e.vec() for e in divisor_exps]
-
-    def classify(e):
-        v = e.vec()
-        for j, vj in enumerate(vecs):
-            if all(map(operator.ge, v, vj)):
-                return j
-        return None
-
-    return classify
 
 
 @dataclass
 class DivisionResult:
     """One division.  `quotients` builds an operator per divisor from the
     raw `quotient_steps` when it is first read: a step (j, exponent, t, D)
-    adds t * L_j / D to quotient j at that exponent, where L_j is the
-    common denominator of divisor j's cleared form (`divisor_dens`)."""
+    adds t * L_j / D to quotient j at that exponent, packed by `codec`,
+    where L_j is the common denominator of divisor j's cleared form
+    (`divisor_dens`)."""
 
     remainder: HOperator
     denom_powers: dict
@@ -68,54 +64,61 @@ class DivisionResult:
     divisor_dens: list
     quotient_cap: object
     quotient_tainted: bool
+    codec: object
 
     @cached_property
     def quotients(self):
         R = self.remainder
         field = R.field
+        unpack = self.codec.unpack
         out = [dict() for _ in self.divisor_dens]
-        for j, qe, t, d in self.quotient_steps:
+        for j, qp, t, d in self.quotient_steps:
             L = self.divisor_dens[j]
             q = out[j]
+            qe = unpack(qp)
             q[qe] = q.get(qe, field.zero) + field.ratio(t * L if L != 1 else t, d)
         return [HOperator(R.n, field, q, cap=self.quotient_cap,
                           tainted=self.quotient_tainted) for q in out]
 
-def divide(P, G, ord_spec, mul=None):
-    """Divide P by the list G.  mul(e, c, g, cap) -> (terms, discarded) is
-    the term product, `term_product` (homogenized) when None; g is a
-    divisor's `cleared()` form."""
-    mul = mul or term_product
-    field = P.field
-    n = P.n
-    if any(g.is_zero() for g in G):
-        raise ZeroDivisor("zero divisor in division")
-    lead = [leading_data(g, ord_spec)[0] for g in G]
-    forms = [g.cleared() for g in G]
-    # the leading numerator depends on the order, so it is looked up here
-    lnum = [f.terms[e] for f, e in zip(forms, lead)]
-    classify = partition(lead)
 
-    caps = [p.cap for p in [P] + list(G) if p.cap is not None]
+def divide(P, G, ord_spec, z_one=False):
+    """Divide P by the list G, in the z = 1 quotient when z_one (every
+    operator z-free)."""
+    if not all(g.terms for g in G):
+        raise ZeroDivisor("zero divisor in division")
+    ops = [P, *G]
+    caps = [g.cap for g in ops if g.cap is not None]
     cap = min(caps) if caps else None
-    if cap is None:
-        internal = None
-    else:
-        internal = cap + max(g.top_level for g in [P, *G]) + GUARD_SLACK
+    degrees = [g.degrees() for g in ops]
+    level, xdeg = map(max, zip(*degrees))
+    internal = None if cap is None else cap + level + GUARD_SLACK
+    bound = max(internal or 0, level, xdeg)
+    while True:
+        codec = ord_spec.codec(bound, Codec.for_bound)
+        try:
+            return _divide(P, G, ord_spec, z_one, codec, cap, internal)
+        except ExponentOverflow:
+            if cap is not None:
+                raise
+            bound = (codec.top + 1) ** 2
+
+
+def _divide(P, G, ord_spec, z_one, codec, cap, internal):
+    field = P.field
+    # the leading numerator depends on the order, so it comes with the leader
+    leaders = [packed_leader(g, ord_spec, codec) for g in G]
+    plead = [p for p, _ in leaders]
+    rows = [g.packed(codec) for g in G]
     # a tainted divisor is known only up to its own cap
     gcaps = [min(g.cap, internal) if g.tainted and g.cap is not None else internal
              for g in G]
 
     tainted = P.tainted or any(g.tainted for g in G)
-    start = P.cleared()
-    working, D = dict(start.terms), start.den  # the terms are working[e] / D
-    key = ord_spec.key()
+    working = {r[0]: r[1] for r in P.packed(codec)}  # the terms are working[p] / D
+    D = P.cleared().den
+    heap_key, unpack, guard = ord_spec.heap_key(codec), codec.unpack, codec.guard
     cofactors, ratio = field.cofactors, field.ratio
-
-    def entry(e):
-        return tuple(map(operator.neg, key(e))), e
-
-    heap = [entry(e) for e in working]
+    heap = [(heap_key(p), p) for p in working]
     heapify(heap)
     steps = []
     remainder = {}
@@ -126,22 +129,29 @@ def divide(P, G, ord_spec, mul=None):
         c = working.pop(e, None)
         if c is None:
             continue  # cancelled since it was pushed
-        j = classify(e)
-        if j is None:
+        # the least j whose leading exponent e dominates
+        eg = e | guard
+        for j, l in enumerate(plead):
+            if (eg - l) & guard == guard:
+                break
+        else:
             remainder[e] = c, D
             continue
         # s*c == t*l: scale the working terms by s, then subtract
         # t * x^qe * (divisor j's cleared form)
-        s, t = cofactors(c, lnum[j])
+        s, t = cofactors(c, leaders[j][1])
         if s != 1:
             working = {te: v * s for te, v in working.items()}
             c *= s
             D *= s
-        qe = e - lead[j]
+        qe = e - plead[j]
         steps.append((j, qe, t, D))
         denom_powers[j] += 1
-        prod, discarded = mul(qe, t, forms[j], gcaps[j])
-        tainted = tainted or discarded
+        prod = {}
+        if _product(prod, qe, t, rows[j], gcaps[j], codec):
+            tainted = True
+        if z_one:
+            prod = _z_one(prod, codec)
         for te, tc in prod.items():
             if te == e:
                 continue  # leading term cancels exactly
@@ -152,7 +162,7 @@ def divide(P, G, ord_spec, mul=None):
                 else:
                     del working[te]
             elif tc:
-                heappush(heap, entry(te))
+                heappush(heap, (heap_key(te), te))
                 working[te] = -tc
         # exact cancellation of the leading term; with a tainted divisor the
         # product can lose it to the divisor's cap when e sits in the guard
@@ -161,19 +171,21 @@ def divide(P, G, ord_spec, mul=None):
         if got != c:
             if got is not None:
                 raise LeadingTermNotCancelled(
-                    f"term {e}: divisor product has {ratio(got, D)}, "
+                    f"term {unpack(e)}: divisor product has {ratio(got, D)}, "
                     f"expected {ratio(c, D)}")
             tainted = True
 
     quotient_tainted = tainted
-    R = HOperator(n, field, {e: ratio(v, d) for e, (v, d) in remainder.items()},
+    R = HOperator(P.n, field,
+                  {unpack(e): ratio(v, d) for e, (v, d) in remainder.items()},
                   cap=internal, tainted=tainted)
     if cap is not None:
         R = R.truncated(cap)
         tainted = tainted or R.tainted
         R.tainted = tainted
     return DivisionResult(R, denom_powers, tainted, steps,
-                          [f.den for f in forms], internal, quotient_tainted)
+                          [g.cleared().den for g in G], internal, quotient_tainted,
+                          codec)
 
 
 def denominator_certificate(res, G, ord_spec):

@@ -27,6 +27,10 @@ class LeadingTermNotCancelled(DfanError):
     was meant to cancel."""
 
 
+class ExponentOverflow(DfanError):
+    """An exponent field does not fit the width of its packed form."""
+
+
 class NotAdmissible(DfanError):
     """A weight vector violates u_i <= 0 or u_i + v_i >= 0."""
 

@@ -81,13 +81,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product as iproduct
 
 from .cones import form_rank
 from .errors import NonConvergentTraversal, ZeroOperator
 from .newton import face_of, face_of_sum, minkowski_sum_by_hull, newton, normal_cone
-from .operators import homogenize, term_product
+from .operators import homogenize
 from .orders import OrderSpec, Weight, leading_data, w_values
 from .standard import standard_basis
 
@@ -106,8 +105,7 @@ def homogenized_generators(gens, cap):
     involving z is taken as given, with no factors."""
     if not gens or not all(g.z_free() for g in gens):
         return list(gens), ()
-    sb = standard_basis(gens, OrderSpec(gens[0].n), cap=cap,
-                        mul=partial(term_product, z_one=True))
+    sb = standard_basis(gens, OrderSpec(gens[0].n), cap=cap, z_one=True)
     return [homogenize(g) for g in sb.basis], sb.h_factors
 
 

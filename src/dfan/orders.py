@@ -17,6 +17,16 @@ rule-by-rule statement of the same order lives in the tests, as the oracle
 the key is checked against.  `leading_data` remembers each operator's
 leading exponent for the last order it was asked about.
 
+Computations under one order share one packing of exponents into ints
+(`operators.Codec`), kept by the order: `OrderSpec.codec(bound, make)`
+returns it, rebuilt wider when a computation's field bound (its padded cap
+and largest level, see `division`) exceeds it; it never narrows.  This
+module does not import `operators`, so the caller passes the constructor.
+`OrderSpec.heap_key(codec)` is the key of packed exponents, negated for
+max-first heaps and computed once per exponent through an unpack, and
+`packed_leader` keeps each operator's packed leading exponent and leading
+numerator next to `leading_data`'s memo.
+
 The admissible cone W = {u <= 0, u + v >= 0} is stated here and nowhere
 else: `w_forms(n)` lists its 2n integer forms, -u_1 ... -u_n and then
 u_1 + v_1 ... u_n + v_n, and a vector lies in W when none is negative.
@@ -45,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 
 from .errors import NotAdmissible, ZeroOperator
 
@@ -196,6 +206,37 @@ class OrderSpec:
     def max_exponent(self, exps):
         return max(exps, key=self.key())
 
+    def codec(self, bound, make):
+        """The packing of exponents that computations under this order
+        share: the codec `make(n, bound)` (`operators.Codec.for_bound`)
+        built for the largest field bound asked for so far, rebuilt when a
+        computation needs more.  Its width grows only, so the packed rows
+        and leaders the operators keep stay valid while no computation
+        needs more."""
+        c = self.__dict__.get("_codec")
+        if c is None or c.top < bound:
+            c = make(self.n, max(bound, c.top if c else 0))
+            object.__setattr__(self, "_codec", c)  # a memo, not a field
+        return c
+
+    def heap_key(self, codec):
+        """p -> the key of the exponent p packs in codec, negated, so a
+        min-heap pops the greatest exponent first; each p's key is
+        computed once per codec."""
+        memo = self.__dict__.get("_heap_key")
+        if memo is None or memo[0] is not codec:
+            key, unpack, seen = self._key, codec.unpack, {}
+
+            def heap_key(p):
+                v = seen.get(p)
+                if v is None:
+                    v = seen[p] = tuple(map(neg, key(unpack(p))))
+                return v
+
+            memo = codec, heap_key
+            object.__setattr__(self, "_heap_key", memo)  # a memo, not a field
+        return memo[1]
+
 
 def leading_data(p, ord_spec):
     """(exp, lc) of a nonzero operator.
@@ -213,3 +254,16 @@ def leading_data(p, ord_spec):
         e = ord_spec.max_exponent(p.terms)
         p.lead_memo = (ord_spec, e)
     return e, p.terms[e]
+
+
+def packed_leader(p, ord_spec, codec):
+    """(packed leading exponent, its cleared numerator) of a nonzero
+    operator, for a codec of ord_spec; kept in `p.plead_memo` for that
+    order and codec."""
+    memo = p.plead_memo
+    if memo is not None and memo[0] is ord_spec and memo[1] is codec:
+        return memo[2]
+    e = leading_data(p, ord_spec)[0]
+    out = codec.pack(e), p.cleared().terms[e]
+    p.plead_memo = (ord_spec, codec, out)
+    return out

@@ -493,9 +493,9 @@ class ParamFraction:
     def __mul__(self, other):
         other = self._coerce(other)
         if self.field is other.field:
-            if self.num.is_one and self.den.is_one:
+            if _is_one(self.num) and _is_one(self.den):
                 return other
-            if other.num.is_one and other.den.is_one:
+            if _is_one(other.num) and _is_one(other.den):
                 return self
         r = ParamFraction(self.field, self.num * other.num, self.den * other.den)
         # nonzero factors with a zero product: q is not prime (C is a
@@ -527,7 +527,7 @@ class ParamFraction:
 
     def __str__(self):
         ns = poly_str(self.num)
-        if self.den.is_one:
+        if _is_one(self.den):
             return ns
         ds = poly_str(self.den)
         if len(self.num) > 1:
@@ -539,9 +539,15 @@ class ParamFraction:
     __repr__ = __str__
 
 
+def _is_one(f):
+    """f == 1, read off f's terms: sympy's `is_one` builds the ring's one
+    to compare with."""
+    return len(f) == 1 and f.get(f.ring.zero_monom) == 1
+
+
 def _cancel(num, den):
     """Cancel common factors; normalize den primitive with positive lc."""
-    if den.is_one:
+    if _is_one(den):
         return num, den
     R = den.ring
     # monomial fast path for the denominator

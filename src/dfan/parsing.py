@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .errors import NotPrime, OperatorSyntaxError, UnknownName
 from .operators import HOperator, exponent
-from .params import (ParamField, ParamIdeal, QQ_FIELD, factor_squarefree, param_ring,
-                     poly_str)
+from .params import ParamField, ParamIdeal, QQ_FIELD, factor_squarefree, param_ring
 from .orders import OrderSpec, Weight
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -240,24 +239,6 @@ class ProblemFile:
     @property
     def m(self):
         return len(self.params)
-
-    def serialize(self):
-        lines = []
-        if self.params:
-            lines.append("params: " + " ".join(self.params))
-        lines.append("vars: " + " ".join(self.var_names))
-        lines.append("order: " + self.order_desc)
-        for w in self.weights:
-            lines.append("weight: u " + " ".join(str(a) for a in w.u)
-                         + " v " + " ".join(str(b) for b in w.v))
-        lines.append(f"cap: {self.cap}")
-        for g in self.q_ideal.generators:
-            lines.append("qideal: " + poly_str(g))
-        for g in self.generators:
-            lines.append("ideal: " + str(g))
-        if self.dividend is not None:
-            lines.append("dividend: " + str(self.dividend))
-        return "\n".join(lines) + "\n"
 
 
 # Two names for the one base comparison of `OrderSpec`.

@@ -9,12 +9,18 @@ truncates.  A basis computed at several caps whose staircase has stabilized
 between the last two caps is reported as certified.
 
 One loop serves both rings: `standard_basis`, `spair`, `completion`,
-`reduce_basis` and `division.divide` take the term product as `mul`, by
-default `operators.term_product` in the homogenized ring;
-`fan.homogenized_generators` passes its z = 1 form to complete plain
-differential operators.  Over QQ, `spair` and `divide` run on integer
-numerators over one common denominator and make Fractions only of the
-coefficients they return (see `division`).
+`reduce_basis` and `division.divide` run in the homogenized ring, or with
+`z_one` in its z = 1 quotient, where `fan.homogenized_generators`
+completes plain differential operators.  Over QQ, `spair` and `divide` run
+on integer numerators over one common denominator and make Fractions only
+of the coefficients they return (see `division`).
+
+Exponents are packed (`operators.Codec`) in the codec of the order
+(`OrderSpec.codec`).  `spair` multiplies packed rows and hands `divide` the
+S-operator's packed rows with its terms, so nothing is packed twice; it
+unpacks the S-operator's terms.  `completion` keeps the leading exponents
+packed, so the chain criterion's joins and divisibility tests are int
+masks; when the order's codec widens, it repacks them.
 
 Over Frac(C/Q) the same loop computes the generic standard basis.  The field
 is the only place Q enters: a coefficient whose numerator lies in Q is zero
@@ -33,43 +39,47 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .division import divide
-from .operators import Exponent, HOperator, _add_term, term_product
-from .orders import leading_data
+from .division import GUARD_SLACK, divide
+from .operators import Codec, HOperator, _add_term, _product, _z_one
+from .orders import leading_data, packed_leader
 from .params import QQ_FIELD, multiplier, numerator_factors
 
 
-def _join(a: Exponent, b: Exponent):
-    return Exponent(tuple(map(max, a.alpha, b.alpha)),
-                    tuple(map(max, a.beta, b.beta)), max(a.k, b.k))
-
-
-def spair(gi, gj, ord_spec, mul=None):
+def spair(gi, gj, ord_spec, z_one=False):
     """S-operator: cross-multiply to the join of the leading exponents and
     subtract; the joined leading terms cancel exactly.  The products run on
     the cleared forms, scaled by a and b over one denominator d
-    (`field.cross` of the leading numerators); mul is as in
-    `division.divide`.  The S-operator keeps its own cleared form, made from
-    those numerators (`field.clear_ratios`), so `divide` does not clear it
-    again."""
-    mul = mul or term_product
-    ei = leading_data(gi, ord_spec)[0]
-    ej = leading_data(gj, ord_spec)[0]
-    fi, fj = gi.cleared(), gj.cleared()
-    e = _join(ei, ej)
+    (`field.cross` of the leading numerators), in the z = 1 quotient when
+    z_one.  The S-operator keeps its own cleared form, made from those
+    numerators (`field.clear_ratios`), and its packed rows, so `divide`
+    neither clears nor packs it again."""
+    # a product term's level is at most the join's, at most the sum of the
+    # leaders', and its x-degree at most the join's plus its factor's
+    (li, xi), (lj, xj) = gi.degrees(), gj.degrees()
+    codec = ord_spec.codec(max(li + lj, xi + xj + max(xi, xj)), Codec.for_bound)
+    pi, ci = packed_leader(gi, ord_spec, codec)
+    pj, cj = packed_leader(gj, ord_spec, codec)
     field = gi.field
-    a, b, d = field.cross(fi.terms[ei], fj.terms[ej])
-    terms, cut_i = mul(e - ei, a, fi, gi.cap)
-    tj, cut_j = mul(e - ej, b, fj, gj.cap)
+    a, b, d = field.cross(ci, cj)
+    e = codec.join(pi, pj)
+    terms, tj = {}, {}
+    cut_i = _product(terms, e - pi, a, gi.packed(codec), gi.cap, codec)
+    cut_j = _product(tj, e - pj, b, gj.packed(codec), gj.cap, codec)
+    if z_one:
+        terms, tj = _z_one(terms, codec), _z_one(tj, codec)
     for te, c in tj.items():
         _add_term(terms, te, -c)
     caps = [c for c in (gi.cap, gj.cap) if c is not None]
-    ratio = field.ratio
-    sp = HOperator(gi.n, field, {te: ratio(c, d) for te, c in terms.items()},
+    ratio, unpack = field.ratio, codec.unpack
+    exps = [(unpack(te), te) for te in terms]
+    sp = HOperator(gi.n, field, {x: ratio(terms[te], d) for x, te in exps},
                    cap=min(caps) if caps else None,
                    tainted=gi.tainted or cut_i or gj.tainted or cut_j)
     # the numerators of the terms kept are the cleared form `divide` needs
-    sp.clear_memo = field.clear_ratios({te: terms[te] for te in sp.terms}, d)
+    if len(sp.terms) < len(exps):
+        exps = [(x, te) for x, te in exps if x in sp.terms]
+    sp.clear_memo = cl = field.clear_ratios({x: terms[te] for x, te in exps}, d)
+    sp.pack_memo = codec.width, [codec.row(te, cl.terms[x], x) for x, te in exps]
     return sp
 
 
@@ -111,72 +121,90 @@ class StandardBasis:
         return self._multiplier[1]
 
 
-def completion(gens, ord_spec, cap=None, mul=None):
-    """Run the S-pair loop with the term product mul (see `divide`); returns
-    the (non-reduced) standard basis list and the taint flag.  Inputs and
+def completion(gens, ord_spec, cap=None, z_one=False):
+    """Run the S-pair loop, in the z = 1 quotient when z_one; returns the
+    (non-reduced) standard basis list and the taint flag.  Inputs and
     remainders enter through one Gebauer-Moller update; a pair it drops
     taints the result exactly when `spair` on it would have cut a term."""
-    G, lead, top = [], [], []  # elements, leading exponents, top x-degrees
+    G, lead, top = [], [], []  # elements, packed leading exponents, top x-degrees
     key = ord_spec.key()
     count = itertools.count()
     heap = []    # (key of the join, formation count): least join first,
-    queued = {}  # ties in the order formed; count -> (i, j, join) while live
+    queued = {}  # ties in the order formed; count -> (i, j) while live
     tainted = False
+    codec = None  # the order's codec when the last element was added
+    top_level = top_xdeg = 0  # over the inputs and G
 
     def cut(t, L):
-        # term_product(L - lead[t], ., G[t], G[t].cap) discards a term
+        # the product of spair(G[t], .) at the join L discards a term
         c = G[t].cap
-        return c is not None and L.xdeg - lead[t].xdeg + top[t] > c
+        return (c is not None
+                and codec.xdeg(L) - codec.xdeg(lead[t]) + top[t] > c)
 
     def add(g):
-        nonlocal tainted
+        nonlocal tainted, codec, top_level, top_xdeg
         r = len(G)
-        e = leading_data(g, ord_spec)[0]
         G.append(g)
+        level, xdeg = g.degrees()
+        top.append(xdeg)
+        top_level, top_xdeg = max(top_level, level), max(top_xdeg, xdeg)
+        # the widest fields an S-pair or a division among G can need, asked
+        # for at once so that they do not widen the codec one by one
+        c = ord_spec.codec(max(2 * top_level, 3 * top_xdeg, 0 if cap is None
+                               else cap + 2 * top_level + GUARD_SLACK),
+                           Codec.for_bound)
+        if c is not codec:  # the order's codec widened: repack the leaders
+            lead[:] = [packed_leader(h, ord_spec, c)[0] for h in G[:r]]
+            codec = c
+        e = packed_leader(g, ord_spec, codec)[0]
         lead.append(e)
-        top.append(max(x.xdeg for x in g.terms))
+        dominates, join = codec.dominates, codec.join
         # B: a queued pair whose join the new leader divides, and whose joins
         # with the new leader differ from its own, is useless
-        for c, (i, j, L) in list(queued.items()):
-            if (L.dominates(e) and _join(lead[i], e) != L
-                    and _join(lead[j], e) != L):
-                del queued[c]
+        for q, (i, j) in list(queued.items()):
+            L = join(lead[i], lead[j])
+            if (dominates(L, e) and join(lead[i], e) != L
+                    and join(lead[j], e) != L):
+                del queued[q]
                 tainted = tainted or cut(i, L) or cut(j, L)
         # M: drop a new pair whose join strictly dominates another's;
         # F: of new pairs with equal joins keep the first formed
-        new = [_join(et, e) for et in lead[:r]]
+        new = [join(et, e) for et in lead[:r]]
         kept = set()
         for t, L in enumerate(new):
-            if L in kept or any(L != L2 and L.dominates(L2) for L2 in new):
+            if L in kept or any(L != L2 and dominates(L, L2) for L2 in new):
                 tainted = tainted or cut(t, L) or cut(r, L)
                 continue
             kept.add(L)
-            c = next(count)
-            queued[c] = (t, r, L)
-            heappush(heap, (key(L), c))
+            q = next(count)
+            queued[q] = (t, r)
+            heappush(heap, (key(codec.unpack(L)), q))
 
-    for g in gens:
-        g = g if cap is None else g.truncated(cap) if (g.cap is None or g.cap > cap) else g
-        if not g.is_zero():
-            tainted = tainted or g.tainted
-            add(g)
+    inputs = [g if cap is None else g.truncated(cap) if (g.cap is None or g.cap > cap)
+              else g for g in gens]
+    inputs = [g for g in inputs if not g.is_zero()]
+    for g in inputs:
+        top_level, top_xdeg = map(max, (top_level, top_xdeg), g.degrees())
+    for g in inputs:
+        tainted = tainted or g.tainted
+        add(g)
     while heap:
         pair = queued.pop(heappop(heap)[1], None)
         if pair is None:
             continue  # dropped by a later update
-        i, j, _ = pair
-        sp = spair(G[i], G[j], ord_spec, mul=mul)
+        i, j = pair
+        sp = spair(G[i], G[j], ord_spec, z_one=z_one)
         tainted = tainted or sp.tainted
         if sp.is_zero():
             continue
-        res = divide(sp, G, ord_spec, mul=mul)
+        res = divide(sp, G, ord_spec, z_one=z_one)
         tainted = tainted or res.tainted
         if not res.remainder.is_zero():
             add(res.remainder)
     return G, tainted
 
 
-def reduce_basis(basis, ord_spec, mul=None):
+def reduce_basis(basis, ord_spec, z_one=False):
     """Minimal, monic, tail-reduced basis (the reduced standard basis)."""
     data = [(g,) + leading_data(g, ord_spec) for g in basis if not g.is_zero()]
     # minimalize: drop elements whose leading exponent is divisible by another's
@@ -197,7 +225,7 @@ def reduce_basis(basis, ord_spec, mul=None):
         if tail.is_zero():
             out.append(lm)
             continue
-        res = divide(tail, G0, ord_spec, mul=mul)
+        res = divide(tail, G0, ord_spec, z_one=z_one)
         tainted = tainted or res.tainted
         r = res.remainder
         if r.cap is not None and e.xdeg > r.cap:
@@ -210,14 +238,14 @@ def reduce_basis(basis, ord_spec, mul=None):
     return out, tainted
 
 
-def standard_basis(gens, ord_spec, cap=None, reduced=True, mul=None):
-    """Standard basis of the left ideal generated by gens, under the term
-    product mul (see `division.divide`); over Frac(C/Q) the generic one,
-    whose multiplier h is read off the result."""
-    G, tainted = completion(gens, ord_spec, cap=cap, mul=mul)
+def standard_basis(gens, ord_spec, cap=None, reduced=True, z_one=False):
+    """Standard basis of the left ideal generated by gens, in the z = 1
+    quotient when z_one; over Frac(C/Q) the generic one, whose multiplier h
+    is read off the result."""
+    G, tainted = completion(gens, ord_spec, cap=cap, z_one=z_one)
     basis = G
     if reduced and G:
-        basis, t2 = reduce_basis(G, ord_spec, mul=mul)
+        basis, t2 = reduce_basis(G, ord_spec, z_one=z_one)
         tainted = tainted or t2
     field = gens[0].field if gens else QQ_FIELD
     return StandardBasis(basis, ord_spec, cap, tainted, field, G)

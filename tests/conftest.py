@@ -1,11 +1,15 @@
 """Shared helpers: compact operator builders, the reference order,
-division check and cone equality that several test modules use, and the
-checks and samplers the acceptance suite runs on fans, bases and strata."""
+division check and cone equality that several test modules use, the tuple
+forms of the term product, the divisor classifier and the join that the
+packed loops replaced, and the checks and samplers the acceptance suite
+runs on fans, bases and strata."""
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import count, product
-from math import gcd
+from math import comb, gcd
+from operator import add, ge, sub
 
 import pytest
 
@@ -48,6 +52,100 @@ def random_ideal(rng, n, maxk=1, most=2):
                        maxdeg=maxdeg, maxk=maxk)
             for _ in range(rng.randint(1, most))]
     return [g for g in gens if not g.is_zero()]
+
+
+def _falling(a, j):
+    r = 1
+    for t in range(j):
+        r *= a - t
+    return r
+
+
+def _commutation_choices(beta1, alpha2, lims):
+    """All j <= lims = min(beta1, alpha2) with multiplicity
+    prod_i C(beta1_i, j_i)*(alpha2_i)_{j_i}, starting with j = 0."""
+    out = []
+    for j in product(*(range(l + 1) for l in lims)):
+        mult = 1
+        for i, ji in enumerate(j):
+            if ji:
+                mult *= comb(beta1[i], ji) * _falling(alpha2[i], ji)
+        if mult:
+            out.append((j, mult))
+    return out
+
+
+def _add_term(terms, e, c):
+    if e in terms:
+        s = terms[e] + c
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
+    else:
+        terms[e] = c
+
+
+def term_product(e, c, g, cap, z_one=False):
+    """The tuple form of the term product, the oracle of the packed
+    `operators._product`: c * x^a dx^b z^k times g, for e = (a, b, k), on
+    `Exponent`s, truncated at the x-degree cap (None: none); with z_one, in
+    the z = 1 quotient, merged in term order.  g is anything with `terms`.
+    Returns the terms dict and whether the cap cut a nonzero term, the
+    term e itself included."""
+    if cap is not None and sum(e[0]) > cap:
+        return {}, True  # every product term has x-degree at least |a|
+    a, b, k = e
+    xa = sum(a)
+    out = {}
+    discarded = False
+    for (a2, b2, k2), c2 in g.terms.items():
+        base = c * c2
+        xdeg = xa + sum(a2)
+        alpha = tuple(map(add, a, a2))
+        beta = tuple(map(add, b, b2))
+        lims = tuple(map(min, b, a2))
+        for j, mult in _commutation_choices(b, a2, lims) if any(lims) else ((lims, 1),):
+            s = sum(j)
+            if cap is not None and xdeg - s > cap:
+                discarded = True
+                continue
+            te = (Exponent(tuple(map(sub, alpha, j)), tuple(map(sub, beta, j)),
+                           k + k2 + s) if s else Exponent(alpha, beta, k + k2))
+            _add_term(out, te, base * mult if mult != 1 else base)
+    if z_one:
+        merged = {}
+        for te, tc in out.items():
+            _add_term(merged, Exponent(te.alpha, te.beta, 0), tc)
+        out = merged
+    return out, discarded
+
+
+def oracle_mul(z_one):
+    """The tuple term product of the homogenized ring, or of its z = 1
+    quotient."""
+    return partial(term_product, z_one=True) if z_one else term_product
+
+
+def partition(divisor_exps):
+    """Delta classifier, the oracle of division's packed divisor test:
+    e -> least j with e in exp_j + N^{2n+1}, else None."""
+    vecs = [e.vec() for e in divisor_exps]
+
+    def classify(e):
+        v = e.vec()
+        for j, vj in enumerate(vecs):
+            if all(map(ge, v, vj)):
+                return j
+        return None
+
+    return classify
+
+
+def join(a, b):
+    """Componentwise max of two exponents, the oracle of `Codec.join`."""
+    return Exponent(tuple(map(max, a.alpha, b.alpha)),
+                    tuple(map(max, a.beta, b.beta)), max(a.k, b.k))
 
 
 def admissible_by_fractions(w):

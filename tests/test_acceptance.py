@@ -7,10 +7,10 @@ with `pytest -v` as the test verdict) and enforces its own time budget.
 import time
 from fractions import Fraction
 
-from conftest import (check_fan_against_grid, h_vanishes_at, qop, random_qop,
-                      reconstruct_window, same_cone, sample_points,
+from conftest import (check_fan_against_grid, h_vanishes_at, partition, qop,
+                      random_qop, reconstruct_window, same_cone, sample_points,
                       uniqueness_check)
-from dfan.division import denominator_certificate, divide, partition
+from dfan.division import denominator_certificate, divide
 from dfan.errors import DenominatorVanishes
 from dfan.fan import (enumerate_fan, fan_of_ideal, grid_weights,
                       homogenized_generators)

@@ -312,3 +312,43 @@ def test_weight_doc_matches_the_fraction_route():
                  ((Fraction(2, 6),), (Fraction(-4, 3),)), ((0,), (0,))):
         w = Weight.make(u, v)
         assert _weight_doc(w) == {"u": [str(a) for a in w.u], "v": [str(b) for b in w.v]}
+
+
+BIG_SB = """vars: x1
+cap: 4
+ideal: dx1^70000 + x1*dx1^69999*z
+"""
+
+
+def test_sb_on_exponents_beyond_sixteen_bits():
+    """The packed width comes from the computation's own bounds, so a level
+    of 70000 (17 bits) prints the basis and staircase it always did."""
+    proc = run_cli(["sb"], BIG_SB)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "basis": ["dx1^70000 + x1*dx1^69999*z"], "cap": 4,
+        "cap_certified": True, "tainted": False,
+        "staircase": [{"alpha": [0], "beta": [70000], "k": 0}]}
+
+
+def test_exponent_beyond_the_packed_width_exits_1(monkeypatch, capsys):
+    """A codec narrower than the computation's exponents (here forced to
+    2-bit fields) raises ExponentOverflow, exit 1, and prints no answer."""
+    from dfan import cli
+    from dfan.operators import Codec
+    monkeypatch.setattr(Codec, "for_bound", staticmethod(lambda n, bound: Codec(n, 2)))
+    for verb, text in (("sb", AIRY.replace("dx1^2", "dx1^5")),
+                       ("div", DIV.replace("dx1*x1", "dx1^5*x1"))):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main([verb, "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "ExponentOverflow" in err
+
+
+def test_parser_is_built_once():
+    """Every call of `main` parses with the one parser `build_parser` made."""
+    from dfan import cli
+    assert cli.build_parser() is cli.build_parser()
+    args = cli.build_parser().parse_args(["sb", "-", "--cap", "3"])
+    assert (args.verb, args.cap) == ("sb", 3)
+    assert cli.build_parser().parse_args(["fan", "-"]).cap is None

@@ -4,17 +4,22 @@
 Frac(C) and routed terms whose coefficient numerator lies in Q to a T part,
 as an oracle for plain division over Frac(C/Q)."""
 
+import io
+import json
 import random
+import sys
 from fractions import Fraction
 from functools import cmp_to_key, partial
 
 import pytest
 
-from conftest import compare_by_rules, qop, random_qop, reconstruct_window
-from dfan.division import (GUARD_SLACK, denominator_certificate, divide,
-                           partition)
+from conftest import (compare_by_rules, partition, qop, random_qop,
+                      reconstruct_window)
+import dfan.division as division
+from dfan import cli
+from dfan.division import GUARD_SLACK, denominator_certificate, divide
 from dfan.errors import LeadingTermNotCancelled, ZeroDivisor
-from dfan.operators import Exponent, HOperator, exponent, term_product
+from dfan.operators import Exponent, HOperator, exponent
 from dfan.orders import OrderSpec, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
 
@@ -33,18 +38,23 @@ def test_zero_divisor_raises():
         divide(qop(1, {((0,), (0,), 0): 1}), [qop(1, {})], OrderSpec(1))
 
 
-def test_uncancelled_leading_term_raises():
+def test_uncancelled_leading_term_raises(monkeypatch):
     # a divisor product that leaves another coefficient on the term being
     # cancelled is a DfanError, which unlike an assert survives python -O
-    def doubled(e, c, g, cap):
-        terms, discarded = term_product(e, c, g, cap)
-        return {te: 2 * tc for te, tc in terms.items()}, discarded
+    product = division._product
+
+    def doubled(out, p, c, rows, cap, codec):
+        terms = {}
+        discarded = product(terms, p, c, rows, cap, codec)
+        out.update((te, 2 * tc) for te, tc in terms.items())
+        return discarded
 
     x = qop(1, {((1,), (0,), 0): 1})
     x2 = qop(1, {((2,), (0,), 0): 1})
     assert divide(x2, [x], OrderSpec(1)).remainder.is_zero()
+    monkeypatch.setattr(division, "_product", doubled)
     with pytest.raises(LeadingTermNotCancelled):
-        divide(x2, [x], OrderSpec(1), mul=doubled)
+        divide(x2, [x], OrderSpec(1))
 
 
 def test_quotients_are_built_once_on_first_read(rng, monkeypatch):
@@ -409,3 +419,16 @@ def test_frac_c_mod_q_division_matches_old_route(q_text):
         with_t += not T.is_zero()
         steps += sum(res.denom_powers.values())
     assert checked >= 100 and with_t >= 80 and steps >= 150
+
+
+def test_division_by_no_divisors_leaves_the_dividend(capsys, monkeypatch):
+    """An empty divisor list leaves P as its own remainder, with no
+    quotients, in the library and through `dfan div` on a problem with no
+    `ideal:` line."""
+    P = qop(1, {((1,), (0,), 0): 1, ((0,), (2,), 1): Fraction(-1, 2)}).truncated(3)
+    res = divide(P, [], OrderSpec(1))
+    assert res.remainder == P and res.quotients == [] and not res.tainted
+    monkeypatch.setattr(sys, "stdin", io.StringIO("vars: x1\ncap: 3\ndividend: x1\n"))
+    assert cli.main(["div", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["remainder"] == "x1" and doc["quotients"] == []

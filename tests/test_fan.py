@@ -4,7 +4,6 @@ import hashlib
 import random
 from collections import deque
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 import pytest
@@ -17,7 +16,7 @@ from dfan.cones import RelOpenCone
 from dfan.errors import NonConvergentTraversal
 from dfan.fan import (cell_at, enumerate_fan, fan_of_ideal, grid_weights,
                       homogenized_generators, oracle_classify)
-from dfan.operators import HOperator, exponent, homogenize, term_product
+from dfan.operators import HOperator, exponent, homogenize
 from dfan.orders import OrderSpec, Weight
 from dfan.parametric import constant_fan_certificate, specialize_ideal
 from dfan.params import ParamField, ParamIdeal, poly_str
@@ -32,8 +31,7 @@ def test_dn_standard_basis_euler_pair():
     order = OrderSpec(1)
     a = qop(1, {((1,), (1,), 0): 1})
     b = qop(1, {((0,), (2,), 0): 1})
-    basis = standard_basis([a, b], order, cap=8,
-                           mul=partial(term_product, z_one=True)).basis
+    basis = standard_basis([a, b], order, cap=8, z_one=True).basis
     assert [str(g) for g in basis] == ["dx1"]
 
 

@@ -4,14 +4,14 @@ replaced.
 `divide_by_fractions` and `spair_by_fractions` are the per-step loops that
 `division.divide` and `standard.spair` ran before they moved onto integer
 numerators over one common denominator: one field operation per term per
-step, on the operators themselves.  They stay here as the oracle.  Over QQ
+step, on the operators themselves, through the tuple term product of
+`conftest`.  They stay here as the oracle.  Over QQ
 the results must be equal and every coefficient a `Fraction`; over
 Frac(C/Q) the same loop runs with cofactor 1, so every coefficient must
 keep the oracle's representative."""
 
 import random
 from fractions import Fraction
-from functools import partial
 from heapq import heapify, heappop, heappush
 from unittest import mock
 
@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import dfan.standard as st
-from dfan.division import GUARD_SLACK, divide, partition
+from conftest import join, oracle_mul, partition, term_product
+from dfan.division import GUARD_SLACK, divide
 from dfan.errors import LeadingTermNotCancelled
-from dfan.operators import Exponent, HOperator, term_product
+from dfan.operators import Exponent, HOperator
 from dfan.orders import OrderSpec, Weight, leading_data
 from dfan.params import QQ_FIELD, ParamField, ParamIdeal
 from dfan.standard import reduce_basis, spair, standard_basis
@@ -41,7 +42,7 @@ def divide_by_fractions(P, G, ord_spec, mul=None):
     caps = [p.cap for p in [P] + list(G) if p.cap is not None]
     cap = min(caps) if caps else None
     internal = (None if cap is None else
-                cap + max(g.top_level for g in [P, *G]) + GUARD_SLACK)
+                cap + max(g.degrees()[0] for g in [P, *G]) + GUARD_SLACK)
     gcaps = [min(g.cap, internal) if g.tainted and g.cap is not None else internal
              for g in G]
     tainted = P.tainted or any(g.tainted for g in G)
@@ -101,7 +102,7 @@ def spair_by_fractions(gi, gj, ord_spec, mul=None):
     mul = mul or term_product
     ei, lci = leading_data(gi, ord_spec)
     ej, lcj = leading_data(gj, ord_spec)
-    e = st._join(ei, ej)
+    e = join(ei, ej)
     field = gi.field
     ti, cut_i = mul(e - ei, field.one / lci, gi, gi.cap)
     tj, cut_j = mul(e - ej, field.one / lcj, gj, gj.cap)
@@ -133,10 +134,10 @@ def run(f, *args, **kwargs):
         return type(exc)
 
 
-def check_division(P, G, order, mul=None):
+def check_division(P, G, order, z_one=False):
     """divide against the oracle; returns the number of reduction steps."""
-    ref = run(divide_by_fractions, P, G, order, mul=mul)
-    res = run(divide, P, G, order, mul=mul)
+    ref = run(divide_by_fractions, P, G, order, mul=oracle_mul(z_one))
+    res = run(divide, P, G, order, z_one=z_one)
     if isinstance(ref, type):
         assert res is ref
         return 0
@@ -148,13 +149,14 @@ def check_division(P, G, order, mul=None):
     return sum(denom_powers.values())
 
 
-def check_spairs(ops, order, mul=None):
+def check_spairs(ops, order, z_one=False):
     """spair against the oracle; the cleared form the S-operator comes with
     is the one `field.clear` makes of its terms."""
     for i, gi in enumerate(ops):
         for gj in ops[i + 1:]:
-            sp = spair(gi, gj, order, mul=mul)
-            assert same_op(sp, spair_by_fractions(gi, gj, order, mul=mul))
+            sp = spair(gi, gj, order, z_one=z_one)
+            assert same_op(sp, spair_by_fractions(gi, gj, order,
+                                                  mul=oracle_mul(z_one)))
             kept = sp.clear_memo
             assert kept is not None and kept == sp.field.clear(sp.terms)
             assert list(kept.terms) == list(sp.terms)
@@ -164,24 +166,28 @@ def check_spairs(ops, order, mul=None):
 
 def by_fractions():
     """`standard`'s division and S-pair swapped for the oracle's."""
-    def oracle_divide(P, G, order, mul=None):
-        R, quotients, denom_powers, tainted = divide_by_fractions(P, G, order, mul=mul)
+    def oracle_divide(P, G, order, z_one=False):
+        R, quotients, denom_powers, tainted = divide_by_fractions(
+            P, G, order, mul=oracle_mul(z_one))
         return mock.Mock(remainder=R, quotients=quotients,
                          denom_powers=denom_powers, tainted=tainted)
 
-    return mock.patch.multiple(st, divide=oracle_divide, spair=spair_by_fractions)
+    def oracle_spair(gi, gj, order, z_one=False):
+        return spair_by_fractions(gi, gj, order, mul=oracle_mul(z_one))
+
+    return mock.patch.multiple(st, divide=oracle_divide, spair=oracle_spair)
 
 
-def check_standard_basis(gens, order, cap, mul=None):
+def check_standard_basis(gens, order, cap, z_one=False):
     with by_fractions():
-        ref = standard_basis(gens, order, cap=cap, mul=mul)
-        ref_red = reduce_basis(ref.completed, order, mul=mul)
-    sb = standard_basis(gens, order, cap=cap, mul=mul)
+        ref = standard_basis(gens, order, cap=cap, z_one=z_one)
+        ref_red = reduce_basis(ref.completed, order, z_one=z_one)
+    sb = standard_basis(gens, order, cap=cap, z_one=z_one)
     assert len(sb.completed) == len(ref.completed)
     assert all(same_op(a, b) for a, b in zip(sb.completed, ref.completed))
     assert len(sb.basis) == len(ref.basis) and sb.tainted == ref.tainted
     assert all(same_op(a, b) for a, b in zip(sb.basis, ref.basis))
-    red = reduce_basis(sb.completed, order, mul=mul)
+    red = reduce_basis(sb.completed, order, z_one=z_one)
     assert red[1] == ref_red[1] and len(red[0]) == len(ref_red[0])
     assert all(same_op(a, b) for a, b in zip(red[0], ref_red[0]))
 
@@ -204,7 +210,7 @@ def orders_for(n):
 
 @hs.composite
 def qq_case(draw):
-    """(dividend, divisors, orders, mul, cap): QQ operators with exponents up
+    """(dividend, divisors, orders, z_one, cap): QQ operators with exponents up
     to 2 and coefficients with denominators up to 6, in the homogenized
     ring or (z-free) through the z = 1 product; some divisors are cut below
     the dividend's cap, so they are capped and tainted."""
@@ -227,8 +233,7 @@ def qq_case(draw):
     G = [g for g in G if not g.is_zero()]
     orders = draw(hs.lists(hs.sampled_from(orders_for(n)), min_size=2,
                            max_size=3, unique=True))
-    mul = partial(term_product, z_one=True) if z_one else None
-    return P, G, orders, mul, cap
+    return P, G, orders, z_one, cap
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,12 +241,12 @@ def qq_case(draw):
 def test_divide_and_spair_match_the_fraction_oracle(case):
     """Each operator is divided, and paired, under several orders in turn,
     so a leading numerator kept per operator instead of per order fails."""
-    P, G, orders, mul, _ = case
+    P, G, orders, z_one, _ = case
     if P.is_zero() or not G:
         return
     for order in orders:
-        check_division(P, G, order, mul=mul)
-        check_spairs(G + [P], order, mul=mul)
+        check_division(P, G, order, z_one=z_one)
+        check_spairs(G + [P], order, z_one=z_one)
 
 
 @settings(max_examples=100, deadline=None)
@@ -249,12 +254,12 @@ def test_divide_and_spair_match_the_fraction_oracle(case):
 def test_standard_basis_matches_the_fraction_oracle(case):
     """Completion and reduction through the integer loops give the oracle
     loops' lists, reduced bases and taint, under each of several orders."""
-    P, G, orders, mul, cap = case
+    P, G, orders, z_one, cap = case
     gens = G[:2]
     if not gens:
         return
     for order in orders[:2]:
-        check_standard_basis(gens, order, cap, mul=mul)
+        check_standard_basis(gens, order, cap, z_one=z_one)
 
 
 def test_the_cases_divide():
@@ -336,3 +341,34 @@ def test_parametric_division_keeps_the_oracle_representatives(q_text):
     assert steps > 30
     gens = [operator(2, 4, 1) for _ in range(2)]
     check_standard_basis([g for g in gens if not g.is_zero()], OrderSpec(1), 4)
+
+
+def test_uncapped_division_widens_its_codec():
+    """Without a cap nothing bounds the x-degree in advance: x1^50 by
+    x1 - x2^2 ends at x2^100, past the width the operands ask for, so the
+    division starts again in a wider codec and gives the oracle's result."""
+    P = HOperator(2, QQ_FIELD, {Exponent((50, 0), (0, 0), 0): Fraction(1)})
+    g = HOperator(2, QQ_FIELD, {Exponent((1, 0), (0, 0), 0): Fraction(1),
+                                Exponent((0, 2), (0, 0), 0): Fraction(-1)})
+    order = OrderSpec(2)
+    assert check_division(P, [g], order) == 50
+    assert divide(P, [g], order).remainder.terms == {
+        Exponent((0, 100), (0, 0), 0): Fraction(1)}
+    assert order.codec(0, lambda n, bound: None).top >= 100
+
+
+def test_completion_repacks_when_its_codec_widens():
+    """x1^50 and x1 - x2^8, uncapped: a division reaches x2^400, past the
+    codec the generators asked for, so the order's codec widens in the
+    middle of the completion, which repacks its leaders and queued joins.
+    The result is the oracle loops' basis, with x2^400 among the leaders."""
+    x1_50 = HOperator(2, QQ_FIELD, {Exponent((50, 0), (0, 0), 0): Fraction(1)})
+    g = HOperator(2, QQ_FIELD, {Exponent((1, 0), (0, 0), 0): Fraction(1),
+                                Exponent((0, 8), (0, 0), 0): Fraction(-1)})
+    # pairs with dx2 z join at level 2 and wait in the queue meanwhile
+    h = HOperator(2, QQ_FIELD, {Exponent((0, 0), (0, 1), 1): Fraction(1)})
+    order = OrderSpec(2)
+    check_standard_basis([x1_50, g, h], order, None)
+    sb = standard_basis([x1_50, g, h], order)
+    assert Exponent((0, 400), (0, 0), 0) in sb.staircase
+    assert order.codec(0, lambda n, bound: None).top >= 400

@@ -211,7 +211,12 @@ def test_no_retired_cone_api_in_src():
     no separate z = 1 order is needed) and an ideal's claim to be prime
     (the zero-divisor test runs for every q).  Nor may the helpers only the
     tests read: the grid check of a fan, the uniqueness check of reduced
-    bases, the rational samplers and the stratum lookups."""
+    bases, the rational samplers and the stratum lookups.  Nor may the
+    tuple forms of the term product, the divisor classifier and the join,
+    which the packed loops replaced and the tests keep as oracles, the
+    product as a parameter (`z_one` says which ring), a problem's
+    serializer, which only a test read, or sympy's `is_one`, which builds
+    the ring's one on every call."""
     names = ("weak", "closure_contains", "interior_point", "EmptyCone",
              "reduced_generic_standard_basis", ".polyhedron", "_effective",
              "_dn_mul", "with_cap", "generic_standard_basis", "GenSBCertificate",
@@ -229,7 +234,9 @@ def test_no_retired_cone_api_in_src():
              "wstar_rays", ".homogenized", "homogenized=", "claimed_prime",
              "t_order", "check_fan_against_grid", "uniqueness_check",
              "sample_points", "rationals_by_height", "stratum_for",
-             "stratum_contains", "h_vanishes_at")
+             "stratum_contains", "h_vanishes_at", "term_product",
+             "_product_into", "_commutation_choices", "partition", "_join",
+             "mul=", "serialize", ".is_one")
     found = []
     for path in sorted(Path(dfan.__file__).parent.glob("*.py")):
         found += [f"{path.name}: {name}"

@@ -7,8 +7,10 @@ from math import comb, perm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import qop, random_qop
-from dfan.operators import Exponent, HOperator, exponent, homogenize, term_product
+from conftest import join, qop, random_qop, term_product
+from dfan.operators import (Codec, Exponent, HOperator, _product, _z_one, exponent,
+                            homogenize)
+from dfan.errors import ExponentOverflow
 from dfan.orders import OrderSpec, leading_data
 from dfan.params import QQ_FIELD, ParamField, ParamIdeal, ParamPoly
 
@@ -222,22 +224,39 @@ def _same_terms(terms, op):
             and all(str(tc) == str(op.terms[te]) for te, tc in terms.items()))
 
 
+def packed_term_product(e, c, g, cap, z_one=False):
+    """The packed kernel `operators._product` on the term c * e times the
+    terms of g, with the result read back as `Exponent`s in its order."""
+    level, xdeg = g.degrees()
+    codec = Codec.for_bound(g.n, max(e.level + level, e.xdeg + xdeg))
+    rows = [codec.row(codec.pack(x), cx) for x, cx in g.terms.items()]
+    out = {}
+    discarded = _product(out, codec.pack(e), c, rows, cap, codec)
+    if z_one:
+        out = _z_one(out, codec)
+    return {codec.unpack(p): v for p, v in out.items()}, discarded
+
+
 @settings(max_examples=300, deadline=None)
 @given(_kernel_case())
 def test_term_product_matches_general_product(case):
-    """The term kernel against the double-loop product of a one-term
+    """The packed term kernel against the double-loop product of a one-term
     operator, in the homogenized ring and through substitute_z_one in the
     z = 1 quotient: the same terms, and a discarded term exactly when the
-    product is tainted."""
+    product is tainted.  Against the tuple kernel it replaced: the same
+    terms in the same order, with the same representatives."""
     n, e, c, g, cap = case
     m = HOperator.monomial(n, g.field, e, c, cap=cap)
     for z_one in (False, True):
         ref = double_loop_product(m, g)
         if z_one:
             ref = substitute_z_one(ref)
-        terms, discarded = term_product(e, c, g, cap, z_one=z_one)
+        terms, discarded = packed_term_product(e, c, g, cap, z_one=z_one)
         assert _same_terms(terms, ref)
         assert discarded == ref.tainted
+        tuple_terms, tuple_discarded = term_product(e, c, g, cap, z_one=z_one)
+        assert list(terms) == list(tuple_terms) and discarded == tuple_discarded
+        assert all(str(terms[x]) == str(tuple_terms[x]) for x in terms)
 
 
 def _random_operator(rng, n, field, cap):
@@ -258,7 +277,7 @@ def _random_operator(rng, n, field, cap):
 
 
 def test_product_matches_double_loop(rng):
-    """HOperator.__mul__ sums term_product's rows over the terms of its left
+    """HOperator.__mul__ sums the packed kernel's rows over the terms of its left
     factor: the same terms as the double loop, with the same coefficient
     strings, the same cap and the same taint, over QQ and over
     Frac(Q[y]/(y^2 - 2)), with and without caps, zero factors included."""
@@ -275,7 +294,7 @@ def test_product_matches_double_loop(rng):
 
 def test_product_with_zero_is_untainted():
     """A left term above the cap of a zero right factor cuts nothing in the
-    product, though term_product reports the term itself as cut; above the
+    product, though the kernel reports the term itself as cut; above the
     cap of a nonzero factor it cuts every row."""
     e = exponent(1, alpha=[3], beta=[1])
     m = HOperator.monomial(1, QQ_FIELD, e)
@@ -283,7 +302,70 @@ def test_product_with_zero_is_untainted():
     got = m * zero
     assert got.is_zero() and not got.tainted and got.cap == 1
     assert not double_loop_product(m, zero).tainted
-    assert term_product(e, Fraction(1), zero, 1) == ({}, True)
+    assert packed_term_product(e, Fraction(1), zero, 1) == ({}, True)
     one = HOperator(1, QQ_FIELD, {exponent(1): Fraction(1)}, cap=1)
-    assert term_product(e, Fraction(1), one, 1) == ({}, True)
+    assert packed_term_product(e, Fraction(1), one, 1) == ({}, True)
     assert (m * one).is_zero() and (m * one).tainted
+
+
+@st.composite
+def _codec_case(draw):
+    """(codec, a, b): two exponents in n = 1..3 variables whose fields sit
+    anywhere in the codec's width, often at its edges (0, 1, top - 1, top)."""
+    n = draw(st.integers(1, 3))
+    codec = Codec(n, draw(st.one_of(st.integers(1, 12), st.sampled_from((29, 30, 31, 64)))))
+    top = codec.top
+    field = st.one_of(st.integers(0, top), st.sampled_from((0, 1, max(top - 1, 0), top)))
+
+    def exp():
+        return Exponent(tuple(draw(field) for _ in range(n)),
+                        tuple(draw(field) for _ in range(n)), draw(field))
+
+    return codec, exp(), exp()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_codec_case())
+def test_codec_matches_the_tuple_operations(case):
+    """The packed form against `Exponent`: round trip, int order as the
+    lexicographic order of vec(), sum (a field past the width sets its
+    guard bit and nothing else), difference, divisibility, join, x-degree,
+    and clearing k."""
+    codec, a, b = case
+    pa, pb = codec.pack(a), codec.pack(b)
+    assert codec.unpack(pa) == a and codec.unpack(pb) == b
+    assert codec.fields(pa) == list(a.vec())
+    assert (pa < pb) == (a.vec() < b.vec())
+    s = a + b
+    if max(s.vec()) <= codec.top:
+        assert pa + pb == codec.pack(s) and not (pa + pb) & codec.guard
+    else:
+        assert (pa + pb) & codec.guard
+        wide = Codec(codec.n, codec.width + 1)
+        assert wide.pack(s) == wide.pack(a) + wide.pack(b)
+    assert codec.dominates(pa, pb) == a.dominates(b)
+    if a.dominates(b):
+        assert pa - pb == codec.pack(a - b)
+    assert codec.join(pa, pb) == codec.pack(join(a, b))
+    assert codec.xdeg(pa) == a.xdeg
+    assert codec.clear_k(pa) == codec.pack(Exponent(a.alpha, a.beta, 0))
+
+
+def test_codec_rejects_what_its_width_cannot_hold():
+    """pack raises on a field past the width or below zero, and the kernel
+    on a product term whose field outgrows it, instead of wrapping."""
+    codec = Codec(1, 2)
+    for bad in (exponent(1, alpha=[4]), exponent(1, beta=[5]), exponent(1, k=4),
+                Exponent((-1,), (0,), 0)):
+        with pytest.raises(ExponentOverflow):
+            codec.pack(bad)
+    rows = [codec.row(codec.pack(exponent(1, alpha=[3])), 1)]
+    with pytest.raises(ExponentOverflow):
+        _product({}, codec.pack(exponent(1, alpha=[2])), 1, rows, None, codec)
+    # the same product within a cap of 4 discards the term instead
+    assert _product({}, codec.pack(exponent(1, alpha=[2])), 1, rows, 4, codec)
+    wide = Codec.for_bound(1, 5)
+    out = {}
+    _product(out, wide.pack(exponent(1, alpha=[2])), 1,
+             [wide.row(wide.pack(exponent(1, alpha=[3])), 1)], None, wide)
+    assert [wide.unpack(p) for p in out] == [exponent(1, alpha=[5])]

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import admissible_by_fractions, compare_by_rules, qop
 from dfan.errors import NotAdmissible, ZeroOperator
-from dfan.operators import Exponent, exponent
-from dfan.orders import (OrderSpec, Weight, in_w, leading_data, w_forms,
-                         w_values)
+from dfan.operators import Codec, Exponent, exponent
+from dfan.orders import (OrderSpec, Weight, in_w, leading_data, packed_leader,
+                         w_forms, w_values)
 from dfan.params import ParamField, ParamIdeal, ParamPoly
 
 
@@ -282,11 +282,22 @@ def test_level_is_the_dx_degree_weight_on_z_free_exponents(args):
 
 
 def test_leading_data_memo_follows_the_order():
-    """The memo answers only the OrderSpec object it was filled for."""
-    p = qop(2, {((1, 0), (0, 0), 0): 1, ((0, 1), (0, 0), 0): 1})   # x1 + x2
+    """The memos answer only the OrderSpec object they were filled for, and
+    the packed leader only the codec it was packed in; an order widens its
+    codec only when a computation needs wider fields."""
+    p = qop(2, {((1, 0), (0, 0), 0): 2, ((0, 1), (0, 0), 0): 1})   # 2*x1 + x2
     x1, x2 = exponent(2, alpha=[1, 0]), exponent(2, alpha=[0, 1])
     first, second = OrderSpec(2, xprio=(0, 1)), OrderSpec(2, xprio=(1, 0))
     assert leading_data(p, first)[0] == x1
     assert p.lead_memo == (first, x1)
     assert leading_data(p, second)[0] == x2
     assert leading_data(p, OrderSpec(2, xprio=(0, 1)))[0] == x1
+    narrow = first.codec(3, Codec.for_bound)
+    assert first.codec(2, Codec.for_bound) is narrow
+    assert packed_leader(p, first, narrow) == (narrow.pack(x1), 2)
+    assert p.plead_memo == (first, narrow, (narrow.pack(x1), 2))
+    wide = first.codec(100, Codec.for_bound)
+    assert wide.top >= 100 and first.codec(3, Codec.for_bound) is wide
+    assert packed_leader(p, first, wide) == (wide.pack(x1), 2)
+    assert packed_leader(p, second, wide) == (wide.pack(x2), 1)
+    assert packed_leader(p, first, wide) == (wide.pack(x1), 2)

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 import dfan
 from dfan.errors import DenominatorVanishes, DivisionByZeroModQ, NotPrime
 from dfan.params import (ParamField, ParamFraction, ParamIdeal, ParamPoly,
-                         _cancel, factor_squarefree, multiplier, param_ring,
-                         poly_divides, poly_eval, poly_primitive, poly_str)
+                         _cancel, _is_one, factor_squarefree, multiplier,
+                         param_ring, poly_divides, poly_eval, poly_primitive,
+                         poly_str)
 
 
 def test_poly_arithmetic_basics():
@@ -559,3 +560,36 @@ def test_one_term_fast_paths_match_sympy(term, args):
     for p in (term, a, b, a * b):
         assert factor_squarefree(p) == sympy_factor_squarefree(p)
         assert poly_str(p) == ref_poly_str(p)
+
+
+# the Q of the bench's parametric problems: parameter names, then the
+# generators of Q as polynomials in the first parameter
+BENCH_QS = ((("y",), ()), (("y",), ((-2, 0, 1),)), (("y",), ((1, 0, 1),)),
+            (("y",), ((-1, -1, 0, 1),)), (("a", "b"), ()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(small_rats, small_rats, small_rats),
+       st.sampled_from(BENCH_QS))
+def test_one_test_matches_sympy(coeffs, spec):
+    """`_is_one` against sympy's `is_one`, over the bench's Q: on
+    polynomials, on the numerators and denominators fractions of them
+    normalize to, and on the constants 0, 1, -1, 2 and 1/2."""
+    names, gens = spec
+    R = param_ring(list(names))
+    y = R.gens[0]
+    F = ParamField(R, ParamIdeal(R, [sum(c * y ** i for i, c in enumerate(g))
+                                     for g in gens]))
+    c0, c1, c2 = coeffs
+    polys = [R(c0) + c1 * y + c2 * y ** 2, R(c0), R(c1) * y, y ** 2 - y ** 2 + 1]
+    polys += [R(c) for c in (0, 1, -1, 2, Fraction(1, 2))]
+    for num in list(polys):
+        for den in (R.one, y + 2, R(3) * y):
+            try:
+                f = ParamFraction(F, num, den)
+            except DivisionByZeroModQ:
+                continue
+            polys += [f.num, f.den, (f * F.one).num]
+    assert sum(p.is_one for p in polys) >= 3
+    for p in polys:
+        assert _is_one(p) == p.is_one

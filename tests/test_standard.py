@@ -4,14 +4,14 @@ import random
 from fractions import Fraction
 from functools import cache, cmp_to_key, partial
 
-from conftest import compare_by_rules, qop, random_ideal, uniqueness_check
+from conftest import compare_by_rules, join, qop, random_ideal, uniqueness_check
 import dfan.params as params_module
 import dfan.standard as st
 from dfan.division import divide
-from dfan.operators import HOperator, exponent, term_product
+from dfan.operators import HOperator, exponent
 from dfan.orders import OrderSpec, leading_data
 from dfan.params import ParamField, ParamIdeal, ParamPoly
-from dfan.standard import (_join, certified_standard_basis, completion,
+from dfan.standard import (certified_standard_basis, completion,
                            reduce_basis, spair, standard_basis)
 
 
@@ -81,8 +81,8 @@ def test_a_leader_above_another_elements_cap_is_kept():
     the tail was cut; it used to lose the leader, and here became zero."""
     g = qop(2, {((2, 2), (1, 0), 0): 1, ((2, 2), (0, 0), 0): 1}).truncated(4)
     h = qop(2, {((0, 0), (0, 1), 0): 1}).truncated(2)
-    for mul in (None, partial(term_product, z_one=True)):
-        sb = standard_basis([g, h], OrderSpec(2), cap=4, mul=mul)
+    for z_one in (False, True):
+        sb = standard_basis([g, h], OrderSpec(2), cap=4, z_one=z_one)
         assert [str(b) for b in sb.basis] == ["x1^2*x2^2*dx1", "dx2"]
         assert [b.cap for b in sb.basis] == [4, 2] and sb.tainted
 
@@ -199,7 +199,7 @@ def test_h_is_factored_from_the_completion_on_first_read(monkeypatch):
         assert sb.h == (y - 1) * (y + 1) * y and calls == lcs
 
 
-def completion_by_resort(gens, ord_spec, cap, mul=None):
+def completion_by_resort(gens, ord_spec, cap, z_one=False):
     """Reference pair queue, without criteria: re-sort every pair by the
     join of its leading exponents (stable, through compare_by_rules) on every
     iteration and take the first.  Returns G, the taint flag, the pairs in
@@ -213,7 +213,7 @@ def completion_by_resort(gens, ord_spec, cap, mul=None):
 
     @cache  # G only grows, so a pair's join never changes
     def pair_key(p):
-        return key(_join(lead(G[p[0]]), lead(G[p[1]])))
+        return key(join(lead(G[p[0]]), lead(G[p[1]])))
 
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
     tainted = any(g.tainted for g in G)
@@ -224,11 +224,11 @@ def completion_by_resort(gens, ord_spec, cap, mul=None):
         ties += len(pairs) > 1 and pair_key(pairs[0]) == pair_key(pairs[1])
         i, j = pairs.pop(0)
         taken.append((i, j))
-        sp = spair(G[i], G[j], ord_spec, mul=mul)
+        sp = spair(G[i], G[j], ord_spec, z_one=z_one)
         tainted = tainted or sp.tainted
         if sp.is_zero():
             continue
-        res = divide(sp, G, ord_spec, mul=mul)
+        res = divide(sp, G, ord_spec, z_one=z_one)
         tainted = tainted or res.tainted
         r = res.remainder
         if r.is_zero():
@@ -261,9 +261,9 @@ def criterion_3_pool():
     return cases
 
 
-def reduced(G, tainted, order, mul=None):
+def reduced(G, tainted, order, z_one=False):
     """The reduced basis of a completion and the combined taint flag."""
-    basis, t2 = reduce_basis(G, order, mul=mul)
+    basis, t2 = reduce_basis(G, order, z_one=z_one)
     return basis, tainted or t2
 
 
@@ -347,18 +347,17 @@ def test_chain_criterion_matches_the_oracle():
     other pairs, and its divisions can cut terms the oracle's did not meet
     (or the other way round)."""
     rng = random.Random(1988)
-    z_one = partial(term_product, z_one=True)
     cases = []
     while len(cases) < 100:
         n = rng.randint(1, 2)
         gens = random_ideal(rng, n, most=3)
         if gens:
-            cases.append((gens, OrderSpec(n), rng.choice((4, 6)), None))
+            cases.append((gens, OrderSpec(n), rng.choice((4, 6)), False))
     while len(cases) < 130:
         n = rng.randint(1, 2)
         gens = random_ideal(rng, n, maxk=0, most=3)
         if gens:
-            cases.append((gens, OrderSpec(n), rng.choice((4, 6)), z_one))
+            cases.append((gens, OrderSpec(n), rng.choice((4, 6)), True))
     y = ParamPoly.var(1, 0)
     F = ParamField(1, ParamIdeal(1, [y * y - 2]))
     c = F.from_poly
@@ -368,19 +367,19 @@ def test_chain_criterion_matches_the_oracle():
                                         c(y * y - 2)}),
                    HOperator(2, F, {exponent(2, beta=[1, 1]): F.one,
                                     exponent(2, k=2): c(y)})],
-                  OrderSpec(2), 4, None))
+                  OrderSpec(2), 4, False))
 
-    def oracle(gens, order, cap, mul):
-        G, tainted, _, _ = completion_by_resort(gens, order, cap, mul)
-        return reduced(G, tainted, order, mul=mul)
+    def oracle(gens, order, cap, z_one):
+        G, tainted, _, _ = completion_by_resort(gens, order, cap, z_one)
+        return reduced(G, tainted, order, z_one=z_one)
 
     exact = 0
-    for gens, order, cap, mul in cases:
-        basis, tainted = reduced(*completion(gens, order, cap=cap, mul=mul),
-                                 order, mul=mul)
-        ref, tainted_ref = oracle(gens, order, cap, mul)
+    for gens, order, cap, z_one in cases:
+        basis, tainted = reduced(*completion(gens, order, cap=cap, z_one=z_one),
+                                 order, z_one=z_one)
+        ref, tainted_ref = oracle(gens, order, cap, z_one)
         if tainted_ref and not tainted:
-            ref, tainted_ref = oracle(gens, order, cap + 2, mul)
+            ref, tainted_ref = oracle(gens, order, cap + 2, z_one)
         if not tainted_ref:
             assert basis == ref
             exact += 1
